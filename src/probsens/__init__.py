@@ -21,7 +21,7 @@ from .errors import (
     UninitializedVariableError,
     UnsupportedFactorError,
 )
-from .parser import Diagnostic, parse, parse_monomial, print_program, validate
+from .parser import Diagnostic, parse, parse_monomial, validate
 from .symbolic import (
     ExpPolynomial,
     ExpTerm,
@@ -68,7 +68,6 @@ __all__ = [
     "parse_monomial",
     "validate",
     "Diagnostic",
-    "print_program",
     "Program",
     "NormalizedProgram",
     "Assignment",

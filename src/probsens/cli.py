@@ -23,6 +23,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .dependency import build_graph, classify as classify_program
 from .errors import (
     ClassificationError,
@@ -155,7 +156,7 @@ def _system_equations_json(system) -> list[dict]:
 
 
 @click.group()
-@click.version_option(package_name="probsens")
+@click.version_option(version=__version__)
 def main():
     """Exact parameter sensitivities for moments of probabilistic loops."""
 
@@ -224,7 +225,6 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
         if explain_var:
             _explain(np_, explain_var, wrt)
 
-        cls = classify_program(np_, wrt)
         started = time.perf_counter()
         result = parameter_sensitivity(
             np_, target_mono, wrt, method=method, cap=_resolve_cap(cap), debug=keep_all_terms
@@ -243,7 +243,7 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
             "target": str(target_mono),
             "parameter": wrt,
             "method": result.method,
-            "classification": _classification_json(cls),
+            "classification": _classification_json(result.classification),
             "rec": result.equation_count,
             "equations": _system_equations_json(result.system),
             "closed_form": exp_polynomial_to_json(result.closed_form),

@@ -1,6 +1,6 @@
 """Exact one-step recurrences for expectations of state monomials.
 
-For a monomial M over the loop variables, ``moment_recurrence`` expresses
+For a monomial M over the loop variables, ``MomentContext.recurrence`` expresses
 E[M after one body pass] as a linear combination of expectations of monomials
 of the state before the pass.  The derivation walks the normalized body
 backward, replacing each assigned variable's powers by the expectation of the
@@ -17,13 +17,18 @@ cancel their "keep the old value" residues.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import product
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional
 
-from .dependency import VALUE_SET_CAP, variable_supports
+from .dependency import (
+    VALUE_SET_CAP,
+    Classification,
+    DependencyGraph,
+    build_graph,
+    classify,
+    variable_supports,
+)
 from .errors import (
-    EquationCapError,
     GuardNotSupportedError,
     NonFiniteGuardError,
     UninitializedVariableError,
@@ -34,7 +39,6 @@ from .symbolic import ParamExpr, pe
 from .syntax import (
     BExpr,
     BTrue,
-    Categorical,
     DistDraw,
     NormalizedProgram,
     PolyExpr,
@@ -56,51 +60,6 @@ def _lagrange_basis_poly(name: str, point: Fraction, values: Iterable[Fraction])
         if s != point:
             acc = acc * (x - PolyExpr.const(s)).scale(pe(Fraction(1, 1) / (point - s)))
     return acc
-
-
-def iverson_polynomial(
-    condition: BExpr,
-    supports: Mapping[str, Iterable[Fraction]],
-    point_cap: int = _GUARD_POINT_CAP,
-) -> PolyExpr:
-    """0/1-valued polynomial agreeing with the condition's truth value on the
-    given finite value sets (multivariate Lagrange interpolation).
-
-    Every variable of the condition must have a finite support entry; the
-    product of support sizes is capped to keep tabulation tractable.
-    """
-    if isinstance(condition, BTrue):
-        return PolyExpr.const(Fraction(1))
-    params = bexpr_params(condition)
-    if params:
-        raise GuardNotSupportedError(
-            f"condition {sorted(params)} compares against parameters; "
-            "expectations over such branches have no polynomial form"
-        )
-    names = sorted(bexpr_vars(condition))
-    missing = tuple(v for v in names if supports.get(v) is None)
-    if missing:
-        raise NonFiniteGuardError(missing)
-    sets = []
-    points = 1
-    for v in names:
-        vals = sorted(Fraction(s) for s in supports[v])
-        if not vals:
-            raise NonFiniteGuardError((v,))
-        points *= len(vals)
-        if points > point_cap:
-            raise GuardNotSupportedError(
-                f"condition over {names} spans {points} value combinations"
-            )
-        sets.append(vals)
-    poly = PolyExpr.zero()
-    for combo in product(*sets):
-        if bexpr_eval(condition, dict(zip(names, combo))):
-            piece = PolyExpr.const(Fraction(1))
-            for v, point, vals in zip(names, combo, sets):
-                piece = piece * _lagrange_basis_poly(v, point, vals)
-            poly = poly + piece
-    return poly
 
 
 def dist_moment(kind: str, args: tuple[ParamExpr, ...], k: int) -> ParamExpr:
@@ -130,16 +89,36 @@ def dist_moment(kind: str, args: tuple[ParamExpr, ...], k: int) -> ParamExpr:
 
 
 class MomentContext:
-    """Shared caches for deriving recurrences of one normalized program."""
+    """Shared caches for deriving recurrences of one normalized program,
+    including its dependency graph and its classification per parameter, so
+    one analysis classifies the program once."""
 
     def __init__(self, program: NormalizedProgram, value_cap: int = VALUE_SET_CAP):
         self.program = program
         self.supports = variable_supports(program, cap=value_cap)
+        self._graph: Optional[DependencyGraph] = None
+        self._classifications: dict[str, Classification] = {}
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
         self._power_reps: dict[tuple[str, int], Optional[PolyExpr]] = {}
         self._truth: dict[BExpr, PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
+
+    # -- dependency facts ---------------------------------------------------
+
+    @property
+    def graph(self) -> DependencyGraph:
+        if self._graph is None:
+            self._graph = build_graph(self.program)
+        return self._graph
+
+    def classification(self, param: str) -> Classification:
+        """The program's verdict with respect to ``param``, computed once."""
+        cls = self._classifications.get(param)
+        if cls is None:
+            cls = classify(self.program, param, graph=self.graph)
+            self._classifications[param] = cls
+        return cls
 
     # -- canonicalization over finite value sets ----------------------------
 
@@ -283,10 +262,7 @@ class MomentContext:
             poly = out
         if not poly.is_constant:
             missing = sorted(poly.variables())
-            raise UninitializedVariableError(
-                f"no initial value for {', '.join(missing)} "
-                f"(first written inside the loop)"
-            )
+            raise UninitializedVariableError(tuple(missing))
         value = poly.constant_value()
         self._initials[monomial] = value
         return value
@@ -298,104 +274,3 @@ def _as_context(program) -> MomentContext:
     if isinstance(program, str):
         program = normalize(parse(program))
     return MomentContext(program)
-
-
-def moment_recurrence(program, monomial: VarMonomial) -> PolyExpr:
-    return _as_context(program).recurrence(monomial)
-
-
-def initial_moment(program, monomial: VarMonomial) -> ParamExpr:
-    return _as_context(program).initial(monomial)
-
-
-# ---------------------------------------------------------------------------
-# Closed systems of expectation recurrences
-# ---------------------------------------------------------------------------
-
-
-class MomentSystem:
-    """A finite self-contained set of expectation recurrences.
-
-    ``symbols`` lists the monomials in derivation order; each right-hand side
-    mentions only listed monomials (and the constant).  ``size`` counts the
-    equations, the constant-one sequence excluded.
-    """
-
-    def __init__(
-        self,
-        context: MomentContext,
-        symbols: tuple[VarMonomial, ...],
-        recurrences: Mapping[VarMonomial, PolyExpr],
-    ):
-        self.context = context
-        self.symbols = symbols
-        self.recurrences = dict(recurrences)
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def initial(self, monomial: VarMonomial) -> ParamExpr:
-        return self.context.initial(monomial)
-
-    def iterate(
-        self, n: int, sigma: Mapping[str, Fraction]
-    ) -> list[dict[VarMonomial, Fraction]]:
-        """Exact values of every symbol at indices 0..n, by forward iteration."""
-        state = {m: self.context.initial(m).eval_fraction(sigma) for m in self.symbols}
-        rows = [dict(state)]
-        for _ in range(n):
-            new = {}
-            for m in self.symbols:
-                total = Fraction(0)
-                for mono, coeff in self.recurrences[m].terms:
-                    base = Fraction(1) if mono.is_one else state[mono]
-                    total += coeff.eval_fraction(sigma) * base
-                new[m] = total
-            state = new
-            rows.append(dict(state))
-        return rows
-
-
-def moment_system(
-    program,
-    targets: Iterable[VarMonomial],
-    cap: int = DEFAULT_EQUATION_CAP,
-) -> MomentSystem:
-    """Close the target monomials' recurrences under the monomials they read.
-
-    Symbols are processed smallest first (by degree, then lexicographically)
-    so the resulting system is deterministic.  Exceeding ``cap`` equations
-    aborts the closure; unbounded growth is the hallmark of a variable whose
-    moments never close.
-    """
-    ctx = _as_context(program)
-    heap: list[tuple] = []
-    queued: set[VarMonomial] = set()
-
-    def push(m: VarMonomial) -> None:
-        if not m.is_one and m not in queued:
-            queued.add(m)
-            heappush(heap, (m.deglex_key(), m))
-
-    for m in targets:
-        for mono, _ in ctx.reduce(PolyExpr.monomial(m)).terms:
-            push(mono)
-    order: list[VarMonomial] = []
-    recs: dict[VarMonomial, PolyExpr] = {}
-    while heap:
-        _, m = heappop(heap)
-        if m in recs:
-            continue
-        if len(recs) >= cap:
-            raise EquationCapError(cap, len(recs) + len(heap) + 1, _describe(order[-5:]))
-        rhs = ctx.recurrence(m)
-        recs[m] = rhs
-        order.append(m)
-        for mono, _ in rhs.terms:
-            push(mono)
-    return MomentSystem(ctx, tuple(order), recs)
-
-
-def _describe(monomials) -> tuple[str, ...]:
-    return tuple(str(m) for m in monomials)

@@ -22,16 +22,12 @@ from itertools import product
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.stats import norm as _scipy_norm
 
 from .errors import OracleError
 from .syntax import (
     Assignment,
     BTrue,
-    Categorical,
     DistDraw,
-    GuardedAssignment,
-    IfStatement,
     NormalizedProgram,
     Program,
     VarMonomial,
@@ -232,8 +228,8 @@ def moment_exact(
 # ---------------------------------------------------------------------------
 
 
-def _site_uniforms(seed: int, site: int, iteration: int, trials: int) -> np.ndarray:
-    """Uniforms for one draw site at one iteration, indexed by trial.
+def _site_generator(seed: int, site: int, iteration: int) -> np.random.Generator:
+    """Random stream for one draw site at one iteration, indexed by trial.
 
     Streams are keyed by (seed, site, iteration), so estimates are bitwise
     reproducible, extending the trial count only appends values, and runs at
@@ -241,8 +237,7 @@ def _site_uniforms(seed: int, site: int, iteration: int, trials: int) -> np.ndar
     numbers).
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(site), int(iteration)))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.random(trials)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 class _Sites:
@@ -297,8 +292,12 @@ def _bexpr_vec(b, states, sigma) -> np.ndarray:
 
 def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: int) -> np.ndarray:
     if isinstance(rhs, DistDraw):
-        u = _site_uniforms(seed, site, iteration, trials)
+        gen = _site_generator(seed, site, iteration)
         args = [float(a.eval_fraction(sigma)) for a in rhs.args]
+        if rhs.kind == "Normal":
+            mean, var = args
+            return mean + math.sqrt(var) * gen.standard_normal(trials)
+        u = gen.random(trials)
         if rhs.kind == "Bernoulli":
             return (u < args[0]).astype(float)
         if rhs.kind == "Uniform":
@@ -307,13 +306,10 @@ def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: i
         if rhs.kind == "DiscreteUniform":
             a, b = args
             return np.minimum(np.floor(a + u * (b - a + 1)), b)
-        if rhs.kind == "Normal":
-            mean, var = args
-            return mean + math.sqrt(var) * _scipy_norm.ppf(u)
         raise AssertionError(rhs.kind)
     if rhs.is_deterministic:
         return _poly_vec(rhs.choices[0][0], states, sigma)
-    u = _site_uniforms(seed, site, iteration, trials)
+    u = _site_generator(seed, site, iteration).random(trials)
     cum = np.cumsum([float(p.eval_fraction(sigma)) for _, p in rhs.choices])
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(rhs.choices) - 1)
@@ -411,6 +407,28 @@ def _simulate_states(
     return states
 
 
+def _sampled_values(
+    program: AnyProgram,
+    monomial: VarMonomial,
+    n: int,
+    trials: int,
+    seed: int,
+    sigma: Mapping[str, Fraction],
+) -> np.ndarray:
+    """The monomial's value after n iterations, one entry per trial."""
+    states = _simulate_states(program, n, trials, seed, sigma)
+    vals = np.ones(trials)
+    for v, e in monomial.powers:
+        vals = vals * states[v] ** e
+    return vals
+
+
+def _mean_estimate(vals: np.ndarray) -> OracleEstimate:
+    trials = len(vals)
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
+    return OracleEstimate(float(np.mean(vals)), stderr, trials, "sampled")
+
+
 def sample_moment(
     program: AnyProgram,
     monomial: VarMonomial,
@@ -420,13 +438,7 @@ def sample_moment(
     sigma: Mapping[str, Fraction] | None = None,
 ) -> OracleEstimate:
     """Monte Carlo estimate of E[monomial] after n iterations."""
-    sigma = dict(sigma or {})
-    states = _simulate_states(program, n, trials, seed, sigma)
-    vals = np.ones(trials)
-    for v, e in monomial.powers:
-        vals = vals * states[v] ** e
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return OracleEstimate(float(np.mean(vals)), stderr, trials, "sampled")
+    return _mean_estimate(_sampled_values(program, monomial, n, trials, seed, dict(sigma or {})))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +463,9 @@ def fd_sensitivity(
     In exact mode the two one-sided evaluations enumerate paths with rational
     arithmetic, so the only error is the O(eps^2) truncation of the central
     difference.  In sampled mode both evaluations share one random-number
-    stream per draw site (matched seeds), which cancels most sampling noise.
+    stream per draw site (matched seeds), which cancels most sampling noise;
+    the value and its standard error come from the per-trial differences,
+    because the two sides are strongly correlated.
     """
     hi = dict(sigma)
     lo = dict(sigma)
@@ -461,8 +475,6 @@ def fd_sensitivity(
         m_hi = moment_exact(program, monomial, n, hi, budget)
         m_lo = moment_exact(program, monomial, n, lo, budget)
         return OracleEstimate((m_hi - m_lo) / (2 * eps), 0.0, 0, "exact")
-    e_hi = sample_moment(program, monomial, n, trials, seed, hi)
-    e_lo = sample_moment(program, monomial, n, trials, seed, lo)
-    value = (e_hi.value - e_lo.value) / (2 * float(eps))
-    stderr = math.sqrt(e_hi.stderr**2 + e_lo.stderr**2) / (2 * float(eps))
-    return OracleEstimate(value, stderr, trials, "sampled")
+    v_hi = _sampled_values(program, monomial, n, trials, seed, hi)
+    v_lo = _sampled_values(program, monomial, n, trials, seed, lo)
+    return _mean_estimate((v_hi - v_lo) / (2 * float(eps)))

@@ -48,7 +48,6 @@ from .syntax import (
     Program,
     Statement,
     VarMonomial,
-    program_to_source,
 )
 
 KEYWORDS = {"while", "if", "else", "end", "true", "false", "not", "and", "or"}
@@ -864,7 +863,8 @@ def parse(source: str, name: str = "<program>") -> Program:
 
 
 def parse_monomial(text: str) -> VarMonomial:
-    """Parse a target monomial such as ``x`` or ``x*y**2``.
+    """Parse a target monomial such as ``x`` or ``x*y**2``; ``1`` is the
+    constant monomial.
 
     Every name in the text is treated as a variable; membership in a given
     program is checked by the caller.
@@ -884,8 +884,6 @@ def parse_monomial(text: str) -> VarMonomial:
     mono, coeff = poly.terms[0]
     if not coeff.is_one:
         raise ParseError("monomial must have coefficient 1")
-    if mono.is_one:
-        raise ParseError("monomial must contain at least one variable")
     return mono
 
 
@@ -983,6 +981,3 @@ def validate(prog: Program) -> list[Diagnostic]:
     walk(prog.body)
     return diags
 
-
-def print_program(prog: Program) -> str:
-    return program_to_source(prog)

@@ -20,22 +20,22 @@ required sensitivity, then every required moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from .dependency import DependencyGraph, build_graph, classify
+from .dependency import Classification, DependencyGraph
 from .errors import ClassificationError, EquationCapError
 from .moments import DEFAULT_EQUATION_CAP, MomentContext, _as_context
-from .solver import solve_system
+from .solver import ForwardIterator, solve_system
 from .symbolic import (
     ExpPolynomial,
     ParamExpr,
+    ep_add,
     ep_diff,
     ep_scale,
     ep_zero,
-    pe,
 )
 from .syntax import (
     BTrue,
@@ -158,7 +158,6 @@ class RecurrenceSystem:
     ``combination`` expresses the target sequence as a linear combination of
     system symbols (after canonicalization a single monomial can spread over
     several); it is empty exactly when the target is identically zero.
-    ``provenance`` records which worklist introduced each equation.
     """
 
     context: MomentContext
@@ -167,7 +166,6 @@ class RecurrenceSystem:
     combination: tuple[tuple[ParamExpr, SequenceSymbol], ...]
     equations: dict[SequenceSymbol, Recurrence]
     initials: dict[SequenceSymbol, ParamExpr]
-    provenance: dict[SequenceSymbol, str] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -196,30 +194,12 @@ class RecurrenceSystem:
     ) -> list[dict]:
         """Rows 0..steps of every sequence, by exact forward iteration —
         symbolically when ``values`` is None, else as Fractions."""
-        if values is None:
-            row = {s: self.initials[s] for s in self.equations}
-        else:
-            row = {s: self.initials[s].eval_fraction(values) for s in self.equations}
-        rows = [row]
-        for _ in range(steps):
-            prev = rows[-1]
-            nxt = {}
-            for s, rec in self.equations.items():
-                if values is None:
-                    acc = ParamExpr.zero()
-                    for c, t in rec.terms:
-                        acc = acc + c * prev[t]
-                else:
-                    acc = Fraction(0)
-                    for c, t in rec.terms:
-                        acc += c.eval_fraction(values) * prev[t]
-                nxt[s] = acc
-            rows.append(nxt)
-        return rows
-
-    def solve(self, *, scalar_forms: dict | None = None) -> dict[SequenceSymbol, ExpPolynomial]:
         equations = {s: rec.terms for s, rec in self.equations.items()}
-        return solve_system(equations, self.initials, scalar_forms=scalar_forms)
+        return ForwardIterator(equations, self.initials, values).rows(steps)
+
+    def solve(self) -> dict[SequenceSymbol, ExpPolynomial]:
+        equations = {s: rec.terms for s, rec in self.equations.items()}
+        return solve_system(equations, self.initials)
 
     def closed_form(self) -> ExpPolynomial:
         """Closed form of the target sequence."""
@@ -228,7 +208,7 @@ class RecurrenceSystem:
         solved = self.solve()
         acc = ep_zero()
         for c, s in self.combination:
-            acc = _ep_add(acc, ep_scale(solved[s], c))
+            acc = ep_add(acc, ep_scale(solved[s], c))
         return acc
 
     def render(self) -> str:
@@ -240,14 +220,8 @@ class RecurrenceSystem:
         return "\n".join(lines)
 
 
-def _ep_add(f: ExpPolynomial, g: ExpPolynomial) -> ExpPolynomial:
-    from .symbolic import ep_add
-
-    return ep_add(f, g)
-
-
 # ---------------------------------------------------------------------------
-# Moment closure (shared by the differentiation path and Table-style counts)
+# Moment closure (shared by the differentiation path and the sensitivity path)
 # ---------------------------------------------------------------------------
 
 
@@ -257,11 +231,29 @@ def _monomial_heap_push(heap: list, queued: set, monomial: VarMonomial) -> None:
         queued.add(monomial)
 
 
-def _cap_guard(cap: int, count: int, pending: int, recent: list) -> None:
-    if count >= cap and pending:
+def _cap_guard(cap: int, equations: dict, pending: int) -> None:
+    if len(equations) >= cap and pending:
+        recent = list(equations)[-5:]
         raise EquationCapError(
-            cap, count + pending, tuple(str(s) for s in recent[-5:])
+            cap, len(equations) + pending, tuple(str(s) for s in recent)
         )
+
+
+def _close_moments(
+    ctx: MomentContext, heap: list, queued: set, equations: dict, cap: int
+) -> None:
+    """Add the moment recurrence of every queued monomial, and of every
+    monomial those recurrences mention, smallest monomial first."""
+    while heap:
+        _, mono = heappop(heap)
+        _cap_guard(cap, equations, len(heap) + 1)
+        rhs = ctx.recurrence(mono)
+        sym = SequenceSymbol.moment(mono)
+        equations[sym] = Recurrence(
+            sym, tuple((c, SequenceSymbol.moment(m)) for m, c in rhs.terms)
+        )
+        for m, _ in rhs.terms:
+            _monomial_heap_push(heap, queued, m)
 
 
 def moment_closure(
@@ -276,39 +268,21 @@ def moment_closure(
     queued: set = set()
     combination = []
     for mono, c in target_poly.terms:
-        if mono.is_one:
-            combination.append((c, MOMENT_ONE))
-        else:
-            combination.append((c, SequenceSymbol.moment(mono)))
-            _monomial_heap_push(heap, queued, mono)
+        combination.append((c, SequenceSymbol.moment(mono)))
+        _monomial_heap_push(heap, queued, mono)
 
     equations: dict[SequenceSymbol, Recurrence] = {}
-    order: list[SequenceSymbol] = []
-    while heap:
-        _, mono = heappop(heap)
-        _cap_guard(cap, len(equations), len(heap) + 1, order)
-        rhs = ctx.recurrence(mono)
-        sym = SequenceSymbol.moment(mono)
-        terms = tuple(
-            (c, SequenceSymbol.moment(m) if not m.is_one else MOMENT_ONE)
-            for m, c in rhs.terms
-        )
-        equations[sym] = Recurrence(sym, terms)
-        order.append(sym)
-        for m, _ in rhs.terms:
-            _monomial_heap_push(heap, queued, m)
-
-    return _finish_system(ctx, target, None, tuple(combination), equations, {s: "mom" for s in equations})
+    _close_moments(ctx, heap, queued, equations, cap)
+    return _finish_system(ctx, target, None, tuple(combination), equations)
 
 
-def _finish_system(ctx, target, parameter, combination, equations, provenance) -> RecurrenceSystem:
+def _finish_system(ctx, target, parameter, combination, equations) -> RecurrenceSystem:
     """Close over E(1) where referenced and attach exact initial values."""
     referenced_one = any(
         t.is_constant for rec in equations.values() for _, t in rec.terms
     ) or any(s.is_constant for _, s in combination)
     if referenced_one and MOMENT_ONE not in equations:
         equations[MOMENT_ONE] = Recurrence(MOMENT_ONE, ((ParamExpr.one(), MOMENT_ONE),))
-        provenance[MOMENT_ONE] = "mom"
 
     initials: dict[SequenceSymbol, ParamExpr] = {}
     for s in equations:
@@ -325,7 +299,6 @@ def _finish_system(ctx, target, parameter, combination, equations, provenance) -
         combination=combination,
         equations=equations,
         initials=initials,
-        provenance=provenance,
     )
 
 
@@ -354,7 +327,7 @@ def sensitivity_recurrence(
     for mono, coeff in base.terms:
         dc = coeff.diff(param)
         if debug or not dc.is_zero:
-            terms.append((dc, SequenceSymbol.moment(mono) if not mono.is_one else MOMENT_ONE))
+            terms.append((dc, SequenceSymbol.moment(mono)))
         if mono.is_one:
             continue  # E(1) is constant; its derivative contributes nothing
         if debug or (pdep & mono.variables()):
@@ -369,7 +342,6 @@ def sensitivity_system(
     *,
     cap: int = DEFAULT_EQUATION_CAP,
     debug: bool = False,
-    _skip_classification: bool = False,
 ) -> RecurrenceSystem:
     """Worklist assembly of the sensitivity-recurrence system for
     d/dp E[target].
@@ -381,17 +353,14 @@ def sensitivity_system(
     monomial first (degree, then lexicographic), so assembly order is
     deterministic."""
     ctx = _as_context(program)
-    np_ = ctx.program
-    graph = build_graph(np_)
-    if not _skip_classification:
-        cls = classify(np_, param, graph=graph)
-        if not (cls.thm2_ok or cls.admissible):
-            raise ClassificationError(
-                f"cannot derive sensitivity recurrences w.r.t. {param!r}: "
-                "a parameter-influenced dependency reaches a defective variable",
-                cls.witnesses,
-            )
-
+    cls = ctx.classification(param)
+    if not (cls.thm2_ok or cls.admissible):
+        raise ClassificationError(
+            f"cannot derive sensitivity recurrences w.r.t. {param!r}: "
+            "a parameter-influenced dependency reaches a defective variable",
+            cls.witnesses,
+        )
+    graph = ctx.graph
     pdep = graph.p_dependent(param)
     target_poly = ctx.reduce(PolyExpr.monomial(target))
 
@@ -407,40 +376,22 @@ def sensitivity_system(
         _monomial_heap_push(sens_heap, sens_queued, mono)
 
     equations: dict[SequenceSymbol, Recurrence] = {}
-    provenance: dict[SequenceSymbol, str] = {}
-    order: list[SequenceSymbol] = []
     mom_heap: list = []
     mom_queued: set = set()
 
     while sens_heap:
         _, mono = heappop(sens_heap)
-        _cap_guard(cap, len(equations), len(sens_heap) + 1, order)
+        _cap_guard(cap, equations, len(sens_heap) + 1)
         rec = sensitivity_recurrence(ctx, graph, mono, param, debug=debug)
         equations[rec.lhs] = rec
-        provenance[rec.lhs] = "sens"
-        order.append(rec.lhs)
         for _, sym in rec.terms:
             if sym.is_moment:
                 _monomial_heap_push(mom_heap, mom_queued, sym.monomial)
             else:
                 _monomial_heap_push(sens_heap, sens_queued, sym.monomial)
 
-    while mom_heap:
-        _, mono = heappop(mom_heap)
-        _cap_guard(cap, len(equations), len(mom_heap) + 1, order)
-        rhs = ctx.recurrence(mono)
-        sym = SequenceSymbol.moment(mono)
-        terms = tuple(
-            (c, SequenceSymbol.moment(m) if not m.is_one else MOMENT_ONE)
-            for m, c in rhs.terms
-        )
-        equations[sym] = Recurrence(sym, terms)
-        provenance[sym] = "mom"
-        order.append(sym)
-        for m, _ in rhs.terms:
-            _monomial_heap_push(mom_heap, mom_queued, m)
-
-    return _finish_system(ctx, target, param, tuple(combination), equations, provenance)
+    _close_moments(ctx, mom_heap, mom_queued, equations, cap)
+    return _finish_system(ctx, target, param, tuple(combination), equations)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +402,15 @@ def sensitivity_system(
 @dataclass
 class SensitivityResult:
     """What an analysis produced: the solved system and the closed form of
-    d/dp E[target**power] (valid from index len(prefix) on)."""
+    d/dp E[target**power] (valid from index len(prefix) on), together with
+    the classification verdict the analysis was checked against."""
 
     target: VarMonomial
     parameter: str
     method: str
     system: RecurrenceSystem
     closed_form: ExpPolynomial
+    classification: Classification
 
     @property
     def equation_count(self) -> int:
@@ -470,29 +423,33 @@ def sensitivity_by_differentiation(
     param: str,
     *,
     cap: int = DEFAULT_EQUATION_CAP,
-    _skip_classification: bool = False,
 ) -> SensitivityResult:
     """Solve the target's moment system to a closed form and differentiate it.
 
     Needs admissibility — defective variables would keep the moment system
-    from closing (their monomial worklist grows without bound)."""
+    from closing (their monomial worklist grows without bound).  A target
+    none of whose variables depends on the parameter has the zero
+    sensitivity and the empty system, as with sensitivity recurrences."""
     ctx = _as_context(program)
-    np_ = ctx.program
-    if not _skip_classification:
-        cls = classify(np_, param)
-        if not cls.admissible:
-            raise ClassificationError(
-                "closed-form differentiation needs an admissible loop",
-                cls.witnesses,
-            )
-    system = moment_closure(ctx, target, cap=cap)
-    closed = system.closed_form()
+    cls = ctx.classification(param)
+    if not cls.admissible:
+        raise ClassificationError(
+            "closed-form differentiation needs an admissible loop",
+            cls.witnesses,
+        )
+    if not target.variables().isdisjoint(cls.p_dependent):
+        system = moment_closure(ctx, target, cap=cap)
+        closed = ep_diff(system.closed_form(), param)
+    else:
+        system = _finish_system(ctx, target, None, (), {})
+        closed = ep_zero()
     return SensitivityResult(
         target=target,
         parameter=param,
         method="diff",
         system=system,
-        closed_form=ep_diff(closed, param),
+        closed_form=closed,
+        classification=cls,
     )
 
 
@@ -505,13 +462,15 @@ def sensitivity_by_recurrences(
     debug: bool = False,
 ) -> SensitivityResult:
     """Assemble and solve the sensitivity-recurrence system directly."""
-    system = sensitivity_system(program, target, param, cap=cap, debug=debug)
+    ctx = _as_context(program)
+    system = sensitivity_system(ctx, target, param, cap=cap, debug=debug)
     return SensitivityResult(
         target=target,
         parameter=param,
         method="sensrec",
         system=system,
         closed_form=system.closed_form(),
+        classification=ctx.classification(param),
     )
 
 
@@ -525,23 +484,27 @@ def parameter_sensitivity(
     debug: bool = False,
 ) -> SensitivityResult:
     """Dispatch on ``method``: 'diff', 'sensrec', or 'auto' (differentiation
-    when the loop is admissible, sensitivity recurrences otherwise)."""
-    if method == "diff":
-        return sensitivity_by_differentiation(program, target, param, cap=cap)
-    if method == "sensrec":
-        return sensitivity_by_recurrences(program, target, param, cap=cap, debug=debug)
-    if method != "auto":
+    when the loop is admissible, sensitivity recurrences otherwise).
+
+    The program is classified once; the paths below read the verdict back
+    from the shared context."""
+    if method not in ("auto", "diff", "sensrec"):
         raise ValueError(f"unknown method {method!r}")
     ctx = _as_context(program)
-    cls = classify(ctx.program, param)
-    if cls.admissible:
+    if method == "auto":
+        cls = ctx.classification(param)
+        if cls.admissible:
+            method = "diff"
+        elif cls.thm2_ok:
+            method = "sensrec"
+        else:
+            raise ClassificationError(
+                f"no supported analysis for this program w.r.t. {param!r}",
+                cls.witnesses,
+            )
+    if method == "diff":
         return sensitivity_by_differentiation(ctx, target, param, cap=cap)
-    if cls.thm2_ok:
-        return sensitivity_by_recurrences(ctx, target, param, cap=cap, debug=debug)
-    raise ClassificationError(
-        f"no supported analysis for this program w.r.t. {param!r}",
-        cls.witnesses,
-    )
+    return sensitivity_by_recurrences(ctx, target, param, cap=cap, debug=debug)
 
 
 # ---------------------------------------------------------------------------

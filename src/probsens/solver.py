@@ -17,7 +17,9 @@ in closed form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
@@ -37,6 +39,7 @@ from .symbolic import (
 )
 
 __all__ = [
+    "ForwardIterator",
     "ScalarCFinite",
     "factor_charpoly",
     "solve_system",
@@ -116,7 +119,7 @@ def _classify_factors(factors: Sequence[tuple[sp.Expr, int]], x: sp.Symbol):
     quadratics (as x**2 - beta*x - gamma), and anything harder."""
     zero_mult = 0
     linear: list[list] = []  # [eigenvalue, multiplicity]
-    quads: list[list] = []  # [beta, gamma, multiplicity]
+    quads: list[list] = []  # [(beta, gamma), multiplicity]
     hard: list[tuple[sp.Expr, int]] = []
     for fac, mult in factors:
         p = sp.Poly(fac, x)
@@ -127,48 +130,27 @@ def _classify_factors(factors: Sequence[tuple[sp.Expr, int]], x: sp.Symbol):
             if lam.is_zero:
                 zero_mult += mult
             else:
-                _bump(linear, lam, mult)
+                _accumulate(linear, lam, mult)
         elif deg == 2:
             beta = pe(sp.cancel(-cs[1] / cs[0]))
             gamma = pe(sp.cancel(-cs[2] / cs[0]))
-            _bump_quad(quads, beta, gamma, mult)
+            _accumulate(quads, (beta, gamma), mult)
         else:
             hard.append((fac, mult))
     return zero_mult, linear, quads, hard
 
 
-def _bump(linear: list[list], lam: ParamExpr, by: int) -> None:
-    for entry in linear:
-        if entry[0] == lam:
-            entry[1] += by
+def _accumulate(entries: list[list], key, mult: int, combine=operator.add) -> None:
+    """Combine ``mult`` into the entry whose key equals ``key``, else append it.
+
+    Keys are compared with ``ParamExpr ==`` in insertion order, not hashed:
+    equal expressions may hash differently, and the order of the entries is
+    the order of the closed-form terms."""
+    for entry in entries:
+        if entry[0] == key:
+            entry[1] = combine(entry[1], mult)
             return
-    linear.append([lam, by])
-
-
-def _bump_quad(quads: list[list], beta: ParamExpr, gamma: ParamExpr, by: int) -> None:
-    for entry in quads:
-        if entry[0] == beta and entry[1] == gamma:
-            entry[2] += by
-            return
-    quads.append([beta, gamma, by])
-
-
-def _raise_to(linear: list[list], lam: ParamExpr, at_least: int) -> None:
-    for entry in linear:
-        if entry[0] == lam:
-            entry[1] = max(entry[1], at_least)
-            return
-    linear.append([lam, at_least])
-
-
-def _raise_quad_to(
-    quads: list[list], beta: ParamExpr, gamma: ParamExpr, at_least: int
-) -> None:
-    for entry in quads:
-        if entry[0] == beta and entry[1] == gamma:
-            entry[2] = max(entry[2], at_least)
-            return
-    quads.append([beta, gamma, at_least])
+    entries.append([key, mult])
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +207,46 @@ def _sccs(nodes: Sequence, successors: Mapping) -> list[list]:
     return out
 
 
-class _SeedIterator:
-    """Exact symbolic forward iteration of the full system, memoized."""
+class ForwardIterator:
+    """Exact forward iteration of a closed system, memoized row by row.
 
-    def __init__(self, equations, initials):
-        self._eq = equations
-        self._rows = [{s: pe(initials[s]) for s in equations}]
+    ``equations`` maps each symbol to its ``(coefficient, symbol)`` terms and
+    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  With
+    ``values``, every coefficient and initial value is evaluated once at
+    those rational parameter values and the rows hold ``Fraction``s.
+    """
+
+    def __init__(self, equations, initials, values: Mapping[str, Fraction] | None = None):
+        if values is None:
+            self._eq = equations
+            self._zero = ParamExpr.zero()
+            self._rows = [{s: pe(initials[s]) for s in equations}]
+        else:
+            self._eq = {
+                s: tuple((c.eval_fraction(values), t) for c, t in terms)
+                for s, terms in equations.items()
+            }
+            self._zero = Fraction(0)
+            self._rows = [{s: initials[s].eval_fraction(values) for s in equations}]
 
     def row(self, n: int) -> dict:
         while len(self._rows) <= n:
             prev = self._rows[-1]
             nxt = {}
             for s, terms in self._eq.items():
-                acc = ParamExpr.zero()
+                acc = self._zero
                 for c, t in terms:
                     acc = acc + c * prev[t]
                 nxt[s] = acc
             self._rows.append(nxt)
         return self._rows[n]
 
-    def value(self, sym, n: int) -> ParamExpr:
+    def rows(self, steps: int) -> list[dict]:
+        """Rows 0..steps."""
+        self.row(steps)
+        return self._rows[: steps + 1]
+
+    def value(self, sym, n: int):
         return self.row(n)[sym]
 
 
@@ -280,7 +282,7 @@ def solve_system(
             raise ValueError(f"missing initial value for {s!r}")
 
     successors = {s: [t for _, t in eqs[s]] for s in eqs}
-    iterator = _SeedIterator(eqs, initials)
+    iterator = ForwardIterator(eqs, initials)
     solved: dict = {}
     x = sp.Dummy("x")
     for block in _sccs(list(eqs), successors):
@@ -343,18 +345,21 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
             f = solved[t]
             prefix_need = max(prefix_need, f.start)
             for term in f.terms:
-                _raise_to(forced_linear, term.base, term.poly.degree + 1)
+                _accumulate(forced_linear, term.base, term.poly.degree + 1, max)
             for qt in f.quad_terms:
-                _raise_quad_to(
-                    forced_quads, qt.beta, qt.gamma, max(qt.p.degree, qt.q.degree) + 1
+                _accumulate(
+                    forced_quads,
+                    (qt.beta, qt.gamma),
+                    max(qt.p.degree, qt.q.degree) + 1,
+                    max,
                 )
     for lam, mult in forced_linear:
-        _bump(linear, lam, mult)
-    for beta, gamma, mult in forced_quads:
-        _bump_quad(quads, beta, gamma, mult)
+        _accumulate(linear, lam, mult)
+    for key, mult in forced_quads:
+        _accumulate(quads, key, mult)
 
     n0 = zero_mult + prefix_need
-    order = sum(mult for _, mult in linear) + 2 * sum(e[2] for e in quads)
+    order = sum(mult for _, mult in linear) + 2 * sum(mult for _, mult in quads)
 
     if order == 0:
         # Purely nilpotent: everything dies after the prefix.
@@ -377,7 +382,7 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
         for j in range(mult):
             columns.append(("lin", lam, j))
     lucas: dict = {}
-    for beta, gamma, mult in quads:
+    for (beta, gamma), mult in quads:
         lucas[(beta, gamma)] = _lucas_values_symbolic(
             beta, gamma, n0 + order + VERIFICATION_POINTS + 1
         )
@@ -426,7 +431,7 @@ def _expanded_annihilator(linear, quads, x) -> tuple[ParamExpr, ...]:
     acc: sp.Expr = sp.Integer(1)
     for lam, mult in linear:
         acc *= (x - lam.e) ** mult
-    for beta, gamma, mult in quads:
+    for (beta, gamma), mult in quads:
         acc *= (x ** 2 - beta.e * x - gamma.e) ** mult
     poly = sp.Poly(sp.expand(acc), x)
     all_coeffs = poly.all_coeffs()  # leading first

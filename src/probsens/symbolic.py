@@ -269,38 +269,6 @@ class CounterPoly:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalEigenvalue:
-    """An eigenvalue that lives in the parameter field itself."""
-
-    value: ParamExpr
-
-
-@dataclass(frozen=True)
-class QuadraticRoot:
-    """One root of x**2 - beta*x - gamma, irreducible over the parameter field.
-
-    ``index`` selects the root (0: +sqrt branch, 1: -sqrt branch).
-    """
-
-    beta: ParamExpr
-    gamma: ParamExpr
-    index: int
-
-    def as_sympy(self) -> sp.Expr:
-        disc = sp.sqrt(self.beta.e ** 2 + 4 * self.gamma.e)
-        sign = 1 if self.index == 0 else -1
-        return sp.Rational(1, 2) * (self.beta.e + sign * disc)
-
-
-EigenValue = Union[RationalEigenvalue, QuadraticRoot]
-
-
-# ---------------------------------------------------------------------------
 # Exponential polynomials
 # ---------------------------------------------------------------------------
 
@@ -327,12 +295,6 @@ class QuadTerm:
     beta: ParamExpr
     gamma: ParamExpr
 
-    def eigenvalues(self) -> tuple[QuadraticRoot, QuadraticRoot]:
-        return (
-            QuadraticRoot(self.beta, self.gamma, 0),
-            QuadraticRoot(self.beta, self.gamma, 1),
-        )
-
 
 @dataclass(frozen=True)
 class ExpPolynomial:
@@ -356,25 +318,12 @@ class ExpPolynomial:
             and all(v.is_zero for v in self.prefix)
         )
 
-    def eigenvalues(self) -> tuple[EigenValue, ...]:
-        out: list[EigenValue] = [RationalEigenvalue(t.base) for t in self.terms]
-        for qt in self.quad_terms:
-            out.extend(qt.eigenvalues())
-        return tuple(out)
-
     def __str__(self) -> str:
         return render_exp_polynomial(self)
 
 
 def ep_zero() -> ExpPolynomial:
     return ExpPolynomial()
-
-
-def ep_const(c) -> ExpPolynomial:
-    c = pe(c)
-    if c.is_zero:
-        return ExpPolynomial()
-    return ExpPolynomial(terms=(ExpTerm(CounterPoly.const(c), ParamExpr.one()),))
 
 
 def _lucas_values_symbolic(beta: ParamExpr, gamma: ParamExpr, upto: int) -> list[ParamExpr]:

@@ -59,12 +59,6 @@ class VarMonomial:
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.powers)
 
-    def exponent(self, var: str) -> int:
-        for v, e in self.powers:
-            if v == var:
-                return e
-        return 0
-
     def split(self, var: str) -> tuple[int, "VarMonomial"]:
         """Return (exponent of var, monomial with var removed)."""
         e = 0
@@ -242,16 +236,6 @@ class PolyExpr:
                 val *= state[v] ** e
             acc += val
         return acc
-
-    def substitute(self, var: str, replacement: "PolyExpr") -> "PolyExpr":
-        out = PolyExpr.zero()
-        for m, c in self.terms:
-            e, rest = m.split(var)
-            term = PolyExpr.monomial(rest, c)
-            if e:
-                term = term * (replacement ** e)
-            out = out + term
-        return out
 
     def to_source(self) -> str:
         """Render in the surface syntax of the language."""

@@ -18,7 +18,8 @@ from click.testing import CliRunner
 import probsens.cli as cli
 from probsens.cli import main
 from probsens.normalize import normalize
-from probsens.parser import parse, parse_monomial, print_program, validate
+from probsens.parser import parse, parse_monomial, validate
+from probsens.syntax import program_to_source
 
 CORPUS = Path(cli.__file__).parent / "benchmarks"
 MANIFEST = CORPUS / "manifest.json"
@@ -121,6 +122,33 @@ def test_analyze_parameter_independent_target(runner):
         main, ["analyze", FIG_PAIR, "--target", "w", "--wrt", "p", "--method", "sensrec"]
     )
     assert "(target does not depend on the parameter)" in text.output
+
+
+@pytest.mark.parametrize(
+    "program, target, wrt",
+    [(FIG_SINGLE, "infected_prob", "vax_param"), (FIG_PAIR, "u", "p")],
+    ids=["diff", "sensrec"],
+)
+def test_analyze_auto_classifies_once(runner, monkeypatch, program, target, wrt):
+    import probsens.dependency as dependency
+
+    original = dependency.classify
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "probsens" or name.startswith("probsens."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    result = runner.invoke(
+        main, ["analyze", program, "--target", target, "--wrt", wrt, "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_analyze_dump_normalized_and_explain(runner):
@@ -423,6 +451,16 @@ def test_console_script_version():
     assert proc.returncode == 0
 
 
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import probsens.cli, sys; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # corpus round trip
 # ---------------------------------------------------------------------------
@@ -442,7 +480,7 @@ def test_corpus_parses_normalizes_classifies(path):
     for param in sorted(np_.params):
         classify(np_, param)
     # pretty-printed source parses back to the same variable set
-    reparsed = normalize(parse(print_program(prog)))
+    reparsed = normalize(parse(program_to_source(prog)))
     assert set(reparsed.all_variables) == set(np_.all_variables)
 
 

@@ -18,10 +18,11 @@ from probsens.errors import (
     NonFiniteGuardError,
     UninitializedVariableError,
 )
-from probsens.moments import MomentContext, dist_moment, moment_system
+from probsens.moments import MomentContext, dist_moment
 from probsens.normalize import normalize
 from probsens.oracle import moment_exact
 from probsens.parser import parse, parse_monomial as pm
+from probsens.sensitivity import SequenceSymbol, moment_closure
 from probsens.symbolic import pe
 import sympy as sp
 from probsens.syntax import Comparison, PolyExpr, VarMonomial, bexpr_eval
@@ -101,8 +102,8 @@ def test_vaccination_square_collapses_to_binary_state():
     rec = ctx.recurrence(pm("infected_prob**2"))
     assert rec.coefficient(pm("efficiency")) == expr("-contact_param**2")
     assert rec.coefficient(VarMonomial.one()) == expr("contact_param**2")
-    sys2 = moment_system(ctx, [pm("infected_prob**2")])
-    assert set(sys2.symbols) == {pm("infected_prob**2"), pm("efficiency")}
+    sys2 = moment_closure(ctx, pm("infected_prob**2"))
+    assert set(sys2.monomials("moment")) == {pm("infected_prob**2"), pm("efficiency")}
     assert sys2.size == 2
 
 
@@ -294,34 +295,35 @@ end
 
 
 def test_vaccination_mean_system():
-    sys_ = moment_system(ctx_of(EPIDEMIC), [pm("infected_prob")])
-    assert set(sys_.symbols) == {pm("infected_prob"), pm("efficiency")}
+    sys_ = moment_closure(ctx_of(EPIDEMIC), pm("infected_prob"))
+    assert set(sys_.monomials("moment")) == {pm("infected_prob"), pm("efficiency")}
     assert sys_.size == 2
     sigma = {"contact_param": F(1, 2), "vax_param": F(1, 3), "decline": F(9, 10)}
     rows = sys_.iterate(2, sigma)
-    assert rows[0][pm("infected_prob")] == F(0)
-    assert rows[1][pm("infected_prob")] == F(1, 2)
-    assert rows[2][pm("infected_prob")] == F(1, 2) - F(1, 2) * F(1, 4)
+    ip = SequenceSymbol.moment(pm("infected_prob"))
+    assert rows[0][ip] == F(0)
+    assert rows[1][ip] == F(1, 2)
+    assert rows[2][ip] == F(1, 2) - F(1, 2) * F(1, 4)
 
 
 def test_five_variable_mean_values_by_iteration():
-    sys_ = moment_system(ctx_of(MIXED), [pm("z")])
+    sys_ = moment_closure(ctx_of(MIXED), pm("z"))
     rows = sys_.iterate(1, {"p": F(3, 10)})
-    assert rows[1][pm("z")] == F(4) + F(39, 200)
+    assert rows[1][SequenceSymbol.moment(pm("z"))] == F(4) + F(39, 200)
 
 
 def test_defective_moments_hit_the_equation_cap():
     with pytest.raises(EquationCapError) as err:
-        moment_system(ctx_of(MIXED), [pm("w")], cap=20)
+        moment_closure(ctx_of(MIXED), pm("w"), cap=20)
     assert err.value.cap == 20
 
 
 def test_moment_system_is_deterministic():
-    a = moment_system(ctx_of(BRANCHY_COUNTER), [pm("cnt**2")])
-    b = moment_system(ctx_of(BRANCHY_COUNTER), [pm("cnt**2")])
+    a = moment_closure(ctx_of(BRANCHY_COUNTER), pm("cnt**2"))
+    b = moment_closure(ctx_of(BRANCHY_COUNTER), pm("cnt**2"))
     assert a.symbols == b.symbols
-    assert [str(a.recurrences[m]) for m in a.symbols] == [
-        str(b.recurrences[m]) for m in b.symbols
+    assert [str(a.equations[s]) for s in a.symbols] == [
+        str(b.equations[s]) for s in b.symbols
     ]
 
 

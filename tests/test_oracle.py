@@ -135,3 +135,36 @@ def test_fd_sensitivity_sampled_common_random_numbers():
     )
     assert est.mode == "sampled"
     assert abs(est.value - 10.0) < 5 * est.stderr + 0.2
+
+
+def test_sampled_normal_sites_use_common_random_numbers():
+    # the same seed draws the same standard normals at every mean, so the
+    # estimates differ by the shift alone
+    prog = parse("x = 0\nwhile true:\n  x = Normal(m, 1)\nend\n")
+    x = parse_monomial("x")
+    at0 = sample_moment(prog, x, 3, 5000, seed=4, sigma={"m": Fraction(0)})
+    at1 = sample_moment(prog, x, 3, 5000, seed=4, sigma={"m": Fraction(1)})
+    assert at1.value - at0.value == pytest.approx(1.0, abs=1e-12)
+    assert at1.stderr == pytest.approx(at0.stderr, rel=1e-9)
+
+
+def test_sampled_fd_stderr_matches_the_spread_across_seeds():
+    # both sides share their random numbers, so the standard error of a
+    # sampled central difference is that of the per-trial differences
+    prog = parse(
+        "x = 0\nr = 0\nwhile true:\n  r = -1 {p} 2 {q2} r\n  g = Normal(0, var)\n"
+        "  x = 0.9*x + 5*r**2 - 5 + g\nend\n"
+    )
+    sigma = {"p": Fraction(1, 3), "q2": Fraction(1, 3), "var": Fraction(2)}
+    estimates = [
+        fd_sensitivity(
+            prog, parse_monomial("x**2"), 10, "var", sigma,
+            eps=Fraction(1, 10), exact=False, trials=2000, seed=seed,
+        )
+        for seed in range(20)
+    ]
+    values = [e.value for e in estimates]
+    mean = sum(values) / len(values)
+    spread = (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
+    for e in estimates:
+        assert spread / 2 < e.stderr < 2 * spread

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from probsens.errors import ParseError
-from probsens.parser import parse, parse_monomial, print_program, validate
+from probsens.parser import parse, parse_monomial, validate
 from probsens.symbolic import ParamExpr
 from probsens.syntax import (
     Assignment,
@@ -16,6 +16,7 @@ from probsens.syntax import (
     IfStatement,
     PolyExpr,
     VarMonomial,
+    program_to_source,
 )
 
 FIVE_VAR = """
@@ -127,7 +128,7 @@ def test_simultaneous_assignment():
 def test_roundtrip_print_then_parse():
     for src in (FIVE_VAR, EPIDEMIC):
         prog = parse(src)
-        again = parse(print_program(prog))
+        again = parse(program_to_source(prog))
         assert again.body == prog.body
         assert again.init == prog.init
         assert again.params == prog.params
