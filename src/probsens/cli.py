@@ -233,7 +233,10 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
 
         evaluations = []
         for n in at_n:
-            v = ep_eval(result.closed_form, values, n)
+            try:
+                v = ep_eval(result.closed_form, values, n)
+            except ValueError as e:  # an unassigned parameter or a negative index
+                _fail(EXIT_PARSE, str(e))
             evaluations.append({"n": n, "value": str(v), "float": float(v)})
 
         report = {

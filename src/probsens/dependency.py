@@ -390,10 +390,18 @@ class Classification:
 
 
 def classify(
-    np: NormalizedProgram, p: Optional[str] = None, graph: Optional[DependencyGraph] = None
+    np: NormalizedProgram,
+    p: Optional[str] = None,
+    graph: Optional[DependencyGraph] = None,
+    supports: Optional[dict[str, Support]] = None,
 ) -> Classification:
+    """Classify ``np``; ``graph`` and ``supports`` (the value sets of
+    :func:`variable_supports`) are computed here unless the caller has them."""
     graph = graph if graph is not None else build_graph(np)
-    finite = finite_valued(np)
+    if supports is None:
+        finite = finite_valued(np)
+    else:
+        finite = frozenset(v for v, s in supports.items() if s is not None)
     guard_vars = sorted(
         frozenset().union(*(bexpr_vars(ga.guard) for ga in np.body), frozenset())
     )

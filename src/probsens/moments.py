@@ -116,7 +116,7 @@ class MomentContext:
         """The program's verdict with respect to ``param``, computed once."""
         cls = self._classifications.get(param)
         if cls is None:
-            cls = classify(self.program, param, graph=self.graph)
+            cls = classify(self.program, param, graph=self.graph, supports=self.supports)
             self._classifications[param] = cls
         return cls
 

@@ -7,7 +7,8 @@ eigenvalue of the already-solved forcing inputs — whose roots fix the
 exponential-polynomial shape of every symbol in the block.  The remaining
 undetermined coefficients are solved against exact seed values obtained by
 iterating the full system symbolically, then double-checked on three extra
-indices.
+indices.  All of this is exact linear algebra in one field: Q(params), the
+rational functions of the system's parameters.
 
 Zero eigenvalues (nilpotent behaviour) and forcing inputs that are only
 valid from some index onward both turn into an explicit prefix of tabulated
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.densearith import dup_mul
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -33,9 +35,11 @@ from .symbolic import (
     ExpTerm,
     ParamExpr,
     QuadTerm,
-    _lucas_values_symbolic,
+    _lucas_values,
+    common_domain,
     ep_value_symbolic,
     pe,
+    to_domain,
 )
 
 __all__ = [
@@ -116,41 +120,33 @@ def factor_charpoly(q, x: sp.Symbol) -> list[tuple[sp.Expr, int]]:
 
 def _classify_factors(factors: Sequence[tuple[sp.Expr, int]], x: sp.Symbol):
     """Split factors into zero roots, rational eigenvalues, irreducible
-    quadratics (as x**2 - beta*x - gamma), and anything harder."""
+    quadratics (as x**2 - beta*x - gamma), and anything harder.  Eigenvalues
+    and quadratics map to their multiplicities, in the order of ``factors``."""
     zero_mult = 0
-    linear: list[list] = []  # [eigenvalue, multiplicity]
-    quads: list[list] = []  # [(beta, gamma), multiplicity]
+    linear: dict[ParamExpr, int] = {}
+    quads: dict[tuple[ParamExpr, ParamExpr], int] = {}
     hard: list[tuple[sp.Expr, int]] = []
     for fac, mult in factors:
         p = sp.Poly(fac, x)
         deg = p.degree()
-        cs = p.all_coeffs()
+        cs = [pe(c) for c in p.all_coeffs()]
         if deg == 1:
-            lam = pe(sp.cancel(-cs[1] / cs[0]))
+            lam = -cs[1] / cs[0]
             if lam.is_zero:
                 zero_mult += mult
             else:
                 _accumulate(linear, lam, mult)
         elif deg == 2:
-            beta = pe(sp.cancel(-cs[1] / cs[0]))
-            gamma = pe(sp.cancel(-cs[2] / cs[0]))
-            _accumulate(quads, (beta, gamma), mult)
+            _accumulate(quads, (-cs[1] / cs[0], -cs[2] / cs[0]), mult)
         else:
             hard.append((fac, mult))
     return zero_mult, linear, quads, hard
 
 
-def _accumulate(entries: list[list], key, mult: int, combine=operator.add) -> None:
-    """Combine ``mult`` into the entry whose key equals ``key``, else append it.
-
-    Keys are compared with ``ParamExpr ==`` in insertion order, not hashed:
-    equal expressions may hash differently, and the order of the entries is
-    the order of the closed-form terms."""
-    for entry in entries:
-        if entry[0] == key:
-            entry[1] = combine(entry[1], mult)
-            return
-    entries.append([key, mult])
+def _accumulate(entries: dict, key, mult: int, combine=operator.add) -> None:
+    """Combine ``mult`` into the entry for ``key``, else add it last: the
+    order of the entries is the order of the closed-form terms."""
+    entries[key] = combine(entries[key], mult) if key in entries else mult
 
 
 # ---------------------------------------------------------------------------
@@ -211,43 +207,64 @@ class ForwardIterator:
     """Exact forward iteration of a closed system, memoized row by row.
 
     ``equations`` maps each symbol to its ``(coefficient, symbol)`` terms and
-    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  With
-    ``values``, every coefficient and initial value is evaluated once at
-    those rational parameter values and the rows hold ``Fraction``s.
+    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  The rows
+    are computed in ``domain``, the parameter field of the whole system, and
+    handed out as ``ParamExpr``.  With ``values``, every coefficient and
+    initial value is evaluated once at those rational parameter values and
+    the rows hold ``Fraction``s.
     """
 
     def __init__(self, equations, initials, values: Mapping[str, Fraction] | None = None):
         if values is None:
-            self._eq = equations
-            self._zero = ParamExpr.zero()
-            self._rows = [{s: pe(initials[s]) for s in equations}]
+            initials = {s: pe(initials[s]) for s in equations}
+            coefficients = [c for terms in equations.values() for c, _ in terms]
+            self.domain = common_domain([*coefficients, *initials.values()])
+            self._zero = self.domain.zero
         else:
-            self._eq = {
-                s: tuple((c.eval_fraction(values), t) for c, t in terms)
-                for s, terms in equations.items()
-            }
+            self.domain = None
             self._zero = Fraction(0)
-            self._rows = [{s: initials[s].eval_fraction(values) for s in equations}]
 
-    def row(self, n: int) -> dict:
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
+        def convert(c):
+            return to_domain(c, self.domain) if values is None else c.eval_fraction(values)
+
+        self._eq = {
+            s: tuple((convert(c), t) for c, t in terms) for s, terms in equations.items()
+        }
+        self._raw = [{s: convert(initials[s]) for s in equations}]
+        self._rows: list[dict] = []
+
+    def _advance(self, n: int) -> None:
+        while len(self._raw) <= n:
+            prev = self._raw[-1]
             nxt = {}
             for s, terms in self._eq.items():
                 acc = self._zero
                 for c, t in terms:
                     acc = acc + c * prev[t]
                 nxt[s] = acc
-            self._rows.append(nxt)
+            self._raw.append(nxt)
+
+    def raw(self, sym, n: int):
+        """The value at ``n`` as an element of ``domain`` (or a Fraction)."""
+        self._advance(n)
+        return self._raw[n][sym]
+
+    def row(self, n: int) -> dict:
+        self._advance(n)
+        if self.domain is None:
+            return self._raw[n]
+        while len(self._rows) <= n:
+            raw = self._raw[len(self._rows)]
+            self._rows.append({s: ParamExpr(v) for s, v in raw.items()})
         return self._rows[n]
 
     def rows(self, steps: int) -> list[dict]:
         """Rows 0..steps."""
-        self.row(steps)
-        return self._rows[: steps + 1]
+        return [self.row(n) for n in range(steps + 1)]
 
     def value(self, sym, n: int):
-        return self.row(n)[sym]
+        v = self.raw(sym, n)
+        return v if self.domain is None else ParamExpr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -290,42 +307,45 @@ def solve_system(
     return solved
 
 
-def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> sp.Matrix:
+def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
     """Solve the Vandermonde-like seed system for every symbol in a block.
 
-    Elimination runs over the fraction field of the parameters (via
-    ``DomainMatrix``) so intermediate entries stay in canceled normal form;
-    naive elimination on raw expressions nests fractions and the final
-    simplification cost explodes with the block order.
+    ``seed_matrix`` is a ``DomainMatrix`` over the system's parameter field,
+    and elimination runs in that field, so every intermediate entry is a
+    reduced fraction.  Returns the solution rows, one column per symbol.
     """
-    if order == 0:
-        return sp.zeros(0, len(symbols))
-    rhs = sp.Matrix(
-        order, len(symbols), lambda i, j: iterator.value(symbols[j], n0 + i).e
+    domain = iterator.domain
+    rhs = DomainMatrix(
+        [[iterator.raw(s, n0 + i) for s in symbols] for i in range(order)],
+        (order, len(symbols)),
+        domain,
     )
-    lhs_dm = DomainMatrix.from_Matrix(seed_matrix, field=True, extension=True)
-    rhs_dm = DomainMatrix.from_Matrix(rhs, field=True, extension=True)
-    domain = lhs_dm.domain.unify(rhs_dm.domain)
     try:
-        solution = lhs_dm.convert_to(domain).lu_solve(rhs_dm.convert_to(domain))
+        solution = seed_matrix.lu_solve(rhs)
     except DMNonInvertibleMatrixError as exc:  # must never happen
         raise SeedSystemError(
             f"seed system for block {symbols!r} is singular: {exc}"
         ) from exc
-    return solution.to_Matrix()
+    return solution.to_list()
+
+
+def _charpoly(block, eqs, domain, x: sp.Symbol) -> sp.Expr:
+    """det(x*I - A) of the block's own coefficient matrix A."""
+    m = len(block)
+    pos = {s: i for i, s in enumerate(block)}
+    rows = [[domain.zero] * m for _ in range(m)]
+    for s in block:
+        for c, t in eqs[s]:
+            if t in pos:
+                rows[pos[s]][pos[t]] += to_domain(c, domain)
+    coeffs = DomainMatrix(rows, (m, m), domain).charpoly()  # leading first
+    return sp.Add(*(domain.to_sympy(c) * x ** (m - i) for i, c in enumerate(coeffs)))
 
 
 def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
     bset = set(block)
-    m = len(block)
-    pos = {s: i for i, s in enumerate(block)}
-
-    matrix = sp.zeros(m, m)
-    for s in block:
-        for c, t in eqs[s]:
-            if t in bset:
-                matrix[pos[s], pos[t]] += c.e
-    chi = (x * sp.eye(m) - matrix).det(method="berkowitz")
+    domain = iterator.domain
+    chi = _charpoly(block, eqs, domain, x)
     zero_mult, linear, quads, hard = _classify_factors(factor_charpoly(chi, x), x)
     if hard:
         raise UnsupportedFactorError(str(hard[0][0]))
@@ -336,8 +356,8 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
     # the index from which the ansatz is valid — by one extra step per zero
     # eigenvalue, because a nilpotent level forwards the off-pattern values.
     prefix_need = 0
-    forced_linear: list[list] = []
-    forced_quads: list[list] = []
+    forced_linear: dict = {}
+    forced_quads: dict = {}
     for s in block:
         for c, t in eqs[s]:
             if t in bset or c.is_zero:
@@ -353,20 +373,20 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
                     max(qt.p.degree, qt.q.degree) + 1,
                     max,
                 )
-    for lam, mult in forced_linear:
+    for lam, mult in forced_linear.items():
         _accumulate(linear, lam, mult)
-    for key, mult in forced_quads:
+    for key, mult in forced_quads.items():
         _accumulate(quads, key, mult)
 
     n0 = zero_mult + prefix_need
-    order = sum(mult for _, mult in linear) + 2 * sum(mult for _, mult in quads)
+    order = sum(linear.values()) + 2 * sum(quads.values())
 
     if order == 0:
         # Purely nilpotent: everything dies after the prefix.
         for s in block:
             prefix = tuple(iterator.value(s, k) for k in range(n0))
             for extra in range(VERIFICATION_POINTS):
-                if not iterator.value(s, n0 + extra).is_zero:
+                if iterator.raw(s, n0 + extra):
                     raise SeedSystemError(
                         f"sequence {s!r} does not vanish after its transient"
                     )
@@ -376,37 +396,40 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
         return
 
     # One basis column per undetermined coefficient, evaluated on the seed
-    # window n0 .. n0+order-1.
+    # window n0 .. n0+order-1, in the system's field.
     columns: list[tuple] = []
-    for lam, mult in linear:
+    powers: dict = {}
+    for lam, mult in linear.items():
+        powers[lam] = to_domain(lam, domain)
         for j in range(mult):
             columns.append(("lin", lam, j))
-    lucas: dict = {}
-    for (beta, gamma), mult in quads:
-        lucas[(beta, gamma)] = _lucas_values_symbolic(
-            beta, gamma, n0 + order + VERIFICATION_POINTS + 1
+    for (beta, gamma), mult in quads.items():
+        powers[(beta, gamma)] = _lucas_values(
+            to_domain(beta, domain), to_domain(gamma, domain), n0 + order, domain.convert(2)
         )
         for j in range(mult):
             columns.append(("quad_s", (beta, gamma), j))
             columns.append(("quad_s1", (beta, gamma), j))
 
-    def column_value(col, n: int) -> sp.Expr:
+    def column_value(col, n: int):
         kind, payload, j = col
         if kind == "lin":
-            return n ** j * payload.e ** n
-        s_vals = lucas[payload]
-        s_val = s_vals[n] if kind == "quad_s" else s_vals[n + 1]
-        return n ** j * s_val.e
+            value = powers[payload] ** n
+        else:
+            value = powers[payload][n if kind == "quad_s" else n + 1]
+        return value * n ** j if j else value
 
-    seed_matrix = sp.Matrix(
-        order, order, lambda i, k: sp.expand(column_value(columns[k], n0 + i))
+    seed_matrix = DomainMatrix(
+        [[column_value(col, n0 + i) for col in columns] for i in range(order)],
+        (order, order),
+        domain,
     )
-    coeffs_expanded = _expanded_annihilator(linear, quads, x)
-
     symbols = list(block)
     solution = _solve_seed_system(seed_matrix, symbols, iterator, n0, order)
+    if scalar_forms is not None:
+        annihilator = _expanded_annihilator(linear, quads, domain)
     for j, s in enumerate(symbols):
-        coeffs = [pe(solution[k, j]) for k in range(order)]
+        coeffs = [ParamExpr(solution[k][j]) for k in range(order)]
         closed = _assemble(
             tuple(iterator.value(s, k) for k in range(n0)), columns, coeffs
         )
@@ -419,23 +442,26 @@ def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
         solved[s] = closed
         if scalar_forms is not None:
             scalar_forms[s] = ScalarCFinite(
-                coeffs_expanded,
+                annihilator,
                 tuple(iterator.value(s, n0 + i) for i in range(order)),
                 base=n0,
             )
 
 
-def _expanded_annihilator(linear, quads, x) -> tuple[ParamExpr, ...]:
+def _expanded_annihilator(linear, quads, domain) -> tuple[ParamExpr, ...]:
     """Coefficients c_i of the (monic) nonzero-eigenvalue annihilator,
-    arranged as u(n+order) = sum_i c_i * u(n+i)."""
-    acc: sp.Expr = sp.Integer(1)
-    for lam, mult in linear:
-        acc *= (x - lam.e) ** mult
-    for (beta, gamma), mult in quads:
-        acc *= (x ** 2 - beta.e * x - gamma.e) ** mult
-    poly = sp.Poly(sp.expand(acc), x)
-    all_coeffs = poly.all_coeffs()  # leading first
-    return tuple(pe(sp.cancel(-c)) for c in reversed(all_coeffs[1:]))
+    arranged as u(n+order) = sum_i c_i * u(n+i), multiplied out in
+    ``domain[x]``."""
+    one = domain.one
+    acc = [one]  # leading coefficient first
+    for lam, mult in linear.items():
+        for _ in range(mult):
+            acc = dup_mul(acc, [one, -to_domain(lam, domain)], domain)
+    for (beta, gamma), mult in quads.items():
+        factor = [one, -to_domain(beta, domain), -to_domain(gamma, domain)]
+        for _ in range(mult):
+            acc = dup_mul(acc, factor, domain)
+    return tuple(ParamExpr(-c) for c in reversed(acc[1:]))
 
 
 def _assemble(prefix, columns, coeffs) -> ExpPolynomial:

@@ -1,11 +1,13 @@
 """Exact symbolic arithmetic: rational functions of parameters and
 exponential polynomials in the loop counter.
 
-``ParamExpr`` wraps a sympy expression kept in cancelled p/q form, so
-structural equality coincides with mathematical equality.  Closed forms of
-moment sequences are ``ExpPolynomial`` values: an explicit transient prefix
-plus a sum of ``P(n) * base**n`` terms, where conjugate algebraic base pairs
-are represented jointly by ``QuadTerm`` (coefficients stay rational).
+``ParamExpr`` holds an element of Q(params), the field of rational functions
+of the parameters, as a reduced fraction of integer polynomials from
+``sympy.polys`` (a plain ``QQ`` element when the value is constant), so every
+operation is field arithmetic and equality is exact.  Closed forms of moment
+sequences are ``ExpPolynomial`` values: an explicit transient prefix plus a
+sum of ``P(n) * base**n`` terms, where conjugate algebraic base pairs are
+represented jointly by ``QuadTerm`` (coefficients stay rational).
 """
 
 from __future__ import annotations
@@ -15,46 +17,153 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import sympy as sp
+from sympy import QQ, ZZ
+from sympy.polys.fields import FracElement
+from sympy.polys.polyutils import _sort_gens
 
 from .errors import SingularParameterError
 
-_ZERO = sp.Integer(0)
-_ONE = sp.Integer(1)
+_MPQ = type(QQ(0))
+
+# One field per set of parameter names, with generators in sympy's own
+# order, so a reduced fraction prints exactly as ``sp.cancel`` prints it.
+_DOMAINS: dict[frozenset, object] = {frozenset(): QQ}
+_NAMES: dict[object, tuple[str, ...]] = {}
 
 
-def _to_sympy(value) -> sp.Expr:
-    if isinstance(value, ParamExpr):
-        return value.e
+def param_domain(names: Iterable[str]):
+    """Q(names) as a sympy domain, or ``QQ`` when there are no names.
+
+    The field is ``ZZ.frac_field``: numerators and denominators live in
+    ZZ[names], so cancelling a fraction needs no conversion between QQ and
+    ZZ coefficients, which ``QQ.frac_field`` does on every operation.
+    """
+    key = frozenset(names)
+    domain = _DOMAINS.get(key)
+    if domain is None:
+        gens = _sort_gens([sp.Symbol(n) for n in key])
+        domain = ZZ.frac_field(*gens)
+        _DOMAINS[key] = domain
+        _NAMES[domain.field] = tuple(g.name for g in gens)
+    return domain
+
+
+def common_domain(values: Iterable["ParamExpr"]):
+    """The smallest parameter field holding every one of ``values``."""
+    names: set[str] = set()
+    for v in values:
+        if type(v.elem) is FracElement:
+            names.update(_NAMES[v.elem.field])
+    return param_domain(names)
+
+
+def to_domain(value: "ParamExpr", domain):
+    """``value`` as an element of ``domain``, which must contain it."""
+    f = value.elem
+    if domain is QQ:
+        return f
+    if type(f) is not FracElement:
+        return domain.field.ground_new(f)
+    return _lift(f, domain.field)
+
+
+def _unify(a, b):
+    """``a`` and ``b`` as elements of one field (constants fit any field)."""
+    if type(a) is not FracElement or type(b) is not FracElement or a.field is b.field:
+        return a, b
+    field = param_domain(_NAMES[a.field] + _NAMES[b.field]).field
+    return _lift(a, field), _lift(b, field)
+
+
+def _lift(f, field):
+    if f.field is field:
+        return f
+    # Adding generators keeps a reduced fraction reduced and its sign
+    # normalization unchanged, so no new cancellation is needed.
+    ring = field.ring
+    return field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
+
+
+def _element(value):
+    """The exact field element for a non-``ParamExpr`` operand."""
+    t = type(value)
+    if t is FracElement or t is _MPQ:
+        return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a parameter expression")
     if isinstance(value, int):
-        return sp.Integer(value)
+        return QQ(value)
     if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
+        return QQ(value.numerator, value.denominator)
     if isinstance(value, str):
-        return sp.Symbol(value)
+        return param_domain((value,)).field.gens[0]
     if isinstance(value, sp.Expr):
-        return value
+        if value.is_Rational:
+            return QQ(int(value.p), int(value.q))
+        field = param_domain([s.name for s in value.free_symbols]).field
+        f = field.from_expr(value)
+        return field.new(f.numer, f.denom)  # from_expr may leave a sign unnormalized
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass Fraction or int")
     raise TypeError(f"cannot build a parameter expression from {value!r}")
 
 
+def _named_terms(poly, names) -> frozenset:
+    return frozenset(
+        (tuple((names[i], k) for i, k in enumerate(monom) if k), coeff)
+        for monom, coeff in poly.items()
+    )
+
+
+def _key(f):
+    """The value independent of its field: a constant, or the named
+    numerator and denominator terms of the reduced fraction."""
+    if type(f) is _MPQ:
+        return f
+    names = _NAMES[f.field]
+    return (_named_terms(f.numer, names), _named_terms(f.denom, names))
+
+
+def _used(poly, names) -> list[str]:
+    return [names[i] for i, d in enumerate(poly.degrees()) if d > 0]
+
+
+def _require(poly, names, values) -> None:
+    missing = sorted(n for n in _used(poly, names) if n not in values)
+    if missing:
+        raise ValueError(f"unassigned parameter(s): {', '.join(missing)}")
+
+
+def _eval_poly(poly, point) -> Fraction:
+    acc = Fraction(0)
+    for monom, coeff in poly.items():
+        term = Fraction(int(coeff))
+        for v, k in zip(point, monom):
+            if k:
+                term *= v ** k
+        acc += term
+    return acc
+
+
 class ParamExpr:
     """An exact rational function of the symbolic parameters.
 
-    The wrapped sympy expression is always ``sp.cancel``-ed, i.e. kept as a
-    reduced fraction of expanded polynomials, which makes ``==`` and ``hash``
-    agree with mathematical equality.
+    ``elem`` is an element of the field from :func:`param_domain` over the
+    parameters it was built from, or of ``QQ`` when the value is constant.
+    Operands from different fields meet in the field over the union of their
+    parameter names.  ``==`` and ``hash`` are exact and independent of the
+    field, and ``e`` is a sympy view built on demand for rendering.
     """
 
-    __slots__ = ("e",)
+    __slots__ = ("elem", "_e", "_hash")
 
     def __init__(self, value: Union[int, Fraction, str, sp.Expr, "ParamExpr"]):
-        e = _to_sympy(value)
-        if not (e.is_Symbol or e.is_Rational):
-            e = sp.cancel(sp.together(e))
-        object.__setattr__(self, "e", e)
+        f = value.elem if isinstance(value, ParamExpr) else _element(value)
+        if type(f) is FracElement and f.numer.is_ground and f.denom.is_ground:
+            f = QQ(f.numer.LC, f.denom.LC)
+        self.elem = f
+        self._e = None
+        self._hash = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,108 +178,143 @@ class ParamExpr:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other) -> "ParamExpr":
-        return ParamExpr(self.e + _to_sympy(other))
+        a, b = _unify(self.elem, _operand(other))
+        return ParamExpr(a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ParamExpr":
-        return ParamExpr(self.e - _to_sympy(other))
+        a, b = _unify(self.elem, _operand(other))
+        return ParamExpr(a - b)
 
     def __rsub__(self, other) -> "ParamExpr":
-        return ParamExpr(_to_sympy(other) - self.e)
+        a, b = _unify(_operand(other), self.elem)
+        return ParamExpr(a - b)
 
     def __mul__(self, other) -> "ParamExpr":
-        return ParamExpr(self.e * _to_sympy(other))
+        a, b = _unify(self.elem, _operand(other))
+        return ParamExpr(a * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ParamExpr":
-        d = _to_sympy(other)
-        if sp.cancel(d) == _ZERO:
+        a, b = _unify(self.elem, _operand(other))
+        if not b:
             raise ZeroDivisionError("division by an identically zero expression")
-        return ParamExpr(self.e / d)
+        return ParamExpr(a / b)
 
     def __rtruediv__(self, other) -> "ParamExpr":
-        return ParamExpr(_to_sympy(other)) / self
+        a, b = _unify(_operand(other), self.elem)
+        if not b:
+            raise ZeroDivisionError("division by an identically zero expression")
+        return ParamExpr(a / b)
 
     def __pow__(self, k: int) -> "ParamExpr":
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if k < 0 and self.is_zero:
-            raise ZeroDivisionError("zero raised to a negative power")
-        return ParamExpr(self.e ** k)
+        if k < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("zero raised to a negative power")
+            return (1 / self) ** -k  # 1/x puts the sign into the numerator
+        return ParamExpr(self.elem ** k)
 
     def __neg__(self) -> "ParamExpr":
-        return ParamExpr(-self.e)
+        return ParamExpr(-self.elem)
 
     # -- predicates & queries ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.e == _ZERO
+        return not self.elem
 
     @property
     def is_one(self) -> bool:
-        return self.e == _ONE
+        return type(self.elem) is _MPQ and self.elem == 1
 
     @property
     def is_rational(self) -> bool:
-        return self.e.is_Rational
+        return type(self.elem) is _MPQ
+
+    @property
+    def e(self) -> sp.Expr:
+        """The value as a sympy expression, in ``sp.cancel`` form."""
+        e = self._e
+        if e is None:
+            f = self.elem
+            if type(f) is _MPQ:
+                e = sp.Rational(int(f.numerator), int(f.denominator))
+            else:
+                e = f.as_expr()
+            self._e = e
+        return e
 
     def free_params(self) -> frozenset[str]:
-        return frozenset(s.name for s in self.e.free_symbols)
+        f = self.elem
+        if type(f) is _MPQ:
+            return frozenset()
+        names = _NAMES[f.field]
+        return frozenset(_used(f.numer, names) + _used(f.denom, names))
 
     def diff(self, param: str) -> "ParamExpr":
-        return ParamExpr(sp.diff(self.e, sp.Symbol(param)))
+        f = self.elem
+        if type(f) is _MPQ or param not in _NAMES[f.field]:
+            return ParamExpr.zero()
+        return ParamExpr(f.diff(f.field.gens[_NAMES[f.field].index(param)]))
 
     def as_fraction(self) -> Fraction:
-        if not self.e.is_Rational:
+        f = self.elem
+        if type(f) is not _MPQ:
             raise ValueError(f"{self.e} is not a plain rational number")
-        return Fraction(int(self.e.p), int(self.e.q))
+        return Fraction(int(f.numerator), int(f.denominator))
 
     def eval_fraction(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate exactly at rational parameter values.
 
         Raises ``SingularParameterError`` if the denominator vanishes there.
         """
-        subs = {
-            sp.Symbol(name): sp.Rational(v.numerator, v.denominator)
-            for name, v in values.items()
-        }
-        num, den = self.e.as_numer_denom()
-        den_v = den.subs(subs)
-        if not den_v.is_Rational:
-            missing = sorted(s.name for s in den_v.free_symbols)
-            raise ValueError(f"unassigned parameter(s): {', '.join(missing)}")
-        if den_v == _ZERO:
-            raise SingularParameterError(str(den))
-        num_v = num.subs(subs)
-        if not num_v.is_Rational:
-            missing = sorted(s.name for s in num_v.free_symbols)
-            raise ValueError(f"unassigned parameter(s): {', '.join(missing)}")
-        return Fraction(int(num_v.p), int(num_v.q)) / Fraction(int(den_v.p), int(den_v.q))
+        f = self.elem
+        if type(f) is _MPQ:
+            return Fraction(int(f.numerator), int(f.denominator))
+        names = _NAMES[f.field]
+        point = [values.get(n) for n in names]
+        _require(f.denom, names, values)
+        den = _eval_poly(f.denom, point)
+        if den == 0:
+            raise SingularParameterError(str(f.denom.as_expr()))
+        _require(f.numer, names, values)
+        return _eval_poly(f.numer, point) / den
 
     # -- dunder plumbing --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ParamExpr(other)
-        if not isinstance(other, ParamExpr):
+        if isinstance(other, ParamExpr):
+            b = other.elem
+        elif isinstance(other, (int, Fraction)):
+            b = _element(other)
+        else:
             return NotImplemented
-        if self.e == other.e:
-            return True
-        # The cancelled form is canonical in practice; fall back to an exact
-        # difference check so equality never silently depends on ordering.
-        return sp.cancel(self.e - other.e) == _ZERO
+        a = self.elem
+        if type(a) is not type(b):
+            return False
+        if type(a) is _MPQ or a.field is b.field:
+            return a == b
+        return _key(a) == _key(b)
 
     def __hash__(self) -> int:
-        return hash(self.e)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(_key(self.elem))
+        return h
 
     def __str__(self) -> str:
         return str(self.e)
 
     def __repr__(self) -> str:
         return f"ParamExpr({self.e})"
+
+
+def _operand(value):
+    return value.elem if isinstance(value, ParamExpr) else _element(value)
 
 
 _PE_ZERO = ParamExpr(0)
@@ -326,16 +470,10 @@ def ep_zero() -> ExpPolynomial:
     return ExpPolynomial()
 
 
-def _lucas_values_symbolic(beta: ParamExpr, gamma: ParamExpr, upto: int) -> list[ParamExpr]:
-    """s(0..upto) for s(k+1) = beta*s(k) + gamma*s(k-1), s(0)=2, s(1)=beta."""
-    vals = [ParamExpr(2), beta]
-    while len(vals) <= upto:
-        vals.append(beta * vals[-1] + gamma * vals[-2])
-    return vals
-
-
-def _lucas_values_fraction(beta: Fraction, gamma: Fraction, upto: int) -> list[Fraction]:
-    vals = [Fraction(2), beta]
+def _lucas_values(beta, gamma, upto: int, two) -> list:
+    """s(0..upto) for s(k+1) = beta*s(k) + gamma*s(k-1), s(0)=2, s(1)=beta,
+    with ``two`` the 2 of the ring that ``beta`` and ``gamma`` live in."""
+    vals = [two, beta]
     while len(vals) <= upto:
         vals.append(beta * vals[-1] + gamma * vals[-2])
     return vals
@@ -351,7 +489,7 @@ def ep_value_symbolic(f: ExpPolynomial, n: int) -> ParamExpr:
     for t in f.terms:
         acc = acc + t.poly.eval_symbolic(n) * (t.base ** n)
     for qt in f.quad_terms:
-        s = _lucas_values_symbolic(qt.beta, qt.gamma, n + 1)
+        s = _lucas_values(qt.beta, qt.gamma, n + 1, ParamExpr(2))
         acc = acc + qt.p.eval_symbolic(n) * s[n] + qt.q.eval_symbolic(n) * s[n + 1]
     return acc
 
@@ -366,8 +504,8 @@ def ep_eval(f: ExpPolynomial, values: Mapping[str, Fraction], n: int) -> Fractio
     for t in f.terms:
         acc += t.poly.eval_fraction(n, values) * t.base.eval_fraction(values) ** n
     for qt in f.quad_terms:
-        s = _lucas_values_fraction(
-            qt.beta.eval_fraction(values), qt.gamma.eval_fraction(values), n + 1
+        s = _lucas_values(
+            qt.beta.eval_fraction(values), qt.gamma.eval_fraction(values), n + 1, Fraction(2)
         )
         acc += qt.p.eval_fraction(n, values) * s[n]
         acc += qt.q.eval_fraction(n, values) * s[n + 1]

@@ -240,6 +240,19 @@ def test_singular_evaluation_exits_6(runner):
     assert "error:" in result.output
 
 
+def test_unassigned_evaluation_parameter_exits_2_without_traceback():
+    walk = str(CORPUS / "random_walk_1d.prob")
+    proc = subprocess.run(
+        [sys.executable, "-m", "probsens", "analyze", walk, "--target", "x**2", "--wrt", "p",
+         "--eval", "q=1/2", "--at-n", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: unassigned parameter(s): p"]
+
+
 # ---------------------------------------------------------------------------
 # equation cap
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 equation counts on the benchmark loops, and agreement between the two
 analysis paths."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,30 @@ def test_auto_dispatch():
         parameter_sensitivity(norm(MIXED_TAINTED), mono("v"), "p")
     with pytest.raises(ValueError):
         parameter_sensitivity(norm(EPIDEMIC), mono("vax"), "vax_param", method="nope")
+
+
+@pytest.mark.parametrize(
+    "src, target, wrt",
+    [(EPIDEMIC, "infected_prob", "vax_param"), (MIXED, "u", "p")],
+    ids=["diff", "sensrec"],
+)
+def test_auto_runs_the_value_set_fixpoint_once(monkeypatch, src, target, wrt):
+    import probsens.dependency as dependency
+
+    original = dependency.variable_supports
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "probsens" or name.startswith("probsens."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    parameter_sensitivity(norm(src), mono(target), wrt, method="auto")
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the linear-recurrence solver: characteristic-polynomial factoring,
 closed-form construction, and exact agreement with forward iteration."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,15 @@ import sympy as sp
 
 from probsens.errors import UnsupportedFactorError
 from probsens.solver import ScalarCFinite, factor_charpoly, solve_system
-from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic, pe
+from probsens.symbolic import (
+    ParamExpr,
+    ep_diff,
+    ep_eval,
+    ep_value_symbolic,
+    exp_polynomial_to_json,
+    pe,
+    render_exp_polynomial,
+)
 
 
 def expr(text: str) -> ParamExpr:
@@ -247,3 +256,74 @@ def test_defining_recurrence_at_random_probes():
         lhs = ep_eval(solved["u"], vals, n + 1)
         rhs = a_val * ep_eval(solved["u"], vals, n) + ep_eval(solved["v"], vals, n)
         assert lhs == rhs
+
+
+
+# ---------------------------------------------------------------------------
+# Conjugate-pair rendering, pinned
+# ---------------------------------------------------------------------------
+
+
+def test_forced_rotation_renders_conjugate_pairs_exactly():
+    # Two rotations by (a, b): characteristic polynomial x**2 - 2*a*x + a**2 + b**2,
+    # irreducible over Q(a, b).  u is forced by a constant, w by u, so w's
+    # pair has multiplicity 2.  The strings pin the text of the quad path.
+    a, b = pe("a"), pe("b")
+    eqs = {
+        "u": [(a, "u"), (-b, "v"), (pe(1), "one")],
+        "v": [(b, "u"), (a, "v")],
+        "w": [(a, "w"), (-b, "x"), (pe(1), "u")],
+        "x": [(b, "w"), (a, "x")],
+        "one": [(pe(1), "one")],
+    }
+    init = {"u": pe(1), "v": pe(0), "w": pe(0), "x": pe(1), "one": pe(1)}
+    solved = solve_system(eqs, init)
+    assert render_exp_polynomial(solved["u"]) == (
+        '(1 - a)/(a**2 - 2*a + b**2 + 1) + ((a**2 + b**2)/(2*a**2 - 4*a + 2*b**2 + '
+        '2))*s[n] + (-1/(2*a**2 - 4*a + 2*b**2 + 2))*s[n+1] where s[k+1] = (2*a)*s[k] '
+        '+ (-a**2 - b**2)*s[k-1], s[0] = 2, s[1] = 2*a'
+    )
+    assert json.dumps(exp_polynomial_to_json(solved["u"])) == (
+        '{"prefix": [], "terms": [{"poly": ["(1 - a)/(a**2 - 2*a + b**2 + 1)"], '
+        '"base": "1"}], "quad_terms": [{"p": ["(a**2 + b**2)/(2*a**2 - 4*a + 2*b**2 + '
+        '2)"], "q": ["-1/(2*a**2 - 4*a + 2*b**2 + 2)"], "beta": "2*a", "gamma": "-a**2 '
+        '- b**2"}]}'
+    )
+    assert render_exp_polynomial(solved["w"]) == (
+        '(a**2 - 2*a + 1)/(a**4 - 4*a**3 + 2*a**2*b**2 + 6*a**2 - 4*a*b**2 - 4*a + '
+        'b**4 + 2*b**2 + 1) + ((-2*a**5*b + a**5 + 8*a**4*b - 3*a**4 - 4*a**3*b**3 + '
+        '2*a**3*b**2 - 12*a**3*b + 3*a**3 + 8*a**2*b**3 - 7*a**2*b**2 + 8*a**2*b - '
+        'a**2 - 2*a*b**5 + a*b**4 - 4*a*b**3 + 7*a*b**2 - 2*a*b - 2*b**2)/(4*a**4*b**2 '
+        '- 16*a**3*b**2 + 8*a**2*b**4 + 24*a**2*b**2 - 16*a*b**4 - 16*a*b**2 + 4*b**6 '
+        '+ 8*b**4 + 4*b**2) + ((2*a - 1)/(4*a**2 - 8*a + 4*b**2 + 4))*n)*s[n] + '
+        '((2*a**4*b - a**4 - 8*a**3*b + 3*a**3 + 4*a**2*b**3 - 2*a**2*b**2 + 12*a**2*b '
+        '- 3*a**2 - 8*a*b**3 + 5*a*b**2 - 8*a*b + a + 2*b**5 - b**4 + 4*b**3 - 3*b**2 '
+        '+ 2*b)/(4*a**4*b**2 - 16*a**3*b**2 + 8*a**2*b**4 + 24*a**2*b**2 - 16*a*b**4 - '
+        '16*a*b**2 + 4*b**6 + 8*b**4 + 4*b**2) + (-1/(4*a**2 - 8*a + 4*b**2 + '
+        '4))*n)*s[n+1] where s[k+1] = (2*a)*s[k] + (-a**2 - b**2)*s[k-1], s[0] = 2, '
+        's[1] = 2*a'
+    )
+    assert json.dumps(exp_polynomial_to_json(solved["w"])) == (
+        '{"prefix": [], "terms": [{"poly": ["(a**2 - 2*a + 1)/(a**4 - 4*a**3 + '
+        '2*a**2*b**2 + 6*a**2 - 4*a*b**2 - 4*a + b**4 + 2*b**2 + 1)"], "base": "1"}], '
+        '"quad_terms": [{"p": ["(-2*a**5*b + a**5 + 8*a**4*b - 3*a**4 - 4*a**3*b**3 + '
+        '2*a**3*b**2 - 12*a**3*b + 3*a**3 + 8*a**2*b**3 - 7*a**2*b**2 + 8*a**2*b - '
+        'a**2 - 2*a*b**5 + a*b**4 - 4*a*b**3 + 7*a*b**2 - 2*a*b - 2*b**2)/(4*a**4*b**2 '
+        '- 16*a**3*b**2 + 8*a**2*b**4 + 24*a**2*b**2 - 16*a*b**4 - 16*a*b**2 + 4*b**6 '
+        '+ 8*b**4 + 4*b**2)", "(2*a - 1)/(4*a**2 - 8*a + 4*b**2 + 4)"], "q": '
+        '["(2*a**4*b - a**4 - 8*a**3*b + 3*a**3 + 4*a**2*b**3 - 2*a**2*b**2 + '
+        '12*a**2*b - 3*a**2 - 8*a*b**3 + 5*a*b**2 - 8*a*b + a + 2*b**5 - b**4 + 4*b**3 '
+        '- 3*b**2 + 2*b)/(4*a**4*b**2 - 16*a**3*b**2 + 8*a**2*b**4 + 24*a**2*b**2 - '
+        '16*a*b**4 - 16*a*b**2 + 4*b**6 + 8*b**4 + 4*b**2)", "-1/(4*a**2 - 8*a + '
+        '4*b**2 + 4)"], "beta": "2*a", "gamma": "-a**2 - b**2"}]}'
+    )
+    assert render_exp_polynomial(ep_diff(solved["u"], "b")) == (
+        '(2*a*b - 2*b)/(a**4 - 4*a**3 + 2*a**2*b**2 + 6*a**2 - 4*a*b**2 - 4*a + b**4 + '
+        '2*b**2 + 1) + ((a**3 - 2*a**2 - 3*a*b**2 + a + 2*b**2)/(2*a**4*b - 8*a**3*b + '
+        '4*a**2*b**3 + 12*a**2*b - 8*a*b**3 - 8*a*b + 2*b**5 + 4*b**3 + 2*b) + ((-a**2 '
+        '+ a + b**2)/(2*a**2*b - 4*a*b + 2*b**3 + 2*b))*n)*s[n] + ((-a**2 + 2*a + b**2 '
+        '- 1)/(2*a**4*b - 8*a**3*b + 4*a**2*b**3 + 12*a**2*b - 8*a*b**3 - 8*a*b + '
+        '2*b**5 + 4*b**3 + 2*b) + ((a - 1)/(2*a**2*b - 4*a*b + 2*b**3 + '
+        '2*b))*n)*s[n+1] where s[k+1] = (2*a)*s[k] + (-a**2 - b**2)*s[k-1], s[0] = 2, '
+        's[1] = 2*a'
+    )

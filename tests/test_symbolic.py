@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,121 @@ def test_eval_is_a_homomorphism(x, pv, dv):
     sigma = {"p": pv, "d": dv}
     assert (x + x).eval_fraction(sigma) == 2 * x.eval_fraction(sigma)
     assert (x * x).eval_fraction(sigma) == x.eval_fraction(sigma) ** 2
+
+
+# ---------------------------------------------------------------------------
+# ParamExpr against sympy's cancelled form, across parameter fields
+# ---------------------------------------------------------------------------
+
+SYMS = {"p": sp.Symbol("p"), "q": sp.Symbol("q")}
+
+
+def cancelled(e: sp.Expr) -> sp.Expr:
+    return sp.cancel(sp.together(e))
+
+
+@st.composite
+def paired_fractions(draw):
+    """A random rational function over one of {}, {p}, {q}, {p, q}, built
+    twice: as a ParamExpr and as a plain sympy expression."""
+    names = draw(st.sampled_from([(), ("p",), ("q",), ("p", "q")]))
+    leaves = [rationals.map(lambda r: (ParamExpr(r), sp.Rational(r.numerator, r.denominator)))]
+    if names:
+        leaves.append(st.sampled_from([(ParamExpr(n), SYMS[n]) for n in names]))
+    leaf = st.one_of(*leaves)
+
+    def build(depth):
+        if depth == 0:
+            return draw(leaf)
+        (x, ex), (y, ey) = build(depth - 1), build(depth - 1)
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
+        if op == "+":
+            return x + y, ex + ey
+        if op == "-":
+            return x - y, ex - ey
+        if op == "*":
+            return x * y, ex * ey
+        if y.is_zero:
+            return x, ex
+        return x / y, ex / ey
+
+    return build(draw(st.integers(0, 3)))
+
+
+def assert_same(got: ParamExpr, expr: sp.Expr) -> None:
+    want = cancelled(expr)
+    assert got == ParamExpr(want)
+    assert str(got) == str(want)
+
+
+@given(paired_fractions(), paired_fractions(), st.integers(-3, 3))
+@settings(max_examples=120, deadline=None)
+def test_arithmetic_matches_sympy_cancel(a, b, k):
+    (x, ex), (y, ey) = a, b
+    assert_same(x, ex)
+    assert_same(ParamExpr(ex), ex)
+    assert_same(x + y, ex + ey)
+    assert_same(x - y, ex - ey)
+    assert_same(x * y, ex * ey)
+    if y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert_same(x / y, ex / ey)
+    if k < 0 and x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x**k
+    else:
+        assert_same(x**k, ex**k)
+    assert hash(x + y) == hash(y + x)
+
+
+@given(paired_fractions(), rationals, rationals)
+@settings(max_examples=120, deadline=None)
+def test_diff_and_eval_match_sympy(a, pv, qv):
+    x, ex = a
+    for name, sym in SYMS.items():
+        assert_same(x.diff(name), sp.diff(ex, sym))
+    num, den = cancelled(ex).as_numer_denom()
+    point = {SYMS["p"]: sp.Rational(pv.numerator, pv.denominator),
+             SYMS["q"]: sp.Rational(qv.numerator, qv.denominator)}
+    if den.subs(point) == 0:
+        with pytest.raises(SingularParameterError):
+            x.eval_fraction({"p": pv, "q": qv})
+    else:
+        want = num.subs(point) / den.subs(point)
+        assert x.eval_fraction({"p": pv, "q": qv}) == Fraction(int(want.p), int(want.q))
+
+
+def test_equal_values_hash_equal_across_fields():
+    q = ParamExpr("q")
+    assert P / P == ParamExpr(1) and hash(P / P) == hash(ParamExpr(1))
+    assert P - P == ParamExpr(0) and hash(P - P) == hash(ParamExpr(0))
+    p_in_pq = P * q / q  # p, held in the field over {p, q}
+    assert p_in_pq == P and hash(p_in_pq) == hash(P)
+    table = {ParamExpr(1): "one", P: "p", P + 1: "p + 1"}
+    assert table[P / P] == "one"
+    assert table[p_in_pq] == "p"
+    assert table[(P * q + q) / q] == "p + 1"
+    assert p_in_pq.free_params() == frozenset({"p"})
+
+
+def test_division_by_difference_to_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        P / (P - P)
+    with pytest.raises(ZeroDivisionError):
+        1 / (P - P)
+
+
+def test_singular_point_and_missing_parameter():
+    f = 1 / (P - 1)
+    with pytest.raises(SingularParameterError):
+        f.eval_fraction({"p": Fraction(1)})
+    assert f.eval_fraction({"p": Fraction(3)}) == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): p$"):
+        (f * ParamExpr("q")).eval_fraction({"q": Fraction(1)})
+    with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): p, q$"):
+        (P * ParamExpr("q") + 1).eval_fraction({})
 
 
 # ---------------------------------------------------------------------------
