@@ -94,10 +94,32 @@ def test_ep_eval(benchmark, bimodal_system):
     assert values[-1] == target
 
 
-def test_variable_supports(benchmark):
-    program = _program("grammar_zoo.prob")
+def _coin_program(k: int):
+    """k sticky coins and their sum, in the form of coin_flips_50.prob."""
+    names = [f"c{i}" for i in range(1, k + 1)]
+    lines = [", ".join(names) + " = " + ", ".join("0" for _ in names), "total = 0", "while true:"]
+    lines += [f"    {c} = 1 {{p}} {c}" for c in names]
+    lines += ["    total = " + " + ".join(names), "end"]
+    return normalize(parse("\n".join(lines) + "\n", name=f"coin_flips_{k}"))
+
+
+BIT = frozenset({Fraction(0), Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("grammar_zoo.prob", {"tick": {0, 1, 2, 3}, "d": {0, 1, 2}, "mode": BIT, "acc": None}),
+        ("randomized_response.prob", {"truth": BIT, "resp": BIT, "answers": None}),
+        ("coin_flips_12", {"total": set(range(13))}),
+    ],
+)
+def test_variable_supports(benchmark, name, expected):
+    program = _coin_program(12) if name == "coin_flips_12" else _program(name)
 
     supports = benchmark.pedantic(
         lambda: variable_supports(program), setup=clear_cache, rounds=ROUNDS
     )
     assert set(supports) == set(program.all_variables)
+    for v, values in expected.items():
+        assert supports[v] == (None if values is None else {Fraction(x) for x in values})

@@ -24,7 +24,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dependency import build_graph, classify as classify_program
+from .dependency import build_graph, classify as classify_program, variable_supports
 from .errors import (
     ClassificationError,
     EquationCapError,
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedFactorError,
 )
 from .normalize import normalize
-from .oracle import fd_sensitivity, moment_exact, sample_moment
+from .oracle import checked_probability, fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
 from .sensitivity import (
     moment_closure,
@@ -46,6 +46,7 @@ from .sensitivity import (
     sensitivity_system,
 )
 from .symbolic import exp_polynomial_to_json, render_exp_polynomial, ep_eval
+from .syntax import DistDraw
 
 SCHEMA_VERSION = "1"
 DEFAULT_CAP = 500
@@ -126,6 +127,19 @@ def _parse_bindings(pairs) -> dict[str, Fraction]:
             name, _, raw = item.partition("=")
             values[name.strip()] = _parse_fraction(raw.strip())
     return values
+
+
+def _check_probabilities(np_, values: dict[str, Fraction]) -> None:
+    """Every Bernoulli argument and choice probability of the program whose
+    parameters ``values`` assigns must lie in [0, 1] there."""
+    for rhs in [rhs for _, rhs in np_.init] + [ga.rhs for ga in np_.body]:
+        if isinstance(rhs, DistDraw):
+            probabilities = [("Bernoulli", rhs.args[0])] if rhs.kind == "Bernoulli" else []
+        else:
+            probabilities = [("choice", prob) for _, prob in rhs.choices]
+        for kind, prob in probabilities:
+            if prob.free_params() <= values.keys():
+                checked_probability(prob.eval_fraction(values), kind)
 
 
 def _classification_json(cls) -> dict:
@@ -218,6 +232,11 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
             raise click.UsageError("--at-n needs --eval to supply parameter values")
         if values and not at_n:
             raise click.UsageError("--eval needs --at-n to pick iteration indices")
+        if values:
+            try:
+                _check_probabilities(np_, values)
+            except OracleError as e:
+                _fail(EXIT_PARSE, str(e))
 
         if dump_normalized:
             click.echo(np_.to_source())
@@ -324,7 +343,10 @@ def classify_cmd(program, wrt, fmt):
         params = [wrt] if wrt else sorted(np_.params)
         if wrt and wrt not in np_.params:
             raise ClassificationError(f"{wrt!r} is not a parameter of the program")
-        records = [classify_program(np_, p) for p in params] or [classify_program(np_)]
+        graph, supports = build_graph(np_), variable_supports(np_)
+        records = [
+            classify_program(np_, p, graph=graph, supports=supports) for p in params or [None]
+        ]
         if fmt == "json":
             click.echo(
                 json.dumps(

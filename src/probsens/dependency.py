@@ -47,63 +47,157 @@ Support = Optional[frozenset]
 # ---------------------------------------------------------------------------
 
 
-def _join(a: Support, b: Support, cap: int) -> Support:
-    if a is None or b is None:
-        return None
-    u = a | b
-    return None if len(u) > cap else u
+def _draw_values(rhs: DistDraw, cap: int) -> Support:
+    if rhs.kind == "Bernoulli":
+        return frozenset({Fraction(0), Fraction(1)})
+    if rhs.kind == "DiscreteUniform":
+        a, b = rhs.args
+        if not (a.is_rational and b.is_rational):
+            return None
+        lo, hi = a.as_fraction(), b.as_fraction()
+        if lo.denominator != 1 or hi.denominator != 1 or hi < lo or hi - lo + 1 > cap:
+            return None
+        return frozenset(Fraction(k) for k in range(int(lo), int(hi) + 1))
+    return None  # Normal, Uniform: continuous
 
 
-def _poly_values(poly, supports, cap: int, point_cap: int) -> Support:
-    """All values a polynomial can take over the variables' supports.
+def _sumset(offset: Fraction, parts, cap: int) -> Optional[set]:
+    """``offset`` plus one value from each part in every way; None past ``cap``.
 
-    Coefficients carrying parameters make the result unbounded for our
-    purposes: a symbolic coefficient ranges over all reals.
+    A partial sum can stop the work early: shifted by one value of each part
+    still to come, it lies inside the whole sumset.
     """
-    for _, coeff in poly.terms:
-        if not coeff.is_rational:
-            return None
-    names = sorted(poly.variables())
-    sets = []
-    points = 1
-    for v in names:
-        s = supports[v]
-        if s is None:
-            return None
-        points *= len(s)
-        if points > point_cap:
-            return None
-        sets.append(sorted(s))
-    out: set[Fraction] = set()
-    for combo in product(*sets):
-        out.add(poly.eval_exact(dict(zip(names, combo))))
-        if len(out) > cap:
-            return None
-    return frozenset(out)
-
-
-def _rhs_values(rhs, supports, cap: int, point_cap: int) -> Support:
-    if isinstance(rhs, DistDraw):
-        if rhs.kind == "Bernoulli":
-            return frozenset({Fraction(0), Fraction(1)})
-        if rhs.kind == "DiscreteUniform":
-            a, b = rhs.args
-            if not (a.is_rational and b.is_rational):
-                return None
-            lo, hi = a.as_fraction(), b.as_fraction()
-            if lo.denominator != 1 or hi.denominator != 1 or hi < lo or hi - lo + 1 > cap:
-                return None
-            return frozenset(Fraction(k) for k in range(int(lo), int(hi) + 1))
-        return None  # Normal, Uniform: continuous
-    acc: set[Fraction] = set()
-    for poly, _prob in rhs.choices:
-        vals = _poly_values(poly, supports, cap, point_cap)
-        if vals is None:
-            return None
-        acc |= vals
+    acc = {offset}
+    for part in parts:
+        acc = {a + b for a in acc for b in part}
         if len(acc) > cap:
             return None
-    return frozenset(acc)
+    return acc
+
+
+class _Block:
+    """Monomials of one choice polynomial that share variables, with the values
+    they have taken so far (in the order found)."""
+
+    def __init__(self, pos: tuple[int, ...], terms: list):
+        self.pos = pos  # positions of the block's variables in the choice's names
+        self.terms = terms  # (coefficient, ((index into pos, exponent), ...))
+        self.values: list[Fraction] = []
+        self._member: set[Fraction] = set()
+
+    def grow(self, lists, seen, now) -> list[Fraction]:
+        """Evaluate on the combinations with at least one value not seen
+        before: for variable i, the seen values of the variables before i,
+        the unseen values of i and all values of the variables after i.
+        Return the values the block had not taken yet."""
+        new = []
+        pos = self.pos
+        for i, p in enumerate(pos):
+            if seen[p] == now[p]:
+                continue
+            axes = [lists[q][: seen[q]] for q in pos[:i]]
+            axes.append(lists[p][seen[p] : now[p]])
+            axes += [lists[q][: now[q]] for q in pos[i + 1 :]]
+            for combo in product(*axes):
+                val = Fraction(0)
+                for coeff, powers in self.terms:
+                    for j, e in powers:
+                        coeff *= combo[j] ** e
+                    val += coeff
+                if val not in self._member:
+                    self._member.add(val)
+                    self.values.append(val)
+                    new.append(val)
+        return new
+
+
+class _Choice:
+    """One choice polynomial and the supports it was last evaluated on.
+
+    The monomials fall into blocks that share no variable, so the values of
+    the polynomial are the sumset of the blocks' values plus the constant
+    term.  Coefficients are converted to ``Fraction`` once, here.
+    """
+
+    def __init__(self, poly):
+        self.names = tuple(sorted(poly.variables()))
+        self.symbolic = any(not c.is_rational for _, c in poly.terms)
+        self.seen = [0] * len(self.names)  # support sizes at the last evaluation
+        self.fresh = True
+        self.offset = Fraction(0)
+        self.blocks: list[_Block] = []
+        if self.symbolic:
+            return
+        index = {v: i for i, v in enumerate(self.names)}
+        groups: list[tuple[set[int], list]] = []
+        for mono, coeff in poly.terms:
+            if mono.is_one:
+                self.offset = coeff.as_fraction()
+                continue
+            reads = {index[v] for v, _ in mono.powers}
+            terms = [(coeff.as_fraction(), tuple((index[v], e) for v, e in mono.powers))]
+            for group in [g for g in groups if g[0] & reads]:
+                groups.remove(group)
+                reads |= group[0]
+                terms += group[1]
+            groups.append((reads, terms))
+        for reads, terms in groups:
+            pos = tuple(sorted(reads))
+            local = {p: i for i, p in enumerate(pos)}
+            self.blocks.append(
+                _Block(pos, [(c, tuple((local[p], e) for p, e in pw)) for c, pw in terms])
+            )
+
+    def new_values(self, supports, cap: int, point_cap: int):
+        """Values on the combinations of the current supports not seen at the
+        last evaluation, or None once the polynomial is not finite-valued.
+
+        A parameter coefficient, a read variable that is None, or a running
+        product of support sizes (in sorted-name order) past ``point_cap``
+        gives None before anything is evaluated.
+        """
+        if self.symbolic:
+            return None
+        lists = []
+        points = 1
+        for v in self.names:
+            values = supports[v]
+            if values is None:
+                return None
+            points *= len(values)
+            if points > point_cap:
+                return None
+            lists.append(values)
+        now = [len(values) for values in lists]
+        if points == 0 or (not self.fresh and now == self.seen):
+            return ()
+        old = []
+        new = []
+        for block in self.blocks:
+            k = len(block.values)
+            new.append(block.grow(lists, self.seen, now))
+            if len(block.values) > cap:
+                return None
+            old.append(block.values[:k])
+        self.seen = now
+        if self.fresh:
+            self.fresh = False
+            return _sumset(self.offset, [b.values for b in self.blocks], cap)
+        out: set[Fraction] = set()
+        for i, delta in enumerate(new):
+            if delta:
+                later = [b.values for b in self.blocks[i + 1 :]]
+                sums = _sumset(self.offset, [delta, *old[:i], *later], cap)
+                if sums is None:
+                    return None
+                out |= sums
+        return out
+
+
+def _compile(rhs, cap: int):
+    if isinstance(rhs, DistDraw):
+        return _draw_values(rhs, cap)
+    return [_Choice(poly) for poly, _prob in rhs.choices]
 
 
 def variable_supports(
@@ -114,22 +208,62 @@ def variable_supports(
     The empty set marks a variable that is never given a value before being
     read (possible for names first written inside one branch of a
     conditional); joining it is a no-op, which is exactly right.
+
+    Supports are ordered by inclusion, with None ("not finite") on top.  One
+    assignment joins into its target the values of its right-hand side over
+    the product of the supports it reads, and the support of its kept value;
+    the target becomes None past ``cap`` values, and a choice gives None at a
+    parameter coefficient, at a read variable that is None or past
+    ``point_cap`` value combinations.  Each such step is a union that is
+    monotone in the supports, and a support grows to at most ``cap`` values
+    before it turns None, so every fair order of steps reaches the same least
+    fixpoint above the initial values.  This one is semi-naive: a choice
+    polynomial is evaluated only on the combinations that hold a value it has
+    not seen, because all the others were joined in before.
     """
-    supports: dict[str, Support] = {v: frozenset() for v in np.all_variables}
+    supports: dict[str, Optional[list]] = {v: [] for v in np.all_variables}
+    members: dict[str, set] = {v: set() for v in np.all_variables}
+
+    def join(t: str, values) -> bool:
+        """Join ``values`` into the support of ``t``; True if it grew."""
+        if supports[t] is None:
+            return False
+        if values is None:
+            supports[t] = None
+            return True
+        grew = False
+        for x in values:
+            if x not in members[t]:
+                members[t].add(x)
+                supports[t].append(x)
+                grew = True
+        if len(supports[t]) > cap:
+            supports[t] = None
+        return grew
+
+    def assign(t: str, rhs, else_source: Optional[str] = None) -> bool:
+        if not isinstance(rhs, list):
+            grew = join(t, rhs)
+        else:
+            grew = False
+            for choice in rhs:
+                if supports[t] is None:
+                    break
+                grew |= join(t, choice.new_values(supports, cap, point_cap))
+        if else_source is not None:
+            grew |= join(t, supports[else_source])
+        return grew
+
     for v, rhs in np.init:
-        supports[v] = _join(supports[v], _rhs_values(rhs, supports, cap, point_cap), cap)
-    while True:
-        changed = False
-        for ga in np.body:
-            vals = _rhs_values(ga.rhs, supports, cap, point_cap)
-            if ga.else_source is not None:
-                vals = _join(vals, supports[ga.else_source], cap)
-            new = _join(supports[ga.target], vals, cap)
-            if new != supports[ga.target]:
-                supports[ga.target] = new
-                changed = True
-        if not changed:
-            return supports
+        assign(v, _compile(rhs, cap))
+    body = [(ga.target, _compile(ga.rhs, cap), ga.else_source) for ga in np.body]
+    grew = True
+    while grew:
+        grew = False
+        for t, rhs, else_source in body:
+            if supports[t] is not None:
+                grew |= assign(t, rhs, else_source)
+    return {v: None if s is None else frozenset(s) for v, s in supports.items()}
 
 
 def finite_valued(np: NormalizedProgram, cap: int = VALUE_SET_CAP) -> frozenset[str]:

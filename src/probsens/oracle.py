@@ -52,11 +52,17 @@ class OracleEstimate:
 # ---------------------------------------------------------------------------
 
 
+def checked_probability(q: Fraction, kind: str) -> Fraction:
+    """``q`` itself if it lies in [0, 1]; otherwise an OracleError naming the
+    kind of probability ("Bernoulli" or "choice")."""
+    if q < 0 or q > 1:
+        raise OracleError(f"{kind} probability {q} outside [0, 1]")
+    return q
+
+
 def _dist_outcomes(rhs: DistDraw, sigma) -> list[tuple[Fraction, Fraction]]:
     if rhs.kind == "Bernoulli":
-        q = rhs.args[0].eval_fraction(sigma)
-        if q < 0 or q > 1:
-            raise OracleError(f"Bernoulli probability {q} outside [0, 1]")
+        q = checked_probability(rhs.args[0].eval_fraction(sigma), "Bernoulli")
         out = []
         if q != 0:
             out.append((Fraction(1), q))
@@ -77,9 +83,7 @@ def _rhs_outcomes(rhs, state, sigma) -> list[tuple[Fraction, Fraction]]:
         return _dist_outcomes(rhs, sigma)
     out = []
     for poly, prob in rhs.choices:
-        p = prob.eval_fraction(sigma)
-        if p < 0 or p > 1:
-            raise OracleError(f"choice probability {p} outside [0, 1]")
+        p = checked_probability(prob.eval_fraction(sigma), "choice")
         if p != 0:
             out.append((poly.eval_with_params(state, sigma), p))
     return out

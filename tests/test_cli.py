@@ -151,6 +151,28 @@ def test_analyze_auto_classifies_once(runner, monkeypatch, program, target, wrt)
     assert len(calls) == 1
 
 
+def test_classify_runs_the_value_set_fixpoint_once(runner, monkeypatch):
+    import probsens.dependency as dependency
+
+    original = dependency.variable_supports
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "probsens" or name.startswith("probsens."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    hawk_dove = str(CORPUS / "hawk_dove.prob")  # parameters p and q
+    result = runner.invoke(main, ["classify", hawk_dove, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert [c["parameter"] for c in json.loads(result.output)["classifications"]] == ["p", "q"]
+    assert len(calls) == 1
+
+
 def test_analyze_dump_normalized_and_explain(runner):
     result = runner.invoke(
         main,
@@ -251,6 +273,27 @@ def test_unassigned_evaluation_parameter_exits_2_without_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: unassigned parameter(s): p"]
+
+
+@pytest.mark.parametrize(
+    "program, target, point, message",
+    [
+        ("random_walk_1d.prob", "x", "p=3/2,q=1/2", "choice probability 3/2 outside [0, 1]"),
+        ("grammar_zoo.prob", "acc", "p=1/2,q=-1/4,r=1/2", "Bernoulli probability -1/4 outside [0, 1]"),
+    ],
+    ids=["choice", "bernoulli"],
+)
+def test_evaluation_probability_out_of_range_exits_2_without_traceback(program, target, point, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "probsens", "analyze", str(CORPUS / program), "--target", target,
+         "--wrt", "p", "--eval", point, "--at-n", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ simulation of the loop.
 
 import random
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from probsens.dependency import (
+    VALUE_SET_CAP,
+    _POINT_CAP,
     build_graph,
     classify,
     finite_valued,
@@ -35,6 +39,8 @@ from probsens.syntax import (
 )
 
 from test_normalize import EPIDEMIC, TRICKY_PROGRAMS, random_programs
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
 
 # A loop mixing a defective pair (w, x feed each other through a square) with
 # a parameter-dependent chain (z, y, u) that never touches it.
@@ -280,6 +286,147 @@ def _simulate_values(np_, sigma, iterations, seed):
             state[ga.target] = val
             seen[ga.target].add(val)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Value sets against the naive fixpoint
+# ---------------------------------------------------------------------------
+
+
+def _naive_supports(np_, cap=VALUE_SET_CAP, point_cap=_POINT_CAP):
+    """Reference: every pass evaluates every right-hand side over the whole
+    cross product of the current supports, until no support changes."""
+
+    def join(a, b):
+        return None if a is None or b is None or len(a | b) > cap else a | b
+
+    def poly_values(poly, sup):
+        if not all(c.is_rational for _, c in poly.terms):
+            return None
+        names, points = sorted(poly.variables()), 1
+        for v in names:
+            if sup[v] is None:
+                return None
+            points *= len(sup[v])
+            if points > point_cap:
+                return None
+        out = {poly.eval_exact(dict(zip(names, combo))) for combo in product(*(sup[v] for v in names))}
+        return None if len(out) > cap else frozenset(out)
+
+    def rhs_values(rhs, sup):
+        if isinstance(rhs, DistDraw):
+            if rhs.kind == "Bernoulli":
+                return frozenset({F(0), F(1)})
+            if rhs.kind != "DiscreteUniform" or not all(a.is_rational for a in rhs.args):
+                return None
+            lo, hi = (a.as_fraction() for a in rhs.args)
+            if lo.denominator != 1 or hi.denominator != 1 or hi < lo:
+                return None
+            return join(frozenset(), frozenset(F(k) for k in range(int(lo), int(hi) + 1)))
+        acc = frozenset()
+        for poly, _ in rhs.choices:
+            acc = join(acc, poly_values(poly, sup))
+        return acc
+
+    sup = {v: frozenset() for v in np_.all_variables}
+    for v, rhs in np_.init:
+        sup[v] = join(sup[v], rhs_values(rhs, sup))
+    while True:
+        before = dict(sup)
+        for ga in np_.body:
+            vals = rhs_values(ga.rhs, sup)
+            if ga.else_source is not None:
+                vals = join(vals, sup[ga.else_source])
+            sup[ga.target] = join(sup[ga.target], vals)
+        if sup == before:
+            return sup
+
+
+def _coin_program(k):
+    """k sticky coins and their sum, in the form of coin_flips_50.prob."""
+    names = [f"c{i}" for i in range(1, k + 1)]
+    lines = [", ".join(names) + " = " + ", ".join("0" for _ in names), "total = 0", "while true:"]
+    lines += [f"    {c} = 1 {{p}} {c}" for c in names]
+    lines += ["    total = " + " + ".join(names), "end"]
+    return "\n".join(lines) + "\n"
+
+
+@given(random_programs())
+@settings(max_examples=60, deadline=None)
+def test_supports_match_naive_fixpoint_on_random_programs(src):
+    np_ = norm(src)
+    assert variable_supports(np_) == _naive_supports(np_)
+    # small caps, so that both give-up rules fire often
+    assert variable_supports(np_, 4, 9) == _naive_supports(np_, 4, 9)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.prob")), ids=lambda p: p.stem)
+def test_supports_match_naive_fixpoint_on_corpus(path):
+    np_ = norm(path.read_text())
+    assert variable_supports(np_) == _naive_supports(np_)
+
+
+@pytest.mark.parametrize("k", range(9, 14))
+def test_supports_match_naive_fixpoint_on_coins(k):
+    np_ = norm(_coin_program(k))
+    assert variable_supports(np_) == _naive_supports(np_)
+
+
+def test_value_cap_boundary():
+    base = "a = 0\nb = 0\ns = 0\nwhile true:\n    a = DiscreteUniform(0, 7)\n    b = DiscreteUniform(0, 7)\n"
+    exactly_cap = norm(base + "    s = 8*a + b\nend\n")  # 0..63
+    assert variable_supports(exactly_cap)["s"] == {F(k) for k in range(64)}
+    one_over = norm(base + "    s = 8*a + b + 1\nend\n")  # 0..64
+    assert variable_supports(one_over)["s"] is None
+    product_form = norm(base + "    s = a*b + a + 8*b + 1\nend\n")  # (a + 8)(b + 1) - 7
+    assert variable_supports(product_form) == _naive_supports(product_form)
+
+
+def test_reads_that_grow_together_meet_in_new_combinations():
+    # s and t are evaluated before x and y grow, so x = 1 and y = 1 arrive
+    # in the same pass and only the pair (1, 1) gives 11 and 3.
+    np_ = norm(
+        "x = 0\ny = 0\ns = 0\nt = 0\nwhile true:\n"
+        "    s = x + 10*y\n    t = x*y + 2*x\n    x = 1\n    y = 1\nend\n"
+    )
+    sup = variable_supports(np_)
+    assert sup["s"] == {F(0), F(1), F(10), F(11)}
+    assert sup["t"] == {F(0), F(2), F(3)}
+
+
+def test_point_cap_boundary_on_coin_sums():
+    assert variable_supports(norm(_coin_program(12)))["total"] == {F(k) for k in range(13)}
+    # 2^13 combinations exceed the point cap although only 14 sums exist
+    assert variable_supports(norm(_coin_program(13)))["total"] is None
+
+
+def test_parameter_coefficient_is_not_finite():
+    np_ = norm("b = 0\nx = 0\nwhile true:\n    b = Bernoulli(1/2)\n    x = p*b\nend\n")
+    sup = variable_supports(np_)
+    assert sup["b"] == {F(0), F(1)}
+    assert sup["x"] is None
+
+
+def test_branch_only_variable_keeps_its_empty_set():
+    # t is never initialized and only written under a guard from its own
+    # value, so no value ever reaches it; u reads it in a product.
+    one = Categorical.sure(PolyExpr.const(F(1)))
+    x_is_zero = Comparison(PolyExpr.var("x"), "==", PolyExpr.const(F(0)))
+    np_ = NormalizedProgram(
+        params=frozenset(),
+        init=(("x", one), ("u", one)),
+        body=(
+            GuardedAssignment("t", Categorical.sure(PolyExpr.var("t") + PolyExpr.const(F(1))), x_is_zero, "t"),
+            GuardedAssignment("u", Categorical.sure(PolyExpr.var("t") * PolyExpr.var("x")), BTrue(), None),
+        ),
+        variables=("t", "u", "x"),
+        temporaries=(),
+        temp_origin=(),
+        name="branch_only",
+    )
+    sup = variable_supports(np_)
+    assert sup == {"t": frozenset(), "u": {F(1)}, "x": {F(1)}}
+    assert sup == _naive_supports(np_)
 
 
 # ---------------------------------------------------------------------------
