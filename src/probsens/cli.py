@@ -37,6 +37,7 @@ from .errors import (
     UninitializedVariableError,
     UnsupportedFactorError,
 )
+from .moments import DEFAULT_EQUATION_CAP
 from .normalize import normalize
 from .oracle import checked_probability, fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
@@ -49,7 +50,6 @@ from .symbolic import exp_polynomial_to_json, render_exp_polynomial, ep_eval
 from .syntax import DistDraw
 
 SCHEMA_VERSION = "1"
-DEFAULT_CAP = 500
 CAP_ENV_VAR = "PROBSENS_EQ_CAP"
 
 EXIT_PARSE = 2
@@ -101,11 +101,14 @@ def _resolve_cap(option_value: int | None) -> int:
         return option_value
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
-        return DEFAULT_CAP
+        return DEFAULT_EQUATION_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         _fail(EXIT_PARSE, f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if cap < 1:
+        _fail(EXIT_PARSE, f"{CAP_ENV_VAR} must be at least 1, got {cap}")
+    return cap
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -206,7 +209,12 @@ def main():
     multiple=True,
     help="Iteration indices to evaluate the sensitivity at (requires --eval).",
 )
-@click.option("--cap", type=int, default=None, help=f"Equation cap (default: ${CAP_ENV_VAR} or {DEFAULT_CAP}).")
+@click.option(
+    "--cap",
+    type=click.IntRange(min=1),
+    default=None,
+    help=f"Equation cap (default: ${CAP_ENV_VAR} or {DEFAULT_EQUATION_CAP}).",
+)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--dump-normalized", is_flag=True, help="Print the normalized loop before the report.")
 @click.option("--explain", "explain_var", metavar="VAR", default=None, help="Print dependency facts for one variable.")
@@ -387,7 +395,7 @@ def classify_cmd(program, wrt, fmt):
 @click.argument("program", type=click.Path(exists=True, dir_okay=False))
 @click.option("--target", required=True, help="Monomial whose system to assemble.")
 @click.option("--wrt", default=None, help="Dump the sensitivity system for this parameter (default: moment system).")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=click.IntRange(min=1), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def dump_recurrences(program, target, wrt, cap, fmt):
     """Print the recurrence system a target needs, without solving it."""
@@ -438,9 +446,9 @@ def dump_recurrences(program, target, wrt, cap, fmt):
 @main.command()
 @click.argument("program", type=click.Path(exists=True, dir_okay=False))
 @click.option("--monomial", required=True, help="Monomial to estimate the expectation of.")
-@click.option("--n", "steps", type=int, required=True, help="Number of loop iterations.")
+@click.option("--n", "steps", type=click.IntRange(min=0), required=True, help="Number of loop iterations.")
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE", help="Parameter values.")
-@click.option("--trials", type=int, default=0, show_default=True, help="Monte Carlo trials; 0 = exact enumeration.")
+@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True, help="Monte Carlo trials; 0 = exact enumeration.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--fd", default=None, metavar="PARAM[:EPS]", help="Central-difference sensitivity instead of the plain moment.")
 def simulate(program, monomial, steps, params, trials, seed, fd):

@@ -297,8 +297,11 @@ def _bexpr_vec(b, states, sigma) -> np.ndarray:
 def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: int) -> np.ndarray:
     if isinstance(rhs, DistDraw):
         gen = _site_generator(seed, site, iteration)
-        args = [float(a.eval_fraction(sigma)) for a in rhs.args]
+        exact = [a.eval_fraction(sigma) for a in rhs.args]
+        args = [float(a) for a in exact]
         if rhs.kind == "Normal":
+            if exact[1] < 0:
+                raise OracleError(f"Normal variance {exact[1]} is negative")
             mean, var = args
             return mean + math.sqrt(var) * gen.standard_normal(trials)
         u = gen.random(trials)

@@ -25,6 +25,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.densearith import dup_mul
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -53,6 +54,9 @@ __all__ = [
 #: form is re-checked against direct iteration.
 VERIFICATION_POINTS = 3
 
+#: The variable in which a factor of a characteristic polynomial is printed.
+_X = sp.Symbol("x")
+
 
 @dataclass(frozen=True)
 class ScalarCFinite:
@@ -77,13 +81,6 @@ class ScalarCFinite:
     def order(self) -> int:
         return len(self.coefficients)
 
-    def char_poly(self, x: sp.Symbol) -> sp.Expr:
-        """x**order - c_{order-1}*x**(order-1) - ... - c_0."""
-        acc: sp.Expr = x ** self.order
-        for i, c in enumerate(self.coefficients):
-            acc -= c.e * x ** i
-        return sp.expand(acc)
-
     def values(self, upto: int) -> list[ParamExpr]:
         """u(base), ..., u(base + upto) by direct iteration."""
         vals = list(self.seeds)
@@ -100,47 +97,50 @@ class ScalarCFinite:
 # ---------------------------------------------------------------------------
 
 
-def factor_charpoly(q, x: sp.Symbol) -> list[tuple[sp.Expr, int]]:
-    """Factor a polynomial in ``x`` over the field of parameter fractions.
+def factor_charpoly(coeffs: Sequence, domain) -> list[tuple[list, int]]:
+    """Factor a dense polynomial (leading coefficient first) over ``domain``,
+    the field of parameter fractions.
 
-    Returns ``[(factor, multiplicity), ...]`` with every factor monic-able in
-    ``x`` and irreducible over the rational functions of the parameters; any
-    irreducible factor of degree >= 3 is returned as-is (the caller decides
-    whether that is fatal).  Factors free of ``x`` are dropped as units.
+    Returns ``[(factor, multiplicity), ...]`` with every factor a dense list
+    over ``domain``, irreducible there; any irreducible factor of degree >= 3
+    is returned as-is (the caller decides whether that is fatal).  Constant
+    factors are dropped as units.  Two or more factors are ordered by degree,
+    then by the sympy sort key of the factor in ``x``, which fixes the order
+    of the closed-form terms.
     """
-    expr = q.as_expr() if isinstance(q, (sp.Poly, sp.PurePoly)) else sp.sympify(q)
-    num, _den = sp.fraction(sp.together(sp.expand(expr)))
-    out: list[tuple[sp.Expr, int]] = []
-    for fac, mult in sp.factor_list(num)[1]:
-        if sp.degree(fac, x) > 0:
-            out.append((fac, int(mult)))
-    out.sort(key=lambda fm: (sp.degree(fm[0], x), sp.default_sort_key(fm[0])))
+    out = [(f, m) for f, m in dup_factor_list(coeffs, domain)[1] if len(f) > 1]
+    if len(out) > 1:
+        out.sort(key=lambda fm: (len(fm[0]), sp.default_sort_key(_as_expr(fm[0], domain))))
     return out
 
 
-def _classify_factors(factors: Sequence[tuple[sp.Expr, int]], x: sp.Symbol):
-    """Split factors into zero roots, rational eigenvalues, irreducible
-    quadratics (as x**2 - beta*x - gamma), and anything harder.  Eigenvalues
-    and quadratics map to their multiplicities, in the order of ``factors``."""
+def _as_expr(f: Sequence, domain) -> sp.Expr:
+    """The dense polynomial ``f`` over ``domain`` as a sympy expression in x."""
+    deg = len(f) - 1
+    return sp.Add(*(domain.to_sympy(c) * _X ** (deg - i) for i, c in enumerate(f)))
+
+
+def _classify_factors(factors: Sequence[tuple[list, int]], domain):
+    """Split factors into zero roots, eigenvalues and irreducible quadratics
+    (as x**2 - beta*x - gamma), read off their coefficients in ``domain``.
+    Eigenvalues and quadratics map to their multiplicities, in the order of
+    ``factors``.  A factor of degree 3 or more raises
+    ``UnsupportedFactorError``."""
     zero_mult = 0
     linear: dict[ParamExpr, int] = {}
     quads: dict[tuple[ParamExpr, ParamExpr], int] = {}
-    hard: list[tuple[sp.Expr, int]] = []
-    for fac, mult in factors:
-        p = sp.Poly(fac, x)
-        deg = p.degree()
-        cs = [pe(c) for c in p.all_coeffs()]
-        if deg == 1:
-            lam = -cs[1] / cs[0]
-            if lam.is_zero:
-                zero_mult += mult
+    for f, mult in factors:
+        if len(f) == 2:
+            if f[1]:
+                _accumulate(linear, ParamExpr(-f[1] / f[0]), mult)
             else:
-                _accumulate(linear, lam, mult)
-        elif deg == 2:
-            _accumulate(quads, (-cs[1] / cs[0], -cs[2] / cs[0]), mult)
+                zero_mult += mult
+        elif len(f) == 3:
+            key = (ParamExpr(-f[1] / f[0]), ParamExpr(-f[2] / f[0]))
+            _accumulate(quads, key, mult)
         else:
-            hard.append((fac, mult))
-    return zero_mult, linear, quads, hard
+            raise UnsupportedFactorError(str(_as_expr(f, domain)))
+    return zero_mult, linear, quads
 
 
 def _accumulate(entries: dict, key, mult: int, combine=operator.add) -> None:
@@ -301,9 +301,8 @@ def solve_system(
     successors = {s: [t for _, t in eqs[s]] for s in eqs}
     iterator = ForwardIterator(eqs, initials)
     solved: dict = {}
-    x = sp.Dummy("x")
     for block in _sccs(list(eqs), successors):
-        _solve_block(block, eqs, iterator, solved, x, scalar_forms)
+        _solve_block(block, eqs, iterator, solved, scalar_forms)
     return solved
 
 
@@ -329,8 +328,9 @@ def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
     return solution.to_list()
 
 
-def _charpoly(block, eqs, domain, x: sp.Symbol) -> sp.Expr:
-    """det(x*I - A) of the block's own coefficient matrix A."""
+def _charpoly(block, eqs, domain) -> list:
+    """det(x*I - A) of the block's own coefficient matrix A, as a dense list
+    over ``domain`` with the leading coefficient first."""
     m = len(block)
     pos = {s: i for i, s in enumerate(block)}
     rows = [[domain.zero] * m for _ in range(m)]
@@ -338,17 +338,14 @@ def _charpoly(block, eqs, domain, x: sp.Symbol) -> sp.Expr:
         for c, t in eqs[s]:
             if t in pos:
                 rows[pos[s]][pos[t]] += to_domain(c, domain)
-    coeffs = DomainMatrix(rows, (m, m), domain).charpoly()  # leading first
-    return sp.Add(*(domain.to_sympy(c) * x ** (m - i) for i, c in enumerate(coeffs)))
+    return DomainMatrix(rows, (m, m), domain).charpoly()
 
 
-def _solve_block(block, eqs, iterator, solved, x, scalar_forms) -> None:
+def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
     bset = set(block)
     domain = iterator.domain
-    chi = _charpoly(block, eqs, domain, x)
-    zero_mult, linear, quads, hard = _classify_factors(factor_charpoly(chi, x), x)
-    if hard:
-        raise UnsupportedFactorError(str(hard[0][0]))
+    chi = _charpoly(block, eqs, domain)
+    zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
 
     # Forcing inputs are already in closed form; their eigenvalues join the
     # annihilator (multiplicities combine by max across inputs, since the

@@ -217,17 +217,6 @@ class PolyExpr:
             out.append((VarMonomial.from_map({mapping.get(v, v): e for v, e in m.powers}), c))
         return PolyExpr.make(out)
 
-    def eval_exact(self, state: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at rational variable values; coefficients must be
-        parameter-free."""
-        acc = Fraction(0)
-        for m, c in self.terms:
-            val = c.as_fraction()
-            for v, e in m.powers:
-                val *= state[v] ** e
-            acc += val
-        return acc
-
     def eval_with_params(self, state: Mapping[str, Fraction], sigma: Mapping[str, Fraction]) -> Fraction:
         acc = Fraction(0)
         for m, c in self.terms:

@@ -7,6 +7,7 @@ environment variable, and a round trip over the packaged program corpus.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -332,6 +333,38 @@ def test_cap_env_var_must_be_integer(runner, monkeypatch):
     assert cli.CAP_ENV_VAR in result.output
 
 
+def _run_cli(*args, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "probsens", *args], capture_output=True, text=True, env=env
+    )
+
+
+def _error_line(proc) -> str:
+    """The one error line of a failed command; no traceback is allowed."""
+    assert "Traceback" not in proc.stderr
+    lines = [ln for ln in proc.stderr.splitlines() if ln.lower().startswith("error:")]
+    assert len(lines) == 1, proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_cap_below_one_is_a_usage_error(cap):
+    walk = str(CORPUS / "random_walk_1d.prob")
+    proc = _run_cli("analyze", walk, "--target", "x", "--wrt", "p", "--cap", cap)
+    assert proc.returncode == 2
+    assert _error_line(proc) == f"Error: Invalid value for '--cap': {cap} is not in the range x>=1."
+    assert proc.stdout == ""
+
+
+def test_cap_env_var_below_one_is_a_usage_error():
+    walk = str(CORPUS / "random_walk_1d.prob")
+    env = {**os.environ, cli.CAP_ENV_VAR: "0"}
+    proc = _run_cli("analyze", walk, "--target", "x", "--wrt", "p", env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {cli.CAP_ENV_VAR} must be at least 1, got 0"]
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # dump-recurrences
 # ---------------------------------------------------------------------------
@@ -459,6 +492,32 @@ def test_simulate_missing_parameter_value_is_usage_error(runner):
         main, ["simulate", FIG_SINGLE, "--monomial", "infected_prob", "--n", "2"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("option, value", [("--n", "-1"), ("--trials", "-5")], ids=["n", "trials"])
+def test_simulate_negative_count_is_a_usage_error(option, value):
+    args = {"--n": "2", "--trials": "0", option: value}
+    proc = _run_cli(
+        "simulate", str(CORPUS / "random_walk_1d.prob"), "--monomial", "x", "--param", "p=1/3",
+        *(arg for pair in args.items() for arg in pair),
+    )
+    assert proc.returncode == 2
+    assert _error_line(proc) == (
+        f"Error: Invalid value for '{option}': {value} is not in the range x>=0."
+    )
+    assert "negative dimensions" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_simulate_negative_normal_variance_is_an_oracle_error():
+    proc = _run_cli(
+        "simulate", str(CORPUS / "bimodal.prob"), "--monomial", "x", "--n", "2",
+        "--param", "p=1/3,q2=1/3,var=-2", "--trials", "10",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: Normal variance -2 is negative"]
+    assert "math domain error" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

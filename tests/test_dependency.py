@@ -310,7 +310,7 @@ def _naive_supports(np_, cap=VALUE_SET_CAP, point_cap=_POINT_CAP):
             points *= len(sup[v])
             if points > point_cap:
                 return None
-        out = {poly.eval_exact(dict(zip(names, combo))) for combo in product(*(sup[v] for v in names))}
+        out = {poly.eval_with_params(dict(zip(names, combo)), {}) for combo in product(*(sup[v] for v in names))}
         return None if len(out) > cap else frozenset(out)
 
     def rhs_values(rhs, sup):

@@ -172,7 +172,7 @@ def test_truth_polynomial_matches_condition_pointwise():
         for xv in range(0, 5):
             for dv in range(1, 4):
                 state = {"x": F(xv), "d": F(dv)}
-                assert poly.eval_exact(state) == (1 if bexpr_eval(cond, state) else 0), str(cond)
+                assert poly.eval_with_params(state, {}) == (1 if bexpr_eval(cond, state) else 0), str(cond)
 
 
 def parse_guard(text):
@@ -208,7 +208,7 @@ def test_power_reduction_is_pointwise_exact():
     reduced = ctx.reduce(PolyExpr.monomial(pm("x**9")))
     assert reduced.degree <= 5  # six support values: 0..5
     for v in range(0, 6):
-        assert reduced.eval_exact({"x": F(v)}) == F(v) ** 9
+        assert reduced.eval_with_params({"x": F(v)}, {}) == F(v) ** 9
 
 
 def test_singleton_support_becomes_constant():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy import QQ
 
 from probsens.errors import UnsupportedFactorError
 from probsens.solver import ScalarCFinite, factor_charpoly, solve_system
@@ -16,6 +17,7 @@ from probsens.symbolic import (
     ep_eval,
     ep_value_symbolic,
     exp_polynomial_to_json,
+    param_domain,
     pe,
     render_exp_polynomial,
 )
@@ -47,36 +49,30 @@ def iterate(equations, initials, steps):
 
 
 def test_factor_distinct_linear():
-    x = sp.Symbol("x")
-    d, vp = sp.symbols("d vp")
-    q = (x - 1) * (x - (d - d * vp))
-    factors = factor_charpoly(sp.expand(q), x)
+    domain = param_domain(["d", "vp"])
+    d, vp = domain.field.gens
+    lam = d - d * vp
+    # (x - 1) * (x - lam), leading coefficient first
+    factors = factor_charpoly([domain.one, -(1 + lam), lam], domain)
     assert len(factors) == 2
-    assert all(m == 1 for _, m in factors)
-    roots = [sp.solve(f, x)[0] for f, _ in factors]
-    assert any(sp.expand(r - 1) == 0 for r in roots)
-    assert any(sp.expand(r - (d - d * vp)) == 0 for r in roots)
+    assert all(m == 1 and len(f) == 2 for f, m in factors)
+    roots = [ParamExpr(-f[1] / f[0]) for f, _ in factors]
+    assert any(r == pe(1) for r in roots)
+    assert any(r == pe("d") - pe("d") * pe("vp") for r in roots)
+    # x**2 - 3*x + 2 over the rationals
+    assert len(factor_charpoly([QQ(1), QQ(-3), QQ(2)], QQ)) == 2
 
 
 def test_factor_repeated_root():
-    x = sp.Symbol("x")
-    factors = factor_charpoly(x**3, x)
-    assert factors == [(x, 3)]
+    factors = factor_charpoly([QQ(1), QQ(0), QQ(0), QQ(0)], QQ)  # x**3
+    assert factors == [([QQ(1), QQ(0)], 3)]
 
 
 def test_factor_irreducible_quadratic():
-    x = sp.Symbol("x")
-    factors = factor_charpoly(x**2 - 2, x)
+    factors = factor_charpoly([QQ(1), QQ(0), QQ(-2)], QQ)  # x**2 - 2
     assert len(factors) == 1
     fac, mult = factors[0]
-    assert mult == 1 and sp.degree(fac, x) == 2
-
-
-def test_factor_accepts_poly_objects():
-    x = sp.Symbol("x")
-    q = sp.Poly(x**2 - 3 * x + 2, x)
-    factors = factor_charpoly(q, x)
-    assert len(factors) == 2
+    assert mult == 1 and len(fac) - 1 == 2
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +129,10 @@ def test_unsupported_cubic_factor():
     # Companion of x**3 - 2, irreducible over the rationals.
     eqs = {"a": [(pe(1), "b")], "b": [(pe(1), "c")], "c": [(pe(2), "a")]}
     init = {"a": pe(1), "b": pe(0), "c": pe(0)}
-    with pytest.raises(UnsupportedFactorError):
+    with pytest.raises(UnsupportedFactorError) as exc:
         solve_system(eqs, init)
+    assert exc.value.factor == "x**3 - 2"
+    assert str(exc.value).endswith(": x**3 - 2")
 
 
 def test_open_system_rejected():
@@ -186,8 +184,8 @@ def test_scalar_cfinite_values_and_charpoly():
     assert sc.order == 2
     vals = sc.values(6)
     assert [str(v) for v in vals] == ["0", "1", "2", "3", "4", "5", "6"]
-    x = sp.Symbol("x")
-    assert sp.expand(sc.char_poly(x) - (x**2 - 2 * x + 1)) == 0
+    # x**2 - 2*x + 1, as u(n+2) = c_0*u(n) + c_1*u(n+1)
+    assert sc.coefficients == (pe(-1), pe(2))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +234,49 @@ def test_random_systems_match_iteration(seed):
                 assert ep_value_symbolic(solved[s], n) == rows[n][s], (s, n)
 
 
+def test_two_parametric_eigenvalues_in_one_block():
+    # u' = (1-a)u + a v, v' = u: characteristic polynomial (x - 1)(x + a).
+    # The factors are ordered by the sympy sort key of x - 1 and x + a, so
+    # the (-a)**n term comes first.
+    a = pe("a")
+    eqs = {"u": [(1 - a, "u"), (a, "v")], "v": [(pe(1), "u")]}
+    init = {"u": pe(1), "v": pe(0)}
+    solved = solve_system(eqs, init)
+    rows = iterate(eqs, init, 12)
+    for s in eqs:
+        assert [str(t.base) for t in solved[s].terms] == ["-a", "1"]
+        for n in range(13):
+            assert ep_value_symbolic(solved[s], n) == rows[n][s], (s, n)
+    assert render_exp_polynomial(solved["u"]) == "(a/(a + 1))*(-a)**n + 1/(a + 1)"
+    assert render_exp_polynomial(solved["v"]) == "(-1/(a + 1))*(-a)**n + 1/(a + 1)"
+
+
+def test_solving_builds_no_sympy_polynomial_expressions(monkeypatch):
+    # Factoring runs on dense lists over the system's field, so the solver
+    # needs none of sympy's expression-level polynomial entry points.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver called a sympy expression routine")
+
+    for name in ("factor_list", "Poly", "together"):
+        monkeypatch.setattr(sp, name, forbidden)
+    eqs, init = _forced_rotation()
+    solved = solve_system(eqs, init)
+    rows = iterate(eqs, init, 8)
+    for n in range(9):
+        assert ep_value_symbolic(solved["w"], n) == rows[n]["w"]
+    for seed in range(1, 21):  # the first systems of acceptance criterion 10
+        rng = random.Random(seed)
+        eqs, init = _random_system(rng, rng.randint(1, 5))
+        try:
+            solved = solve_system(eqs, init)
+        except UnsupportedFactorError:
+            continue
+        rows = iterate(eqs, init, 12)
+        for s in eqs:
+            for n in range(13):
+                assert ep_value_symbolic(solved[s], n) == rows[n][s], (seed, s, n)
+
+
 def test_defining_recurrence_at_random_probes():
     rng = random.Random(4242)
     eqs = {
@@ -264,10 +305,10 @@ def test_defining_recurrence_at_random_probes():
 # ---------------------------------------------------------------------------
 
 
-def test_forced_rotation_renders_conjugate_pairs_exactly():
-    # Two rotations by (a, b): characteristic polynomial x**2 - 2*a*x + a**2 + b**2,
-    # irreducible over Q(a, b).  u is forced by a constant, w by u, so w's
-    # pair has multiplicity 2.  The strings pin the text of the quad path.
+def _forced_rotation():
+    """Two rotations by (a, b): characteristic polynomial
+    x**2 - 2*a*x + a**2 + b**2, irreducible over Q(a, b).  u is forced by a
+    constant, w by u, so w's pair has multiplicity 2."""
     a, b = pe("a"), pe("b")
     eqs = {
         "u": [(a, "u"), (-b, "v"), (pe(1), "one")],
@@ -277,7 +318,12 @@ def test_forced_rotation_renders_conjugate_pairs_exactly():
         "one": [(pe(1), "one")],
     }
     init = {"u": pe(1), "v": pe(0), "w": pe(0), "x": pe(1), "one": pe(1)}
-    solved = solve_system(eqs, init)
+    return eqs, init
+
+
+def test_forced_rotation_renders_conjugate_pairs_exactly():
+    # The strings pin the text of the quad path.
+    solved = solve_system(*_forced_rotation())
     assert render_exp_polynomial(solved["u"]) == (
         '(1 - a)/(a**2 - 2*a + b**2 + 1) + ((a**2 + b**2)/(2*a**2 - 4*a + 2*b**2 + '
         '2))*s[n] + (-1/(2*a**2 - 4*a + 2*b**2 + 2))*s[n+1] where s[k+1] = (2*a)*s[k] '
