@@ -20,8 +20,9 @@ from sympy.core.cache import clear_cache
 from probsens.dependency import variable_supports
 from probsens.moments import MomentContext
 from probsens.normalize import normalize
+from probsens.oracle import moment_exact, sample_moment
 from probsens.parser import parse, parse_monomial
-from probsens.sensitivity import sensitivity_system
+from probsens.sensitivity import moment_closure, sensitivity_system
 from probsens.solver import ForwardIterator, solve_system
 from probsens.symbolic import ParamExpr, ep_eval
 
@@ -123,3 +124,30 @@ def test_variable_supports(benchmark, name, expected):
     assert set(supports) == set(program.all_variables)
     for v, values in expected.items():
         assert supports[v] == (None if values is None else {Fraction(x) for x in values})
+
+
+@pytest.mark.parametrize("form", ["structured", "normalized"])
+def test_oracle_enumeration(benchmark, form):
+    program = parse((CORPUS / "umbrella.prob").read_text(), name="umbrella.prob")
+    if form == "normalized":
+        program = normalize(program)
+    mono, point = parse_monomial("umbrella"), {"p": Fraction(2, 7), "q": Fraction(3, 11)}
+
+    value = benchmark.pedantic(
+        lambda: moment_exact(program, mono, 8, point), setup=clear_cache, rounds=ROUNDS
+    )
+    closed = moment_closure(_program("umbrella.prob"), mono).closed_form()
+    assert value == ep_eval(closed, point, 8)
+
+
+def test_oracle_sampling(benchmark):
+    program = parse((CORPUS / "random_walk_1d.prob").read_text(), name="random_walk_1d.prob")
+    mono, p = parse_monomial("x**2"), Fraction(2, 7)
+
+    estimate = benchmark.pedantic(
+        lambda: sample_moment(program, mono, 12, 20_000, seed=3, sigma={"p": p}),
+        setup=clear_cache,
+        rounds=ROUNDS,
+    )
+    exact = 4 * 12 * p * (1 - p) + 12**2 * (2 * p - 1) ** 2
+    assert abs(estimate.value - float(exact)) < 5 * estimate.stderr

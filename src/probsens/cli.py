@@ -132,6 +132,15 @@ def _parse_bindings(pairs) -> dict[str, Fraction]:
     return values
 
 
+def _target_monomial(np_, text: str):
+    """The target monomial, each of whose variables the program must have."""
+    mono = parse_monomial(text)
+    unknown = sorted(mono.variables() - set(np_.all_variables))
+    if unknown:
+        raise ClassificationError(f"unknown variable(s) in target: {', '.join(unknown)}")
+    return mono
+
+
 def _check_probabilities(np_, values: dict[str, Fraction]) -> None:
     """Every Bernoulli argument and choice probability of the program whose
     parameters ``values`` assigns must lie in [0, 1] there."""
@@ -230,10 +239,7 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
                 f"{wrt!r} is not a parameter of the program "
                 f"(parameters: {', '.join(sorted(np_.params)) or 'none'})"
             )
-        target_mono = parse_monomial(target)
-        unknown = sorted(target_mono.variables() - set(np_.all_variables))
-        if unknown:
-            raise ClassificationError(f"unknown variable(s) in target: {', '.join(unknown)}")
+        target_mono = _target_monomial(np_, target)
 
         values = _parse_bindings(eval_values)
         if at_n and not values:
@@ -403,7 +409,7 @@ def dump_recurrences(program, target, wrt, cap, fmt):
     def body():
         prog = _load_program(program)
         np_ = normalize(prog)
-        target_mono = parse_monomial(target)
+        target_mono = _target_monomial(np_, target)
         limit = _resolve_cap(cap)
         if wrt is None:
             system = moment_closure(np_, target_mono, cap=limit)
@@ -457,6 +463,9 @@ def simulate(program, monomial, steps, params, trials, seed, fd):
     def body():
         prog = _load_program(program)
         mono = parse_monomial(monomial)
+        unknown = sorted(mono.variables() - set(prog.variables))
+        if unknown:
+            raise click.UsageError(f"unknown variable(s) in monomial: {', '.join(unknown)}")
         sigma = _parse_bindings(params)
         out = {
             "schema_version": SCHEMA_VERSION,

@@ -9,7 +9,10 @@ It interprets programs directly, in two modes:
   draw site, so estimates are bitwise reproducible for a given seed and
   central differences at matched seeds have strongly correlated noise.
 
-Both modes accept either a parsed program or its normalized form.
+Both modes accept either a parsed program or its normalized form, and each
+has one interpreter, over structured statements: a normalized program is read
+back as such, with each guarded assignment ``t = rhs [C] else s`` read as
+``if C: t = rhs else: t = s``.
 """
 
 from __future__ import annotations
@@ -18,17 +21,25 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import OracleError
 from .syntax import (
+    And,
     Assignment,
+    BFalse,
     BTrue,
+    Categorical,
+    Comparison,
     DistDraw,
+    IfStatement,
+    Not,
     NormalizedProgram,
+    Or,
+    PolyExpr,
     Program,
     VarMonomial,
     bexpr_eval,
@@ -45,6 +56,26 @@ class OracleEstimate:
     stderr: float
     trials: int
     mode: str  # "exact" | "sampled"
+
+
+def _statements(program: AnyProgram):
+    """(variable names, init statements, body statements) of either form.
+
+    The right-hand sides are the program's own objects, so each draw site
+    keeps its number; the "keep" branch of a guarded assignment is
+    deterministic and has none.
+    """
+    if isinstance(program, Program):
+        return list(program.variables), program.init, program.body
+    init = tuple(Assignment((v,), (rhs,)) for v, rhs in program.init)
+    body = []
+    for ga in program.body:
+        st = Assignment((ga.target,), (ga.rhs,))
+        if ga.else_source is not None:
+            keep = Assignment((ga.target,), (Categorical.sure(PolyExpr.var(ga.else_source)),))
+            st = IfStatement(((ga.guard, (st,)),), (keep,))
+        body.append(st)
+    return list(program.all_variables), init, tuple(body)
 
 
 # ---------------------------------------------------------------------------
@@ -139,59 +170,6 @@ def _exec_one(st, state, w, sigma, names, budget):
     return [(state, w)]
 
 
-def _exec_guarded(body, frontier, sigma, names, budget):
-    for ga in body:
-        new = []
-        for state, w in frontier:
-            budget.spend()
-            if isinstance(ga.guard, BTrue) or bexpr_eval(ga.guard, state, sigma):
-                for val, pr in _rhs_outcomes(ga.rhs, state, sigma):
-                    s2 = dict(state)
-                    s2[ga.target] = val
-                    new.append((s2, w * pr))
-            else:
-                s2 = dict(state)
-                s2[ga.target] = state[ga.else_source]
-                new.append((s2, w))
-        frontier = _merge(new, names)
-    return frontier
-
-
-def _program_parts(program: AnyProgram):
-    """(names, init-frontier executor, one-iteration executor)."""
-    if isinstance(program, Program):
-        names = list(program.variables)
-
-        def run_init(sigma, budget):
-            base = {v: Fraction(0) for v in names}
-            return _exec_statements(program.init, [(base, Fraction(1))], sigma, names, budget)
-
-        def step(frontier, sigma, budget):
-            return _exec_statements(program.body, frontier, sigma, names, budget)
-
-    else:
-        names = list(program.all_variables)
-
-        def run_init(sigma, budget):
-            base = {v: Fraction(0) for v in names}
-            frontier = [(base, Fraction(1))]
-            for v, rhs in program.init:
-                new = []
-                for state, w in frontier:
-                    budget.spend()
-                    for val, pr in _rhs_outcomes(rhs, state, sigma):
-                        s2 = dict(state)
-                        s2[v] = val
-                        new.append((s2, w * pr))
-                frontier = _merge(new, names)
-            return frontier
-
-        def step(frontier, sigma, budget):
-            return _exec_guarded(program.body, frontier, sigma, names, budget)
-
-    return names, run_init, step
-
-
 def enumerate_distribution(
     program: AnyProgram,
     monomial: VarMonomial,
@@ -202,10 +180,11 @@ def enumerate_distribution(
     """Exact distribution of a monomial's value after n iterations."""
     sigma = dict(sigma or {})
     tracker = _Budget(budget)
-    _, run_init, step = _program_parts(program)
-    frontier = run_init(sigma, tracker)
+    names, init, body = _statements(program)
+    frontier = [({v: Fraction(0) for v in names}, Fraction(1))]
+    frontier = _exec_statements(init, frontier, sigma, names, tracker)
     for _ in range(n):
-        frontier = step(frontier, sigma, tracker)
+        frontier = _exec_statements(body, frontier, sigma, names, tracker)
     dist: dict[Fraction, Fraction] = defaultdict(Fraction)
     for state, w in frontier:
         val = Fraction(1)
@@ -244,17 +223,6 @@ def _site_generator(seed: int, site: int, iteration: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-class _Sites:
-    """Stable numbering of syntactic draw sites, in traversal order."""
-
-    def __init__(self):
-        self.counter = 0
-
-    def next(self) -> int:
-        self.counter += 1
-        return self.counter
-
-
 def _poly_vec(poly, states, sigma) -> np.ndarray:
     trials = len(next(iter(states.values())))
     acc = np.zeros(trials)
@@ -270,8 +238,6 @@ def _bexpr_vec(b, states, sigma) -> np.ndarray:
     trials = len(next(iter(states.values())))
     if isinstance(b, BTrue):
         return np.ones(trials, dtype=bool)
-    from .syntax import And, BFalse, Comparison, Not, Or
-
     if isinstance(b, BFalse):
         return np.zeros(trials, dtype=bool)
     if isinstance(b, Comparison):
@@ -324,35 +290,25 @@ def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: i
     return np.take_along_axis(vals, idx[None, :], axis=0)[0]
 
 
-def _number_sites(program: AnyProgram):
+def _number_sites(stmts):
     """Assign each probabilistic construct a stable site id, keyed by object
     position in a fixed traversal."""
     sites: dict[int, int] = {}
-    counter = _Sites()
-
-    def visit_rhs(rhs):
-        if isinstance(rhs, DistDraw) or not rhs.is_deterministic:
-            sites[id(rhs)] = counter.next()
+    counter = count(1)
 
     def visit(stmts):
         for st in stmts:
             if isinstance(st, Assignment):
                 for rhs in st.rhss:
-                    visit_rhs(rhs)
+                    if isinstance(rhs, DistDraw) or not rhs.is_deterministic:
+                        sites[id(rhs)] = next(counter)
             else:
                 for _, body in st.branches:
                     visit(body)
                 if st.else_body is not None:
                     visit(st.else_body)
 
-    if isinstance(program, Program):
-        visit(program.init)
-        visit(program.body)
-    else:
-        for _, rhs in program.init:
-            visit_rhs(rhs)
-        for ga in program.body:
-            visit_rhs(ga.rhs)
+    visit(stmts)
     return sites
 
 
@@ -363,20 +319,13 @@ def _simulate_states(
     seed: int,
     sigma: Mapping[str, Fraction],
 ) -> dict[str, np.ndarray]:
-    sites = _number_sites(program)
-
-    def site_of(rhs) -> int:
-        return sites.get(id(rhs), 0)
-
-    if isinstance(program, Program):
-        names = list(program.variables)
-    else:
-        names = list(program.all_variables)
+    names, init, body = _statements(program)
+    sites = _number_sites(init + body)
     states = {v: np.zeros(trials) for v in names}
 
     def exec_assignment(st: Assignment, mask, iteration):
         news = [
-            _rhs_vec(rhs, site_of(rhs), states, sigma, seed, iteration, trials)
+            _rhs_vec(rhs, sites.get(id(rhs), 0), states, sigma, seed, iteration, trials)
             for rhs in st.rhss
         ]
         for t, v in zip(st.targets, news):
@@ -388,29 +337,17 @@ def _simulate_states(
                 exec_assignment(st, mask, iteration)
             else:
                 taken = np.zeros(trials, dtype=bool)
-                for cond, body in st.branches:
+                for cond, branch in st.branches:
                     c = _bexpr_vec(cond, states, sigma) & mask & ~taken
-                    exec_statements(body, c, iteration)
+                    exec_statements(branch, c, iteration)
                     taken |= c
                 if st.else_body is not None:
                     exec_statements(st.else_body, mask & ~taken, iteration)
 
     all_true = np.ones(trials, dtype=bool)
-    if isinstance(program, Program):
-        exec_statements(program.init, all_true, 0)
-        for k in range(1, n + 1):
-            exec_statements(program.body, all_true, k)
-    else:
-        for v, rhs in program.init:
-            states[v] = _rhs_vec(rhs, site_of(rhs), states, sigma, seed, 0, trials)
-        for k in range(1, n + 1):
-            for ga in program.body:
-                mask = _bexpr_vec(ga.guard, states, sigma)
-                new = _rhs_vec(ga.rhs, site_of(ga.rhs), states, sigma, seed, k, trials)
-                if ga.else_source is None:
-                    states[ga.target] = new
-                else:
-                    states[ga.target] = np.where(mask, new, states[ga.else_source])
+    exec_statements(init, all_true, 0)
+    for k in range(1, n + 1):
+        exec_statements(body, all_true, k)
     return states
 
 
@@ -474,6 +411,10 @@ def fd_sensitivity(
     the value and its standard error come from the per-trial differences,
     because the two sides are strongly correlated.
     """
+    if eps == 0:
+        raise ValueError("central-difference step must be nonzero")
+    if param not in sigma:
+        raise ValueError(f"no value for parameter {param!r} to differentiate at")
     hi = dict(sigma)
     lo = dict(sigma)
     hi[param] = sigma[param] + eps

@@ -428,7 +428,7 @@ def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
     for j, s in enumerate(symbols):
         coeffs = [ParamExpr(solution[k][j]) for k in range(order)]
         closed = _assemble(
-            tuple(iterator.value(s, k) for k in range(n0)), columns, coeffs
+            tuple(iterator.value(s, k) for k in range(n0)), linear, quads, coeffs
         )
         for extra in range(VERIFICATION_POINTS):
             n = n0 + order + extra
@@ -461,41 +461,22 @@ def _expanded_annihilator(linear, quads, domain) -> tuple[ParamExpr, ...]:
     return tuple(ParamExpr(-c) for c in reversed(acc[1:]))
 
 
-def _assemble(prefix, columns, coeffs) -> ExpPolynomial:
-    by_lam: dict = {}
-    lam_order: list = []
-    by_quad: dict = {}
-    quad_order: list = []
-    for col, c in zip(columns, coeffs):
-        kind, payload, j = col
-        if kind == "lin":
-            key = payload
-            if key not in by_lam:
-                by_lam[key] = []
-                lam_order.append(key)
-            _set_coeff(by_lam[key], j, c)
-        else:
-            if payload not in by_quad:
-                by_quad[payload] = ([], [])
-                quad_order.append(payload)
-            which = 0 if kind == "quad_s" else 1
-            _set_coeff(by_quad[payload][which], j, c)
+def _assemble(prefix, linear, quads, coeffs) -> ExpPolynomial:
+    """The closed form whose coefficients ``coeffs`` are laid out as the seed
+    columns are: ``mult`` per eigenvalue, then ``2 * mult`` per quadratic
+    factor, alternating its ``s`` and ``s1`` columns."""
     terms = []
-    for lam in lam_order:
-        poly = CounterPoly.make(by_lam[lam])
+    pos = 0
+    for lam, mult in linear.items():
+        poly = CounterPoly.make(coeffs[pos : pos + mult])
+        pos += mult
         if not poly.is_zero:
             terms.append(ExpTerm(poly, lam))
     quad_terms = []
-    for beta, gamma in quad_order:
-        p_c, q_c = by_quad[(beta, gamma)]
-        p_poly = CounterPoly.make(p_c)
-        q_poly = CounterPoly.make(q_c)
+    for (beta, gamma), mult in quads.items():
+        window = coeffs[pos : pos + 2 * mult]
+        pos += 2 * mult
+        p_poly, q_poly = CounterPoly.make(window[0::2]), CounterPoly.make(window[1::2])
         if not (p_poly.is_zero and q_poly.is_zero):
             quad_terms.append(QuadTerm(p_poly, q_poly, beta, gamma))
     return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
-
-
-def _set_coeff(buf: list, j: int, value: ParamExpr) -> None:
-    while len(buf) <= j:
-        buf.append(ParamExpr.zero())
-    buf[j] = value

@@ -210,6 +210,13 @@ def test_analyze_unknown_target_variable_exits_3(runner):
     assert "unknown variable" in result.output
 
 
+def test_dump_recurrences_unknown_target_variable_exits_3():
+    proc = _run_cli("dump-recurrences", str(CORPUS / "random_walk_1d.prob"), "--target", "zz")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: unknown variable(s) in target: zz"]
+    assert proc.stdout == ""
+
+
 def test_analyze_eval_requires_at_n(runner):
     result = runner.invoke(
         main,
@@ -517,6 +524,25 @@ def test_simulate_negative_normal_variance_is_an_oracle_error():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: Normal variance -2 is negative"]
     assert "math domain error" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--monomial", "x", "--fd", "p:0"], "central-difference step must be nonzero"),
+        (["--monomial", "x", "--fd", "q"], "no value for parameter 'q' to differentiate at"),
+        (["--monomial", "zz"], "unknown variable(s) in monomial: zz"),
+    ],
+    ids=["fd-zero-step", "fd-unbound-parameter", "unknown-monomial-variable"],
+)
+def test_simulate_bad_fd_or_monomial_is_a_usage_error(args, message):
+    proc = _run_cli(
+        "simulate", str(CORPUS / "random_walk_1d.prob"), "--n", "2", "--param", "p=1/3", *args
+    )
+    assert proc.returncode == 2
+    assert _error_line(proc) == f"Error: {message}"
+    assert "KeyError" not in proc.stderr and "ZeroDivisionError" not in proc.stderr
     assert proc.stdout == ""
 
 

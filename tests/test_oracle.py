@@ -61,6 +61,8 @@ def test_budget_exceeded():
     blow = parse("t = 0\nx = 0\nwhile true:\n  t = DiscreteUniform(1, 50)\n  x = x + t\nend\n")
     with pytest.raises(OracleError, match="budget"):
         moment_exact(blow, parse_monomial("x"), 50, {}, budget=2000)
+    with pytest.raises(OracleError, match="enumeration budget of 2000 states exceeded"):
+        moment_exact(normalize(blow), parse_monomial("x"), 50, {}, budget=2000)
     with pytest.raises(OracleError):
         moment_exact(prog, parse_monomial("x"), 1, {})
 
@@ -114,6 +116,7 @@ end
     want = float(moment_exact(prog, y, 10, {}))
     assert abs(e1.value - want) < 5 * e1.stderr
     assert abs(e2.value - want) < 5 * e2.stderr
+    assert e2 == e1
 
 
 def test_fd_sensitivity_exact_walk():
