@@ -104,6 +104,22 @@ def _coin_program(k: int):
     return normalize(parse("\n".join(lines) + "\n", name=f"coin_flips_{k}"))
 
 
+@pytest.mark.parametrize("k", [10, 20, 30, 40, 50])
+def test_recurrence_total_sq(benchmark, k):
+    """One total**2 recurrence of the k-coin program, from a fresh context:
+    recurrence assembly alone, with value sets computed in the setup."""
+    program, mono = _coin_program(k), parse_monomial("total**2")
+
+    def setup():
+        clear_cache()
+        return (MomentContext(program),), {}
+
+    rec = benchmark.pedantic(lambda ctx: ctx.recurrence(mono), setup=setup, rounds=ROUNDS)
+    # E[total**2] after a pass needs every c_i and every c_i*c_j (i < j),
+    # plus the constant.
+    assert len(rec.terms) == k * (k + 1) // 2 + 1
+
+
 BIT = frozenset({Fraction(0), Fraction(1)})
 
 

@@ -42,6 +42,7 @@ from .normalize import normalize
 from .oracle import checked_probability, fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
 from .sensitivity import (
+    coeff_text,
     moment_closure,
     parameter_sensitivity,
     sensitivity_system,
@@ -167,6 +168,7 @@ def _classification_json(cls) -> dict:
 
 
 def _system_equations_json(system) -> list[dict]:
+    names: dict = {}  # one print table for the whole system
     out = []
     for sym, rec in system.equations.items():
         if sym.is_constant:
@@ -174,8 +176,10 @@ def _system_equations_json(system) -> list[dict]:
         out.append(
             {
                 "lhs": sym.indexed("n+1"),
-                "terms": [{"coeff": str(c), "symbol": str(s)} for c, s in rec.terms],
-                "text": rec.render(),
+                "terms": [
+                    {"coeff": coeff_text(c, names), "symbol": str(s)} for c, s in rec.terms
+                ],
+                "text": rec.render(names),
             }
         )
     return out
@@ -435,10 +439,11 @@ def dump_recurrences(program, target, wrt, cap, fmt):
                 )
             )
             return
+        names: dict = {}
         for sym, rec in system.equations.items():
             if sym.is_constant:
                 continue
-            click.echo(rec.render())
+            click.echo(rec.render(names))
         click.echo(f"equations: {system.size}")
 
     _run_guarded(body)

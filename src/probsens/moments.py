@@ -101,8 +101,10 @@ class MomentContext:
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
         self._power_reps: dict[tuple[str, int], Optional[PolyExpr]] = {}
         self._truth: dict[BExpr, PolyExpr] = {}
+        self._power_values: dict[tuple[int, int], PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
+        self._coeffs: dict[object, ParamExpr] = {}
 
     # -- dependency facts ---------------------------------------------------
 
@@ -138,27 +140,32 @@ class MomentContext:
         key = (v, e)
         cached = self._power_reps.get(key)
         if cached is None:
-            cached = PolyExpr.zero()
-            for point in sorted(s):
-                cached = cached + self._lagrange_basis(v, point).scale(pe(point**e))
+            cached = PolyExpr.make(
+                term
+                for point in sorted(s)
+                for term in self._lagrange_basis(v, point).scale(pe(point**e)).terms
+            )
             self._power_reps[key] = cached
         return cached
 
-    def reduce(self, poly: PolyExpr) -> PolyExpr:
-        """Rewrite every over-high variable power to its canonical form."""
+    def reduce(self, poly: PolyExpr, canonical: Iterable = ()) -> PolyExpr:
+        """Rewrite every over-high variable power to its canonical form.
+
+        The ``canonical`` terms are known to need no rewriting; they are
+        added to the result as they are."""
         work = list(poly.terms)
-        out = PolyExpr.zero()
+        out = list(canonical)
         while work:
             mono, coeff = work.pop()
             for v, e in mono.powers:
                 rep = self._power_rep(v, e)
                 if rep is not None:
                     _, rest = mono.split(v)
-                    work.extend((rep * PolyExpr.monomial(rest, coeff)).terms)
+                    work.extend((m * rest, c * coeff) for m, c in rep.terms)
                     break
             else:
-                out = out + PolyExpr.monomial(mono, coeff)
-        return out
+                out.append((mono, coeff))
+        return PolyExpr.make(out)
 
     def truth_polynomial(self, guard: BExpr) -> PolyExpr:
         """Exact 0/1-valued polynomial for a condition over finite variables."""
@@ -186,48 +193,59 @@ class MomentContext:
                     f"condition over {names} spans {points} value combinations"
                 )
             sets.append(sorted(s))
-        poly = PolyExpr.zero()
+        terms = []
         for combo in product(*sets):
             if bexpr_eval(guard, dict(zip(names, combo))):
                 piece = PolyExpr.const(Fraction(1))
                 for v, point in zip(names, combo):
                     piece = piece * self._lagrange_basis(v, point)
-                poly = poly + piece
-        poly = self.reduce(poly)
+                terms.extend(piece.terms)
+        poly = self.reduce(PolyExpr.make(terms))
         self._truth[guard] = poly
         return poly
 
     # -- one-step substitution ----------------------------------------------
 
     def _power_value(self, rhs, k: int) -> PolyExpr:
-        """E[(assigned value)**k] as a polynomial in the pre-assignment state."""
+        """E[(assigned value)**k] as a polynomial in the pre-assignment state.
+
+        Memoized by the identity of ``rhs``, which the program keeps alive."""
+        key = (id(rhs), k)
+        cached = self._power_values.get(key)
+        if cached is not None:
+            return cached
         if isinstance(rhs, DistDraw):
-            return PolyExpr.monomial(VarMonomial.one(), dist_moment(rhs.kind, rhs.args, k))
-        out = PolyExpr.zero()
-        for poly, prob in rhs.choices:
-            out = out + (poly**k).scale(prob)
-        return out
+            cached = PolyExpr.monomial(VarMonomial.one(), dist_moment(rhs.kind, rhs.args, k))
+        else:
+            cached = PolyExpr.make(
+                term for poly, prob in rhs.choices for term in (poly**k).scale(prob).terms
+            )
+        self._power_values[key] = cached
+        return cached
+
+    def _replacement(self, ga, k: int) -> PolyExpr:
+        """E[target**k] after the guarded assignment ``ga``."""
+        if isinstance(ga.guard, BTrue):
+            return self._power_value(ga.rhs, k)
+        truth = self.truth_polynomial(ga.guard)
+        kept = PolyExpr.var(ga.else_source) ** k
+        return truth * self._power_value(ga.rhs, k) + (PolyExpr.const(Fraction(1)) - truth) * kept
 
     def _substitute(self, poly: PolyExpr, ga) -> PolyExpr:
-        t = ga.target
-        out = PolyExpr.zero()
-        truth: Optional[PolyExpr] = None
+        """``poly``, already reduced, with the target of ``ga`` replaced;
+        only the replaced terms need reducing again."""
+        kept, new = [], []
+        repls: dict[int, PolyExpr] = {}
         for mono, coeff in poly.terms:
-            k, rest = mono.split(t)
+            k, rest = mono.split(ga.target)
             if k == 0:
-                out = out + PolyExpr.monomial(mono, coeff)
+                kept.append((mono, coeff))
                 continue
-            if isinstance(ga.guard, BTrue):
-                repl = self._power_value(ga.rhs, k)
-            else:
-                if truth is None:
-                    truth = self.truth_polynomial(ga.guard)
-                kept = PolyExpr.var(ga.else_source) ** k
-                repl = truth * self._power_value(ga.rhs, k) + (
-                    PolyExpr.const(Fraction(1)) - truth
-                ) * kept
-            out = out + PolyExpr.monomial(rest, coeff) * repl
-        return self.reduce(out)
+            repl = repls.get(k)
+            if repl is None:
+                repl = repls[k] = self._replacement(ga, k)
+            new.extend((rest * m, coeff * c) for m, c in repl.terms)
+        return self.reduce(PolyExpr.make(new), kept)
 
     def recurrence(self, monomial: VarMonomial) -> PolyExpr:
         """E[monomial] after one body pass, linear in pre-pass expectations."""
@@ -237,8 +255,16 @@ class MomentContext:
         poly = self.reduce(PolyExpr.monomial(monomial))
         for ga in reversed(self.program.body):
             poly = self._substitute(poly, ga)
+        poly = PolyExpr(tuple((m, self.intern(c)) for m, c in poly.terms))
         self._recurrences[monomial] = poly
         return poly
+
+    def intern(self, coeff: ParamExpr) -> ParamExpr:
+        """The context's one object for ``coeff``'s value in ``coeff``'s field.
+
+        Recurrences of one program repeat a few coefficient values many
+        times; sharing one object per value shares its printed form too."""
+        return self._coeffs.setdefault(coeff.elem, coeff)
 
     def initial(self, monomial: VarMonomial) -> ParamExpr:
         """E[monomial] before the first iteration.
@@ -252,14 +278,14 @@ class MomentContext:
             return cached
         poly = PolyExpr.monomial(monomial)
         for v, rhs in reversed(self.program.init):
-            out = PolyExpr.zero()
+            out = []
             for mono, coeff in poly.terms:
                 k, rest = mono.split(v)
                 if k == 0:
-                    out = out + PolyExpr.monomial(mono, coeff)
+                    out.append((mono, coeff))
                 else:
-                    out = out + PolyExpr.monomial(rest, coeff) * self._power_value(rhs, k)
-            poly = out
+                    out.extend((rest * m, coeff * c) for m, c in self._power_value(rhs, k).terms)
+            poly = PolyExpr.make(out)
         if not poly.is_constant:
             missing = sorted(poly.variables())
             raise UninitializedVariableError(tuple(missing))

@@ -272,7 +272,7 @@ def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: i
             return mean + math.sqrt(var) * gen.standard_normal(trials)
         u = gen.random(trials)
         if rhs.kind == "Bernoulli":
-            return (u < args[0]).astype(float)
+            return (u < float(checked_probability(exact[0], "Bernoulli"))).astype(float)
         if rhs.kind == "Uniform":
             a, b = args
             return a + (b - a) * u
@@ -283,7 +283,9 @@ def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: i
     if rhs.is_deterministic:
         return _poly_vec(rhs.choices[0][0], states, sigma)
     u = _site_generator(seed, site, iteration).random(trials)
-    cum = np.cumsum([float(p.eval_fraction(sigma)) for _, p in rhs.choices])
+    cum = np.cumsum(
+        [float(checked_probability(p.eval_fraction(sigma), "choice")) for _, p in rhs.choices]
+    )
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(rhs.choices) - 1)
     vals = np.stack([_poly_vec(poly, states, sigma) for poly, _ in rhs.choices])

@@ -51,6 +51,7 @@ __all__ = [
     "RecurrenceSystem",
     "SensitivityResult",
     "SequenceSymbol",
+    "coeff_text",
     "moment_closure",
     "parameter_sensitivity",
     "sensitivity_by_differentiation",
@@ -107,8 +108,18 @@ class SequenceSymbol:
 MOMENT_ONE = SequenceSymbol.moment(VarMonomial.one())
 
 
-def _coeff_source(c: ParamExpr) -> str:
-    s = str(c)
+def coeff_text(c: ParamExpr, names: Optional[dict[ParamExpr, str]] = None) -> str:
+    """``str(c)``, printed once per ``names`` table: one table serves a whole
+    rendered system, whose coefficients repeat a few values many times."""
+    if names is None:
+        return str(c)
+    s = names.get(c)
+    if s is None:
+        s = names[c] = str(c)
+    return s
+
+
+def _coeff_source(s: str) -> str:
     if " + " in s or " - " in s or s.startswith("-") or "/" in s or "*" in s:
         return f"({s})"
     return s
@@ -129,15 +140,18 @@ class Recurrence:
                 return c
         return ParamExpr.zero()
 
-    def render(self) -> str:
+    def render(self, names: Optional[dict[ParamExpr, str]] = None) -> str:
+        """The equation as text; ``names`` is a print table shared by the
+        equations of one system (see :func:`coeff_text`)."""
         parts = []
         for c, s in self.terms:
             if s.is_constant:
-                parts.append(str(c) if not (" + " in str(c) or " - " in str(c)) else f"({c})")
+                text = coeff_text(c, names)
+                parts.append(text if not (" + " in text or " - " in text) else f"({text})")
             elif c.is_one:
                 parts.append(s.indexed("n"))
             else:
-                parts.append(f"{_coeff_source(c)}*{s.indexed('n')}")
+                parts.append(f"{_coeff_source(coeff_text(c, names))}*{s.indexed('n')}")
         rhs = " + ".join(parts) if parts else "0"
         return f"{self.lhs.indexed('n+1')} = {rhs}"
 
@@ -158,9 +172,9 @@ class RecurrenceSystem:
     ``combination`` expresses the target sequence as a linear combination of
     system symbols (after canonicalization a single monomial can spread over
     several); it is empty exactly when the target is identically zero.
+    The system does not keep the ``MomentContext`` it was assembled in.
     """
 
-    context: MomentContext
     target: VarMonomial
     parameter: Optional[str]
     combination: tuple[tuple[ParamExpr, SequenceSymbol], ...]
@@ -212,11 +226,12 @@ class RecurrenceSystem:
         return acc
 
     def render(self) -> str:
+        names: dict[ParamExpr, str] = {}
         lines = []
         for s, rec in self.equations.items():
             if s.is_constant:
                 continue
-            lines.append(rec.render())
+            lines.append(rec.render(names))
         return "\n".join(lines)
 
 
@@ -293,7 +308,6 @@ def _finish_system(ctx, target, parameter, combination, equations) -> Recurrence
         else:
             initials[s] = ctx.initial(s.monomial).diff(s.param)
     return RecurrenceSystem(
-        context=ctx,
         target=target,
         parameter=parameter,
         combination=combination,
@@ -325,7 +339,7 @@ def sensitivity_recurrence(
     pdep = graph.p_dependent(param)
     terms: list[tuple[ParamExpr, SequenceSymbol]] = []
     for mono, coeff in base.terms:
-        dc = coeff.diff(param)
+        dc = ctx.intern(coeff.diff(param))
         if debug or not dc.is_zero:
             terms.append((dc, SequenceSymbol.moment(mono)))
         if mono.is_one:

@@ -20,7 +20,10 @@ import probsens.cli as cli
 from probsens.cli import main
 from probsens.normalize import normalize
 from probsens.parser import parse, parse_monomial, validate
+from probsens.sensitivity import moment_closure, sensitivity_system
 from probsens.syntax import program_to_source
+
+from test_dependency import _coin_program
 
 CORPUS = Path(cli.__file__).parent / "benchmarks"
 MANIFEST = CORPUS / "manifest.json"
@@ -385,6 +388,34 @@ def test_dump_moment_system_text(runner):
     assert "E(efficiency | n+1) =" in result.output
 
 
+@pytest.mark.parametrize(
+    "program, target, wrt",
+    [("coin_flips_13", "total**2", "p"), ("bimodal.prob", "x**2", "p"), ("bimodal.prob", "x**2", None)],
+)
+def test_rendered_coefficients_match_their_str(runner, tmp_path, program, target, wrt):
+    # One print table serves a whole rendered system; every coefficient it
+    # prints must still read exactly as str(c).
+    if program.startswith("coin_flips_"):
+        path = tmp_path / f"{program}.prob"
+        path.write_text(_coin_program(int(program.rsplit("_", 1)[1])))
+    else:
+        path = CORPUS / program
+    np_ = normalize(parse(path.read_text(), name=path.name))
+    mono = parse_monomial(target)
+    system = sensitivity_system(np_, mono, wrt) if wrt else moment_closure(np_, mono)
+    equations = [rec for s, rec in system.equations.items() if not s.is_constant]
+
+    args = ["dump-recurrences", str(path), "--target", target, "--format", "json"]
+    result = runner.invoke(main, args + (["--wrt", wrt] if wrt else []))
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)["equations"]
+    assert len(report) == len(equations)
+    for eq, rec in zip(report, equations):
+        assert [t["coeff"] for t in eq["terms"]] == [str(c) for c, _ in rec.terms]
+        assert eq["text"] == rec.render()
+    assert system.render() == "\n".join(rec.render() for rec in equations)
+
+
 def test_dump_text_json_numeric_content_matches(runner):
     args = ["dump-recurrences", FIG_SINGLE, "--target", "infected_prob", "--wrt", "vax_param"]
     text = runner.invoke(main, args)
@@ -524,6 +555,24 @@ def test_simulate_negative_normal_variance_is_an_oracle_error():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: Normal variance -2 is negative"]
     assert "math domain error" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "program, monomial, point, message",
+    [
+        ("random_walk_1d.prob", "x", "p=3/2", "choice probability 3/2 outside [0, 1]"),
+        ("grammar_zoo.prob", "acc", "p=1/2,q=-1/4,r=1/2", "Bernoulli probability -1/4 outside [0, 1]"),
+    ],
+    ids=["choice", "bernoulli"],
+)
+def test_sampling_probability_out_of_range_is_an_oracle_error(program, monomial, point, message):
+    proc = _run_cli(
+        "simulate", str(CORPUS / program), "--monomial", monomial, "--n", "2",
+        "--param", point, "--trials", "100",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {message}"]
     assert proc.stdout == ""
 
 

@@ -7,6 +7,8 @@ oracle moment at step n+1, for every fixture and for random programs.
 """
 
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +20,27 @@ from probsens.errors import (
     NonFiniteGuardError,
     UninitializedVariableError,
 )
-from probsens.moments import MomentContext, dist_moment
+from probsens.moments import MomentContext, _lagrange_basis_poly, dist_moment
 from probsens.normalize import normalize
 from probsens.oracle import moment_exact
 from probsens.parser import parse, parse_monomial as pm
 from probsens.sensitivity import SequenceSymbol, moment_closure
 from probsens.symbolic import pe
 import sympy as sp
-from probsens.syntax import Comparison, PolyExpr, VarMonomial, bexpr_eval
+from probsens.syntax import (
+    BTrue,
+    Comparison,
+    DistDraw,
+    PolyExpr,
+    VarMonomial,
+    bexpr_eval,
+    bexpr_vars,
+)
 
 from test_dependency import MIXED
 from test_normalize import EPIDEMIC, random_programs
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
 
 BRANCHY_COUNTER = """
 y = 0
@@ -318,6 +330,15 @@ def test_defective_moments_hit_the_equation_cap():
     assert err.value.cap == 20
 
 
+def test_coin_flips_50_second_moment_reaches_the_cap():
+    # total**2 over 50 coins needs 1276 equations against the default cap
+    # of 500; linear-time assembly gets there in seconds.
+    ctx = ctx_of((CORPUS / "coin_flips_50.prob").read_text())
+    with pytest.raises(EquationCapError) as err:
+        moment_closure(ctx, pm("total**2"))
+    assert err.value.cap == 500
+
+
 def test_moment_system_is_deterministic():
     a = moment_closure(ctx_of(BRANCHY_COUNTER), pm("cnt**2"))
     b = moment_closure(ctx_of(BRANCHY_COUNTER), pm("cnt**2"))
@@ -377,3 +398,97 @@ def test_recurrences_match_oracle_on_random_programs(src, target):
             base = F(1) if mono.is_one else moment_exact(np_, mono, n, {})
             predicted += coeff.eval_fraction({}) * base
         assert predicted == moment_exact(np_, pm(target), n + 1, {})
+
+
+# ---------------------------------------------------------------------------
+# Assembly against the reference that grows each polynomial by ``+``
+# ---------------------------------------------------------------------------
+
+
+def _folded_recurrence(np_, monomial):
+    """Reference: the one-step recurrence of ``monomial``, with every
+    polynomial grown one term at a time by ``PolyExpr.__add__`` and nothing
+    memoized."""
+    supports = MomentContext(np_).supports
+
+    def basis(v, point):
+        return _lagrange_basis_poly(v, point, sorted(supports[v]))
+
+    def reduce(poly):
+        work, out = list(poly.terms), PolyExpr.zero()
+        while work:
+            mono, coeff = work.pop()
+            for v, e in mono.powers:
+                s = supports.get(v)
+                if s and e >= len(s):
+                    rep = PolyExpr.zero()
+                    for point in sorted(s):
+                        rep = rep + basis(v, point).scale(pe(point**e))
+                    _, rest = mono.split(v)
+                    work.extend((rep * PolyExpr.monomial(rest, coeff)).terms)
+                    break
+            else:
+                out = out + PolyExpr.monomial(mono, coeff)
+        return out
+
+    def truth(guard):
+        names = sorted(bexpr_vars(guard))
+        poly = PolyExpr.zero()
+        for combo in product(*(sorted(supports[v]) for v in names)):
+            if bexpr_eval(guard, dict(zip(names, combo))):
+                piece = PolyExpr.const(F(1))
+                for v, point in zip(names, combo):
+                    piece = piece * basis(v, point)
+                poly = poly + piece
+        return reduce(poly)
+
+    def power_value(rhs, k):
+        if isinstance(rhs, DistDraw):
+            return PolyExpr.monomial(VarMonomial.one(), dist_moment(rhs.kind, rhs.args, k))
+        out = PolyExpr.zero()
+        for poly, prob in rhs.choices:
+            out = out + (poly**k).scale(prob)
+        return out
+
+    poly = reduce(PolyExpr.monomial(monomial))
+    for ga in reversed(np_.body):
+        out = PolyExpr.zero()
+        for mono, coeff in poly.terms:
+            k, rest = mono.split(ga.target)
+            if k == 0:
+                out = out + PolyExpr.monomial(mono, coeff)
+                continue
+            repl = power_value(ga.rhs, k)
+            if not isinstance(ga.guard, BTrue):
+                t = truth(ga.guard)
+                kept = PolyExpr.var(ga.else_source) ** k
+                repl = t * repl + (PolyExpr.const(F(1)) - t) * kept
+            out = out + PolyExpr.monomial(rest, coeff) * repl
+        poly = reduce(out)
+    return poly
+
+
+@given(random_programs(), st.sampled_from(["a", "b", "c", "a*b", "c**2", "a*b*c"]))
+@settings(max_examples=40, deadline=None)
+def test_recurrence_matches_folded_reference_on_random_programs(src, target):
+    np_ = normalize(parse(src))
+    try:
+        rec = MomentContext(np_).recurrence(pm(target))
+    except NonFiniteGuardError:
+        return  # branching over an unbounded variable is out of scope
+    assert rec == _folded_recurrence(np_, pm(target))
+
+
+@pytest.mark.parametrize(
+    "name, target",
+    [("bimodal.prob", "x**2"), ("grammar_zoo.prob", "a*b"), ("vaccination.prob", "infected_prob**2")],
+)
+def test_recurrence_matches_folded_reference_on_corpus(name, target):
+    np_ = normalize(parse((CORPUS / name).read_text()))
+    assert MomentContext(np_).recurrence(pm(target)) == _folded_recurrence(np_, pm(target))
+
+
+def test_recurrence_coefficients_are_interned():
+    ctx = ctx_of(BRANCHY_COUNTER)
+    coeffs = [c for t in ("cnt**2", "z", "y**2") for _, c in ctx.recurrence(pm(t)).terms]
+    assert len({id(c) for c in coeffs}) == len({c.elem for c in coeffs}) < len(coeffs)

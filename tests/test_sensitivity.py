@@ -15,6 +15,7 @@ from probsens.errors import (
     EquationCapError,
     SingularParameterError,
 )
+from probsens.moments import MomentContext
 from probsens.normalize import normalize
 from probsens.oracle import fd_sensitivity
 from probsens.parser import parse, parse_monomial
@@ -442,10 +443,11 @@ def test_iterate_with_values_matches_symbolic():
 
 
 def test_initials_are_derivatives_of_moment_initials():
-    s = sensitivity_system(norm(MIXED), mono("u"), "p")
+    ctx = MomentContext(norm(MIXED))
+    s = sensitivity_system(ctx, mono("u"), "p")
     for sym in s.symbols:
         if sym.is_constant:
             assert s.initial(sym) == pe(1)
         elif not sym.is_moment:
-            base = s.context.initial(sym.monomial)
+            base = ctx.initial(sym.monomial)
             assert s.initial(sym) == base.diff("p")
