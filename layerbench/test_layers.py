@@ -25,10 +25,24 @@ from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import moment_closure, sensitivity_system
 from probsens.solver import ForwardIterator, solve_system
 from probsens.symbolic import ParamExpr, ep_eval
+from probsens.syntax import program_to_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
 BIMODAL_POINT = {"p": Fraction(2, 7), "q2": Fraction(3, 11), "var": Fraction(4, 13)}
 ROUNDS = 3
+
+
+def test_parse_corpus(benchmark):
+    sources = {path.name: path.read_text() for path in sorted(CORPUS.glob("*.prob"))}
+
+    programs = benchmark.pedantic(
+        lambda: {name: parse(src, name=name) for name, src in sources.items()},
+        setup=clear_cache,
+        rounds=ROUNDS,
+    )
+    assert len(programs) == 17
+    for name, program in programs.items():
+        assert parse(program_to_source(program), name=name) == program
 
 
 def _program(name: str):

@@ -12,7 +12,6 @@ from .errors import (
     EquationCapError,
     GuardNotSupportedError,
     NonFiniteGuardError,
-    NormalizationError,
     OracleError,
     ParseError,
     ProbsensError,
@@ -53,7 +52,6 @@ __all__ = [
     # errors
     "ProbsensError",
     "ParseError",
-    "NormalizationError",
     "ClassificationError",
     "NonFiniteGuardError",
     "GuardNotSupportedError",

@@ -30,7 +30,6 @@ from .errors import (
     EquationCapError,
     GuardNotSupportedError,
     NonFiniteGuardError,
-    NormalizationError,
     OracleError,
     ParseError,
     SingularParameterError,
@@ -70,8 +69,6 @@ def _run_guarded(body):
     try:
         return body()
     except ParseError as e:
-        _fail(EXIT_PARSE, str(e))
-    except NormalizationError as e:
         _fail(EXIT_PARSE, str(e))
     except (
         ClassificationError,
@@ -439,11 +436,9 @@ def dump_recurrences(program, target, wrt, cap, fmt):
                 )
             )
             return
-        names: dict = {}
-        for sym, rec in system.equations.items():
-            if sym.is_constant:
-                continue
-            click.echo(rec.render(names))
+        text = system.render()
+        if text:
+            click.echo(text)
         click.echo(f"equations: {system.size}")
 
     _run_guarded(body)

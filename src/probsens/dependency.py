@@ -441,15 +441,6 @@ class DependencyGraph:
         self._infl_cache[p] = (frozen, reasons)
         return frozen, reasons
 
-    def depends_influenced(self, x: str, y: str, p: str) -> bool:
-        """Some dependency path from x to y crosses a p-influenced edge."""
-        infl = self.influenced_edges(p)
-        for a in self._reach[x]:
-            for b in infl[a]:
-                if y in self._reach[b]:
-                    return True
-        return False
-
     # -- witnesses ------------------------------------------------------------
 
     def _shortest_path(self, src: str, dst: str) -> Optional[list[str]]:

@@ -22,10 +22,6 @@ class ParseError(ProbsensError):
         super().__init__(f"{message}{loc}")
 
 
-class NormalizationError(ProbsensError):
-    pass
-
-
 class ClassificationError(ProbsensError):
     """Program falls outside the class the requested analysis supports.
 

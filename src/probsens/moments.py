@@ -21,7 +21,6 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .dependency import (
-    VALUE_SET_CAP,
     Classification,
     DependencyGraph,
     build_graph,
@@ -93,9 +92,9 @@ class MomentContext:
     including its dependency graph and its classification per parameter, so
     one analysis classifies the program once."""
 
-    def __init__(self, program: NormalizedProgram, value_cap: int = VALUE_SET_CAP):
+    def __init__(self, program: NormalizedProgram):
         self.program = program
-        self.supports = variable_supports(program, cap=value_cap)
+        self.supports = variable_supports(program)
         self._graph: Optional[DependencyGraph] = None
         self._classifications: dict[str, Classification] = {}
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
@@ -105,6 +104,7 @@ class MomentContext:
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
         self._coeffs: dict[object, ParamExpr] = {}
+        self._derivatives: dict[tuple[object, str], ParamExpr] = {}
 
     # -- dependency facts ---------------------------------------------------
 
@@ -265,6 +265,14 @@ class MomentContext:
         Recurrences of one program repeat a few coefficient values many
         times; sharing one object per value shares its printed form too."""
         return self._coeffs.setdefault(coeff.elem, coeff)
+
+    def derivative(self, coeff: ParamExpr, param: str) -> ParamExpr:
+        """``coeff.diff(param)``, interned, computed once per value."""
+        key = (coeff.elem, param)
+        d = self._derivatives.get(key)
+        if d is None:
+            d = self._derivatives[key] = self.intern(coeff.diff(param))
+        return d
 
     def initial(self, monomial: VarMonomial) -> ParamExpr:
         """E[monomial] before the first iteration.

@@ -60,10 +60,6 @@ def _count_writes(statements, acc: Counter):
                 _count_writes(st.else_body, acc)
 
 
-def _rhs_variables(rhs) -> frozenset[str]:
-    return rhs.variables()
-
-
 class _Normalizer:
     def __init__(self, variables, remaining: Counter):
         self.alias = {v: v for v in variables}
@@ -99,7 +95,7 @@ class _Normalizer:
         overrides: dict[str, str] = {}
         for i, t in enumerate(st.targets):
             read_later = any(
-                t in _rhs_variables(st.rhss[j]) for j in range(i + 1, len(st.rhss))
+                t in st.rhss[j].variables() for j in range(i + 1, len(st.rhss))
             )
             if read_later:
                 overrides[t] = self.snapshot(t)

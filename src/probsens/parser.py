@@ -13,20 +13,22 @@ terminators::
 
 Numeric literals are kept exact (decimals become fractions).  A name that is
 never assigned anywhere is a symbolic parameter; every assigned name is a
-program variable and must be definitely assigned before any read.  Because
-that distinction only exists once the whole program has been seen, parsing
-happens in two stages: a grammar pass building raw expression trees, then a
-binding pass that classifies names and lowers the trees into polynomials
-over variables with exact parameter coefficients.  A guarded loop
-``while G`` (G not literally true) is desugared to ``while true`` with the
-body wrapped in ``if G``.
+program variable and must be definitely assigned before any read.  One scan
+of the tokens first collects the assigned names: a statement starts the
+source or follows a newline or a header's ``:``, and a name list followed by
+``=`` there is an assignment.  One recursive-descent pass then builds the
+polynomials, conditions and statements of ``syntax`` directly.  It checks
+divisions, probabilities and distribution arguments where it reads them, and
+definite assignment statement by statement, so the first error in source
+order is the one raised.  A guarded loop ``while G`` (G not literally true)
+is desugared to ``while true`` with the body wrapped in ``if G``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ParseError
 from .symbolic import ParamExpr
@@ -152,152 +154,38 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# Raw (unresolved) trees produced by the grammar pass
-# ---------------------------------------------------------------------------
+def _assigned_names(tokens: list[Token]) -> frozenset[str]:
+    """The names some statement assigns, found in one scan of the tokens.
 
-
-@dataclass(frozen=True)
-class RNum:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class RName:
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class RBin:
-    op: str  # + - * /
-    lhs: "RExpr"
-    rhs: "RExpr"
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class RPow:
-    base: "RExpr"
-    exp: int
-
-
-@dataclass(frozen=True)
-class RNeg:
-    arg: "RExpr"
-
-
-RExpr = Union[RNum, RName, RBin, RPow, RNeg]
-
-
-def _expr_names(e: RExpr, acc: set[str]):
-    if isinstance(e, RName):
-        acc.add(e.name)
-    elif isinstance(e, RBin):
-        _expr_names(e.lhs, acc)
-        _expr_names(e.rhs, acc)
-    elif isinstance(e, RPow):
-        _expr_names(e.base, acc)
-    elif isinstance(e, RNeg):
-        _expr_names(e.arg, acc)
-
-
-@dataclass(frozen=True)
-class RCmp:
-    lhs: RExpr
-    op: str
-    rhs: RExpr
-
-
-@dataclass(frozen=True)
-class RNot:
-    arg: "RBexpr"
-
-
-@dataclass(frozen=True)
-class RAnd:
-    lhs: "RBexpr"
-    rhs: "RBexpr"
-
-
-@dataclass(frozen=True)
-class ROr:
-    lhs: "RBexpr"
-    rhs: "RBexpr"
-
-
-@dataclass(frozen=True)
-class RBool:
-    value: bool
-
-
-RBexpr = Union[RCmp, RNot, RAnd, ROr, RBool]
-
-
-def _bexpr_names(b: RBexpr, acc: set[str]):
-    if isinstance(b, RCmp):
-        _expr_names(b.lhs, acc)
-        _expr_names(b.rhs, acc)
-    elif isinstance(b, RNot):
-        _bexpr_names(b.arg, acc)
-    elif isinstance(b, (RAnd, ROr)):
-        _bexpr_names(b.lhs, acc)
-        _bexpr_names(b.rhs, acc)
-
-
-@dataclass(frozen=True)
-class RCat:
-    choices: tuple[tuple[RExpr, Optional[RExpr]], ...]
-
-
-@dataclass(frozen=True)
-class RDist:
-    kind: str
-    args: tuple[RExpr, ...]
-
-
-RRhs = Union[RCat, RDist]
-
-
-def _rhs_names(rhs: RRhs, acc: set[str]):
-    if isinstance(rhs, RCat):
-        for poly, prob in rhs.choices:
-            _expr_names(poly, acc)
-            if prob is not None:
-                _expr_names(prob, acc)
-    else:
-        for a in rhs.args:
-            _expr_names(a, acc)
-
-
-@dataclass(frozen=True)
-class RAssign:
-    targets: tuple[str, ...]
-    rhss: tuple[RRhs, ...]
-    line: int
-
-
-@dataclass(frozen=True)
-class RIf:
-    branches: tuple[tuple[RBexpr, tuple["RStmt", ...]], ...]
-    else_body: Optional[tuple["RStmt", ...]]
-    line: int
-
-
-RStmt = Union[RAssign, RIf]
-
-
-# ---------------------------------------------------------------------------
-# Grammar pass
-# ---------------------------------------------------------------------------
+    A statement starts the token list or follows a NEWLINE or a header's
+    ':', and a name list followed by '=' at such a start is an assignment.
+    """
+    names: set[str] = set()
+    for i, tok in enumerate(tokens):
+        if tok.kind != "NAME" or (i > 0 and tokens[i - 1].kind not in ("NEWLINE", "COLON")):
+            continue
+        j = i
+        while tokens[j + 1].kind == "COMMA" and tokens[j + 2].kind == "NAME":
+            j += 2
+        if tokens[j + 1].kind == "ASSIGN":
+            names.update(tokens[k].text for k in range(i, j + 1, 2))
+    return frozenset(names)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent straight into the syntax tree of ``syntax.py``.
+
+    A name in ``variables`` lowers to a program variable and any other name
+    to a parameter.  Variables read are kept in ``reads`` until the
+    enclosing statement checks that each one is definitely assigned.
+    """
+
+    def __init__(self, tokens: list[Token], variables: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
+        self.variables = variables
+        self.reads: set[str] = set()
+        self.params: set[str] = set()
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -336,49 +224,67 @@ class _Parser:
         elif tok.kind != "EOF":
             raise ParseError(f"unexpected {tok.text!r} after statement", tok.line, tok.col)
 
+    def check_reads(self, assigned: set[str], line: int, how: str = "may be read"):
+        """Raise unless every variable read since the last check is in
+        ``assigned``; the reads are then forgotten."""
+        unbound = sorted(self.reads - assigned)
+        self.reads = set()
+        if unbound:
+            raise ParseError(f"variable {unbound[0]!r} {how} before assignment", line)
+
     # -- arithmetic expressions -------------------------------------------------
 
-    def parse_expr(self) -> RExpr:
+    def parse_expr(self) -> PolyExpr:
         left = self._multiplicative()
         while self.peek().kind in ("PLUS", "MINUS"):
             tok = self.advance()
             right = self._multiplicative()
-            left = RBin("+" if tok.kind == "PLUS" else "-", left, right, tok.line, tok.col)
+            left = left + right if tok.kind == "PLUS" else left - right
         return left
 
-    def _multiplicative(self) -> RExpr:
+    def _multiplicative(self) -> PolyExpr:
         left = self._unary()
         while self.peek().kind in ("STAR", "SLASH"):
             tok = self.advance()
             right = self._unary()
-            left = RBin("*" if tok.kind == "STAR" else "/", left, right, tok.line, tok.col)
+            if tok.kind == "STAR":
+                left = left * right
+                continue
+            if not right.is_constant:
+                raise ParseError(
+                    "division by an expression containing program variables", tok.line, tok.col
+                )
+            divisor = right.constant_value()
+            if divisor.is_zero:
+                raise ParseError("division by zero", tok.line, tok.col)
+            left = left.scale(ParamExpr(1) / divisor)
         return left
 
-    def _unary(self) -> RExpr:
+    def _unary(self) -> PolyExpr:
         tok = self.peek()
         if tok.kind == "MINUS":
             self.advance()
-            return RNeg(self._unary())
+            return -self._unary()
         if tok.kind == "PLUS":
             self.advance()
             return self._unary()
         return self._power()
 
-    def _power(self) -> RExpr:
+    def _power(self) -> PolyExpr:
         base = self._atom()
         if self.peek().kind == "POW":
             self.advance()
             etok = self.expect("NUMBER", "a natural-number exponent")
             if "." in etok.text:
                 raise ParseError("exponent must be a natural number", etok.line, etok.col)
-            return RPow(base, int(etok.text))
+            return base ** int(etok.text)
         return base
 
-    def _atom(self) -> RExpr:
+    def _atom(self) -> PolyExpr:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return RNum(Fraction(tok.text))
+            return PolyExpr.const(Fraction(tok.text))
         if tok.kind == "NAME":
             if tok.text in KEYWORDS:
                 raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
@@ -390,7 +296,11 @@ class _Parser:
                     tok.col,
                 )
             self.advance()
-            return RName(tok.text, tok.line, tok.col)
+            if tok.text in self.variables:
+                self.reads.add(tok.text)
+                return PolyExpr.var(tok.text)
+            self.params.add(tok.text)
+            return PolyExpr.const(ParamExpr(tok.text))
         if tok.kind == "LPAREN":
             self.advance()
             inner = self.parse_expr()
@@ -398,43 +308,53 @@ class _Parser:
             return inner
         raise ParseError(f"expected an expression, found {tok.text!r}", tok.line, tok.col)
 
+    @staticmethod
+    def _const(poly: PolyExpr, what: str, line: int) -> ParamExpr:
+        if not poly.is_constant:
+            offenders = sorted(poly.variables())
+            raise ParseError(
+                f"{what} must not contain program variables (found {', '.join(offenders)})",
+                line,
+            )
+        return poly.constant_value()
+
     # -- boolean expressions ------------------------------------------------------
 
-    def parse_bexpr(self) -> RBexpr:
+    def parse_bexpr(self) -> BExpr:
         return self._b_or()
 
-    def _b_or(self) -> RBexpr:
+    def _b_or(self) -> BExpr:
         left = self._b_and()
         while self.at_keyword("or"):
             self.advance()
-            left = ROr(left, self._b_and())
+            left = Or(left, self._b_and())
         return left
 
-    def _b_and(self) -> RBexpr:
+    def _b_and(self) -> BExpr:
         left = self._b_not()
         while self.at_keyword("and"):
             self.advance()
-            left = RAnd(left, self._b_not())
+            left = And(left, self._b_not())
         return left
 
-    def _b_not(self) -> RBexpr:
+    def _b_not(self) -> BExpr:
         if self.at_keyword("not"):
             self.advance()
-            return RNot(self._b_not())
+            return Not(self._b_not())
         return self._b_atom()
 
-    def _b_atom(self) -> RBexpr:
+    def _b_atom(self) -> BExpr:
         tok = self.peek()
         if self.at_keyword("true"):
             self.advance()
-            return RBool(True)
+            return BTrue()
         if self.at_keyword("false"):
             self.advance()
-            return RBool(False)
+            return BFalse()
         if tok.kind == "STAR":
             # the star guard spelling of `true`
             self.advance()
-            return RBool(True)
+            return BTrue()
         if tok.kind == "LPAREN" and self._paren_is_bexpr():
             self.advance()
             inner = self._b_or()
@@ -449,8 +369,7 @@ class _Parser:
                 op_tok.col,
             )
         self.advance()
-        rhs = self.parse_expr()
-        return RCmp(lhs, _CMP_TOKENS[op_tok.kind], rhs)
+        return Comparison(lhs, _CMP_TOKENS[op_tok.kind], self.parse_expr())
 
     def _paren_is_bexpr(self) -> bool:
         """Decide whether '(' opens a boolean group or an arithmetic one by
@@ -476,55 +395,61 @@ class _Parser:
 
     # -- assignments ----------------------------------------------------------------
 
-    def parse_assign_rhs(self) -> RRhs:
+    def parse_assign_rhs(self, line: int) -> AssignRhs:
         tok = self.peek()
         if tok.kind == "NAME" and tok.text in DIST_KINDS and self.peek(1).kind == "LPAREN":
             self.advance()
             self.advance()
-            args: list[RExpr] = []
+            args: list[PolyExpr] = []
             if self.peek().kind != "RPAREN":
                 args.append(self.parse_expr())
                 while self.peek().kind == "COMMA":
                     self.advance()
                     args.append(self.parse_expr())
             self.expect("RPAREN", "')'")
-            return RDist(tok.text, tuple(args))
+            return DistDraw(
+                tok.text, tuple(self._const(a, "distribution argument", line) for a in args)
+            )
 
-        choices: list[tuple[RExpr, Optional[RExpr]]] = []
         first = self.parse_expr()
         if self.peek().kind != "LBRACE":
-            return RCat(((first, None),))
-        choices.append((first, self._parse_prob()))
-        while True:
-            tok = self.peek()
-            if tok.kind in ("NEWLINE", "EOF", "COMMA"):
-                break
+            return Categorical.sure(first)
+        choices: list[tuple[PolyExpr, Optional[ParamExpr]]] = [(first, self._parse_prob(line))]
+        while self.peek().kind not in ("NEWLINE", "EOF", "COMMA"):
             poly = self.parse_expr()
             if self.peek().kind == "LBRACE":
-                choices.append((poly, self._parse_prob()))
-            else:
-                # Only the final probability may be omitted; more polynomial
-                # content after a braceless choice means two were dropped.
-                choices.append((poly, None))
-                nxt = self.peek()
-                if nxt.kind in ("NUMBER", "LPAREN", "MINUS", "PLUS") or (
-                    nxt.kind == "NAME" and nxt.text not in KEYWORDS
-                ):
-                    raise ParseError(
-                        "more than one probability omitted in a probabilistic choice",
-                        nxt.line,
-                        nxt.col,
-                    )
-                break
-        return RCat(tuple(choices))
+                choices.append((poly, self._parse_prob(line)))
+                continue
+            # Only the final probability may be omitted; more polynomial
+            # content after a braceless choice means two were dropped.
+            choices.append((poly, None))
+            nxt = self.peek()
+            if nxt.kind in ("NUMBER", "LPAREN", "MINUS", "PLUS") or (
+                nxt.kind == "NAME" and nxt.text not in KEYWORDS
+            ):
+                raise ParseError(
+                    "more than one probability omitted in a probabilistic choice",
+                    nxt.line,
+                    nxt.col,
+                )
+            break
+        total = ParamExpr.zero()
+        for _, p in choices:
+            if p is not None:
+                total = total + p
+        return Categorical(
+            tuple((poly, ParamExpr.one() - total if p is None else p) for poly, p in choices)
+        )
 
-    def _parse_prob(self) -> RExpr:
+    def _parse_prob(self, line: int) -> ParamExpr:
         self.expect("LBRACE", "'{'")
         prob = self.parse_expr()
         self.expect("RBRACE", "'}'")
-        return prob
+        return self._const(prob, "probability", line)
 
-    def parse_assignment(self) -> RAssign:
+    def parse_assignment(self, assigned: set[str]) -> Assignment:
+        """Parse one assignment whose reads must all be in ``assigned``; the
+        caller records its targets."""
         start = self.peek()
         targets = [self.expect("NAME", "a variable name").text]
         while self.peek().kind == "COMMA":
@@ -534,10 +459,10 @@ class _Parser:
             if t in KEYWORDS or t in DIST_KINDS:
                 raise ParseError(f"{t!r} cannot be assigned", start.line, start.col)
         self.expect("ASSIGN", "'='")
-        rhss = [self.parse_assign_rhs()]
+        rhss = [self.parse_assign_rhs(start.line)]
         while self.peek().kind == "COMMA":
             self.advance()
-            rhss.append(self.parse_assign_rhs())
+            rhss.append(self.parse_assign_rhs(start.line))
         if len(rhss) != len(targets):
             raise ParseError(
                 f"{len(targets)} target(s) but {len(rhss)} right-hand side(s)",
@@ -547,68 +472,99 @@ class _Parser:
         if len(set(targets)) != len(targets):
             raise ParseError("duplicate target in simultaneous assignment", start.line, start.col)
         self.end_of_statement()
-        return RAssign(tuple(targets), tuple(rhss), start.line)
+        self.check_reads(assigned, start.line)
+        return Assignment(tuple(targets), tuple(rhss), start.line)
 
     # -- statements --------------------------------------------------------------------
 
-    def parse_statements(self, terminators: tuple[str, ...]) -> tuple[RStmt, ...]:
-        out: list[RStmt] = []
+    def parse_statements(self, terminators: tuple[str, ...], assigned: set[str]) -> tuple[Statement, ...]:
+        """Parse statements up to a terminator, 'while' or the end of input,
+        adding the variables they definitely assign to ``assigned``."""
+        out: list[Statement] = []
         while True:
             self.skip_newlines()
             tok = self.peek()
-            if tok.kind == "EOF":
+            if tok.kind == "EOF" or self.at_keyword("while"):
                 break
             if tok.kind == "NAME" and tok.text in terminators:
                 break
             if self.at_keyword("if"):
-                out.append(self.parse_if())
-            elif self.at_keyword("while"):
-                break
+                out.append(self.parse_if(assigned))
             else:
-                out.append(self.parse_assignment())
+                st = self.parse_assignment(assigned)
+                assigned.update(st.targets)
+                out.append(st)
         return tuple(out)
 
-    def parse_if(self) -> RIf:
+    def parse_if(self, assigned: set[str]) -> IfStatement:
+        """Parse an if/else chain.  An assignment reached on some paths but
+        not others implicitly keeps the old value on the paths that skip it,
+        so the target must have a value beforehand unless every path through
+        the chain assigns it."""
         start = self.expect_keyword("if")
-        branches: list[tuple[RBexpr, tuple[RStmt, ...]]] = []
-        cond = self.parse_bexpr()
-        self.expect("COLON", "':'")
-        body = self.parse_statements(("else", "end"))
-        branches.append((cond, body))
+        branches: list[tuple[BExpr, tuple[Statement, ...]]] = []
+        paths: list[set[str]] = []
+        else_body = None
         while True:
+            cond = self.parse_bexpr()
+            self.expect("COLON", "':'")
+            self.check_reads(assigned, start.line)
+            paths.append(set(assigned))
+            branches.append((cond, self.parse_statements(("else", "end"), paths[-1])))
             self.skip_newlines()
-            if self.at_keyword("else"):
-                self.advance()
-                if self.at_keyword("if"):
-                    self.advance()
-                    cond = self.parse_bexpr()
-                    self.expect("COLON", "':'")
-                    body = self.parse_statements(("else", "end"))
-                    branches.append((cond, body))
-                else:
-                    self.expect("COLON", "':'")
-                    else_body = self.parse_statements(("end",))
-                    self.skip_newlines()
-                    self.expect_keyword("end")
-                    self.end_of_statement()
-                    return RIf(tuple(branches), else_body, start.line)
-            elif self.at_keyword("end"):
-                self.advance()
-                self.end_of_statement()
-                return RIf(tuple(branches), None, start.line)
-            else:
+            if self.at_keyword("end"):
+                paths.append(set(assigned))
+                break
+            if not self.at_keyword("else"):
                 tok = self.peek()
                 raise ParseError(
                     f"expected 'else' or 'end', found {tok.text!r}", tok.line, tok.col
                 )
+            self.advance()
+            if not self.at_keyword("if"):
+                self.expect("COLON", "':'")
+                paths.append(set(assigned))
+                else_body = self.parse_statements(("end",), paths[-1])
+                self.skip_newlines()
+                break
+            self.advance()
+        self.expect_keyword("end")
+        self.end_of_statement()
+        common = set.intersection(*paths)
+        partial = sorted(set.union(*paths) - common - assigned)
+        if partial:
+            raise ParseError(
+                f"variable {partial[0]!r} is assigned only on some paths and has "
+                f"no prior value to keep",
+                start.line,
+            )
+        assigned.update(common)
+        return IfStatement(tuple(branches), else_body, start.line)
 
-    def parse_program(self) -> tuple[tuple[RStmt, ...], RBexpr, tuple[RStmt, ...], Token]:
-        init_stmts = self.parse_statements(())
+    def parse_program(self) -> tuple[tuple[Assignment, ...], BExpr, tuple[Statement, ...], Token]:
+        # Init runs once in order; the loop body may read anything assigned
+        # by init or earlier in the same iteration (the first iteration is
+        # the binding constraint; later ones only see more).
+        assigned: set[str] = set()
+        init: list[Assignment] = []
         self.skip_newlines()
+        while not (self.at_keyword("while") or self.peek().kind == "EOF"):
+            if self.at_keyword("if"):
+                raise ParseError(
+                    "conditional statements are not supported before the loop", self.peek().line
+                )
+            st = self.parse_assignment(assigned)
+            for t in st.targets:
+                if t in assigned:
+                    raise ParseError(f"variable {t!r} is initialized twice", st.line)
+            assigned.update(st.targets)
+            init.append(st)
+            self.skip_newlines()
         start = self.expect_keyword("while")
         guard = self.parse_bexpr()
         self.expect("COLON", "':'")
-        body = self.parse_statements(("end",))
+        self.check_reads(assigned, start.line, "is read by the loop guard")
+        body = self.parse_statements(("end",), assigned)
         self.skip_newlines()
         self.expect_keyword("end")
         self.skip_newlines()
@@ -619,233 +575,15 @@ class _Parser:
                 tok.line,
                 tok.col,
             )
-        return init_stmts, guard, body, start
-
-
-# ---------------------------------------------------------------------------
-# Binding pass and lowering
-# ---------------------------------------------------------------------------
-
-
-def _collect_assigned_raw(statements, acc: set[str]):
-    for st in statements:
-        if isinstance(st, RAssign):
-            acc.update(st.targets)
-        else:
-            for _, body in st.branches:
-                _collect_assigned_raw(body, acc)
-            if st.else_body is not None:
-                _collect_assigned_raw(st.else_body, acc)
-
-
-class _Lowerer:
-    def __init__(self, variables: frozenset[str]):
-        self.variables = variables
-
-    def poly(self, e: RExpr) -> PolyExpr:
-        if isinstance(e, RNum):
-            return PolyExpr.const(e.value)
-        if isinstance(e, RName):
-            if e.name in self.variables:
-                return PolyExpr.var(e.name)
-            return PolyExpr.const(ParamExpr(e.name))
-        if isinstance(e, RNeg):
-            return -self.poly(e.arg)
-        if isinstance(e, RPow):
-            return self.poly(e.base) ** e.exp
-        if isinstance(e, RBin):
-            lhs = self.poly(e.lhs)
-            rhs = self.poly(e.rhs)
-            if e.op == "+":
-                return lhs + rhs
-            if e.op == "-":
-                return lhs - rhs
-            if e.op == "*":
-                return lhs * rhs
-            if not rhs.is_constant:
-                raise ParseError(
-                    "division by an expression containing program variables", e.line, e.col
-                )
-            divisor = rhs.constant_value()
-            if divisor.is_zero:
-                raise ParseError("division by zero", e.line, e.col)
-            return lhs.scale(ParamExpr(1) / divisor)
-        raise AssertionError(e)
-
-    def const(self, e: RExpr, what: str, line: int) -> ParamExpr:
-        poly = self.poly(e)
-        if not poly.is_constant:
-            offenders = sorted(poly.variables())
-            raise ParseError(
-                f"{what} must not contain program variables (found {', '.join(offenders)})",
-                line,
-            )
-        return poly.constant_value()
-
-    def bexpr(self, b: RBexpr) -> BExpr:
-        if isinstance(b, RBool):
-            return BTrue() if b.value else BFalse()
-        if isinstance(b, RCmp):
-            return Comparison(self.poly(b.lhs), b.op, self.poly(b.rhs))
-        if isinstance(b, RNot):
-            return Not(self.bexpr(b.arg))
-        if isinstance(b, RAnd):
-            return And(self.bexpr(b.lhs), self.bexpr(b.rhs))
-        return Or(self.bexpr(b.lhs), self.bexpr(b.rhs))
-
-    def rhs(self, r: RRhs, line: int) -> AssignRhs:
-        if isinstance(r, RDist):
-            return DistDraw(r.kind, tuple(self.const(a, "distribution argument", line) for a in r.args))
-        lowered: list[tuple[PolyExpr, Optional[ParamExpr]]] = []
-        for poly, prob in r.choices:
-            lowered.append(
-                (
-                    self.poly(poly),
-                    None if prob is None else self.const(prob, "probability", line),
-                )
-            )
-        if len(lowered) == 1 and lowered[0][1] is None:
-            return Categorical.sure(lowered[0][0])
-        total = ParamExpr.zero()
-        for _, p in lowered:
-            if p is not None:
-                total = total + p
-        final: list[tuple[PolyExpr, ParamExpr]] = []
-        for poly, p in lowered:
-            final.append((poly, ParamExpr.one() - total if p is None else p))
-        return Categorical(tuple(final))
-
-    def statement(self, st: RStmt) -> Statement:
-        if isinstance(st, RAssign):
-            return Assignment(
-                st.targets, tuple(self.rhs(r, st.line) for r in st.rhss), st.line
-            )
-        return IfStatement(
-            tuple(
-                (self.bexpr(cond), tuple(self.statement(s) for s in body))
-                for cond, body in st.branches
-            ),
-            None
-            if st.else_body is None
-            else tuple(self.statement(s) for s in st.else_body),
-            st.line,
-        )
-
-
-def _check_bindings(statements, assigned: set[str], variables: frozenset[str]):
-    """Definite-assignment analysis over the raw tree.
-
-    An assignment reached on some paths but not others implicitly keeps the
-    old value on the paths that skip it, so the target must have a value
-    beforehand unless every path through the conditional assigns it.
-    """
-    for st in statements:
-        if isinstance(st, RAssign):
-            reads: set[str] = set()
-            for rhs in st.rhss:
-                _rhs_names(rhs, reads)
-            for name in sorted(reads):
-                if name in variables and name not in assigned:
-                    raise ParseError(
-                        f"variable {name!r} may be read before assignment", st.line
-                    )
-            assigned.update(st.targets)
-        else:
-            branch_sets: list[set[str]] = []
-            for cond, body in st.branches:
-                reads = set()
-                _bexpr_names(cond, reads)
-                for name in sorted(reads):
-                    if name in variables and name not in assigned:
-                        raise ParseError(
-                            f"variable {name!r} may be read before assignment", st.line
-                        )
-                s = set(assigned)
-                _check_bindings(body, s, variables)
-                branch_sets.append(s)
-            if st.else_body is not None:
-                s = set(assigned)
-                _check_bindings(st.else_body, s, variables)
-                branch_sets.append(s)
-            else:
-                branch_sets.append(set(assigned))
-            common = set.intersection(*branch_sets)
-            touched = set.union(*branch_sets)
-            partial = sorted(touched - common - assigned)
-            if partial:
-                raise ParseError(
-                    f"variable {partial[0]!r} is assigned only on some paths and has "
-                    f"no prior value to keep",
-                    st.line,
-                )
-            assigned.update(common)
+        return tuple(init), guard, body, start
 
 
 def parse(source: str, name: str = "<program>") -> Program:
     """Parse source text into a validated Program."""
     tokens = tokenize(source)
-    raw_init, raw_guard, raw_body, while_tok = _Parser(tokens).parse_program()
-
-    for st in raw_init:
-        if isinstance(st, RIf):
-            raise ParseError(
-                "conditional statements are not supported before the loop", st.line
-            )
-
-    assigned_anywhere: set[str] = set()
-    _collect_assigned_raw(raw_init, assigned_anywhere)
-    _collect_assigned_raw(raw_body, assigned_anywhere)
-    variables = frozenset(assigned_anywhere)
-
-    read_names: set[str] = set()
-
-    def collect_reads(statements):
-        for st in statements:
-            if isinstance(st, RAssign):
-                for rhs in st.rhss:
-                    _rhs_names(rhs, read_names)
-            else:
-                for cond, body in st.branches:
-                    _bexpr_names(cond, read_names)
-                    collect_reads(body)
-                if st.else_body is not None:
-                    collect_reads(st.else_body)
-
-    collect_reads(raw_init)
-    collect_reads(raw_body)
-    _bexpr_names(raw_guard, read_names)
-    params = frozenset(read_names - variables)
-
-    # Definite assignment: init runs once in order; the loop body may read
-    # anything assigned by init or earlier in the same iteration (the first
-    # iteration is the binding constraint; later ones only see more).
-    assigned: set[str] = set()
-    for st in raw_init:
-        reads: set[str] = set()
-        for rhs in st.rhss:
-            _rhs_names(rhs, reads)
-        for n in sorted(reads):
-            if n in variables and n not in assigned:
-                raise ParseError(f"variable {n!r} may be read before assignment", st.line)
-        for t in st.targets:
-            if t in assigned:
-                raise ParseError(f"variable {t!r} is initialized twice", st.line)
-        assigned.update(st.targets)
-
-    guard_reads: set[str] = set()
-    _bexpr_names(raw_guard, guard_reads)
-    for n in sorted(guard_reads):
-        if n in variables and n not in assigned:
-            raise ParseError(
-                f"variable {n!r} is read by the loop guard before assignment",
-                while_tok.line,
-            )
-    _check_bindings(raw_body, assigned, variables)
-
-    lower = _Lowerer(variables)
-    init = tuple(lower.statement(st) for st in raw_init)
-    guard = lower.bexpr(raw_guard)
-    body = tuple(lower.statement(st) for st in raw_body)
+    variables = _assigned_names(tokens)
+    parser = _Parser(tokens, variables)
+    init, guard, body, while_tok = parser.parse_program()
 
     # Desugar a guarded loop into an unconditional one.
     if not isinstance(guard, BTrue):
@@ -853,8 +591,8 @@ def parse(source: str, name: str = "<program>") -> Program:
         guard = BTrue()
 
     return Program(
-        params=params,
-        init=init,  # type: ignore[arg-type]
+        params=frozenset(parser.params),
+        init=init,
         guard=guard,
         body=body,
         variables=tuple(sorted(variables)),
@@ -870,15 +608,12 @@ def parse_monomial(text: str) -> VarMonomial:
     program is checked by the caller.
     """
     tokens = tokenize(text)
-    p = _Parser(tokens)
-    raw = p.parse_expr()
+    p = _Parser(tokens, frozenset(t.text for t in tokens if t.kind == "NAME"))
+    poly = p.parse_expr()
     p.skip_newlines()
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.text!r} in monomial", tok.line, tok.col)
-    names: set[str] = set()
-    _expr_names(raw, names)
-    poly = _Lowerer(frozenset(names)).poly(raw)
     if len(poly.terms) != 1:
         raise ParseError("expected a single monomial")
     mono, coeff = poly.terms[0]

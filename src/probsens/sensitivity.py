@@ -306,7 +306,7 @@ def _finish_system(ctx, target, parameter, combination, equations) -> Recurrence
         elif s.is_moment:
             initials[s] = ctx.initial(s.monomial)
         else:
-            initials[s] = ctx.initial(s.monomial).diff(s.param)
+            initials[s] = ctx.derivative(ctx.initial(s.monomial), s.param)
     return RecurrenceSystem(
         target=target,
         parameter=parameter,
@@ -339,7 +339,7 @@ def sensitivity_recurrence(
     pdep = graph.p_dependent(param)
     terms: list[tuple[ParamExpr, SequenceSymbol]] = []
     for mono, coeff in base.terms:
-        dc = ctx.intern(coeff.diff(param))
+        dc = ctx.derivative(coeff, param)
         if debug or not dc.is_zero:
             terms.append((dc, SequenceSymbol.moment(mono)))
         if mono.is_one:

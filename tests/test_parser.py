@@ -175,6 +175,28 @@ def test_comments_and_blank_lines_ignored():
     assert prog.variables == ("x",)
 
 
+def test_leading_comments_keep_first_statement_targets():
+    prog = parse("# leading\n\n   \n# more\ny = 0\nx = y\nwhile true:\n  x = x + y\nend\n")
+    assert prog.variables == ("x", "y")
+    assert prog.params == frozenset()
+
+
+def test_names_assigned_in_same_line_branch_bodies_are_variables():
+    prog = parse("x = 0\nwhile true:\n  if x < 1: z = 1\n  else: z = 2\n  end\n  x = z\nend\n")
+    assert prog.variables == ("x", "z")
+    assert prog.params == frozenset()
+    (if_st, assign) = prog.body
+    assert [body[0].targets for _, body in if_st.branches] == [("z",)]
+    assert if_st.else_body[0].targets == ("z",)
+    assert assign.rhss[0].choices[0][0] == PolyExpr.var("z")
+
+
+def test_parameter_whose_terms_cancel_stays_a_parameter():
+    prog = parse("x = 0\nwhile true:\n  x = x + p - p\nend\n")
+    assert prog.params == frozenset({"p"})
+    assert prog.body[0].rhss[0].choices[0][0] == PolyExpr.var("x")
+
+
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from probsens.sensitivity import (
 from probsens.symbolic import ParamExpr, ep_eval, pe
 from probsens.syntax import VarMonomial
 
-from test_dependency import MIXED, MIXED_TAINTED
+from test_dependency import MIXED, MIXED_TAINTED, _coin_program
 from test_moments import BRANCHY_COUNTER
 from test_normalize import EPIDEMIC
 
@@ -451,3 +451,19 @@ def test_initials_are_derivatives_of_moment_initials():
         elif not sym.is_moment:
             base = ctx.initial(sym.monomial)
             assert s.initial(sym) == base.diff("p")
+
+
+def test_each_coefficient_value_is_differentiated_once(monkeypatch):
+    # The 13-coin total**2 system's recurrences repeat a handful of
+    # coefficient values hundreds of times.
+    calls = []
+    diff = ParamExpr.diff
+    monkeypatch.setattr(ParamExpr, "diff", lambda c, p: calls.append(c) or diff(c, p))
+    ctx = MomentContext(norm(_coin_program(13)))
+    s = sensitivity_system(ctx, mono("total**2"), "p")
+    differentiated = set()
+    for sym in s.symbols:
+        if not (sym.is_moment or sym.is_constant):
+            differentiated.update(c for _, c in ctx.recurrence(sym.monomial).terms)
+            differentiated.add(ctx.initial(sym.monomial))
+    assert len(calls) == len(differentiated)
