@@ -23,8 +23,8 @@ from probsens.normalize import normalize
 from probsens.oracle import moment_exact, sample_moment
 from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import moment_closure, sensitivity_system
-from probsens.solver import ForwardIterator, solve_system
-from probsens.symbolic import ParamExpr, ep_eval
+from probsens.solver import VERIFICATION_POINTS, ForwardIterator, solve_system
+from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic
 from probsens.syntax import program_to_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
@@ -107,6 +107,28 @@ def test_ep_eval(benchmark, bimodal_system):
 
     values = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
     assert values[-1] == target
+
+
+def test_verify_closed_forms(benchmark, bimodal_system):
+    """The solver's verification step: every solved closed form evaluated
+    at the VERIFICATION_POINTS indices after its seed window."""
+    system, equations = bimodal_system
+    forms: dict = {}
+    solved = solve_system(equations, system.initials, scalar_forms=forms)
+    points = [
+        (s, forms[s].base + forms[s].order + k)
+        for s in equations
+        for k in range(VERIFICATION_POINTS)
+    ]
+
+    def work():
+        return [ep_value_symbolic(solved[s], n) for s, n in points]
+
+    values = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
+    iterator = ForwardIterator(equations, system.initials)
+    assert len(values) == VERIFICATION_POINTS * len(equations)
+    for (s, n), value in zip(points, values):
+        assert value == iterator.value(s, n), (s, n)
 
 
 def _coin_program(k: int):

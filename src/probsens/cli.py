@@ -24,7 +24,6 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dependency import build_graph, classify as classify_program, variable_supports
 from .errors import (
     ClassificationError,
     EquationCapError,
@@ -36,7 +35,7 @@ from .errors import (
     UninitializedVariableError,
     UnsupportedFactorError,
 )
-from .moments import DEFAULT_EQUATION_CAP
+from .moments import DEFAULT_EQUATION_CAP, MomentContext
 from .normalize import normalize
 from .oracle import checked_probability, fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
@@ -256,12 +255,12 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
         if dump_normalized:
             click.echo(np_.to_source())
             click.echo()
-        if explain_var:
-            _explain(np_, explain_var, wrt)
-
         started = time.perf_counter()
+        ctx = MomentContext(np_)
+        if explain_var:
+            _explain(ctx.graph, explain_var, wrt)
         result = parameter_sensitivity(
-            np_, target_mono, wrt, method=method, cap=_resolve_cap(cap), debug=keep_all_terms
+            ctx, target_mono, wrt, method=method, cap=_resolve_cap(cap), debug=keep_all_terms
         )
         wall_ms = (time.perf_counter() - started) * 1000.0
 
@@ -321,8 +320,7 @@ def _print_analysis_text(report: dict) -> None:
     click.echo(f"wall: {report['wall_ms']:.1f} ms")
 
 
-def _explain(np_, var: str, wrt: str) -> None:
-    graph = build_graph(np_)
+def _explain(graph, var: str, wrt: str) -> None:
     if var not in graph.variables:
         raise ClassificationError(f"unknown variable {var!r}")
     click.echo(f"{var}:")
@@ -358,10 +356,8 @@ def classify_cmd(program, wrt, fmt):
         params = [wrt] if wrt else sorted(np_.params)
         if wrt and wrt not in np_.params:
             raise ClassificationError(f"{wrt!r} is not a parameter of the program")
-        graph, supports = build_graph(np_), variable_supports(np_)
-        records = [
-            classify_program(np_, p, graph=graph, supports=supports) for p in params or [None]
-        ]
+        ctx = MomentContext(np_)
+        records = [ctx.classification(p) for p in params or [None]]
         if fmt == "json":
             click.echo(
                 json.dumps(

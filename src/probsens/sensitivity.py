@@ -54,7 +54,6 @@ __all__ = [
     "coeff_text",
     "moment_closure",
     "parameter_sensitivity",
-    "sensitivity_by_differentiation",
     "sensitivity_recurrence",
     "sensitivity_system",
     "with_power_variable",
@@ -409,7 +408,7 @@ def sensitivity_system(
 
 
 # ---------------------------------------------------------------------------
-# End-to-end paths
+# The analysis entry point
 # ---------------------------------------------------------------------------
 
 
@@ -431,63 +430,6 @@ class SensitivityResult:
         return self.system.size
 
 
-def sensitivity_by_differentiation(
-    program,
-    target: VarMonomial,
-    param: str,
-    *,
-    cap: int = DEFAULT_EQUATION_CAP,
-) -> SensitivityResult:
-    """Solve the target's moment system to a closed form and differentiate it.
-
-    Needs admissibility — defective variables would keep the moment system
-    from closing (their monomial worklist grows without bound).  A target
-    none of whose variables depends on the parameter has the zero
-    sensitivity and the empty system, as with sensitivity recurrences."""
-    ctx = _as_context(program)
-    cls = ctx.classification(param)
-    if not cls.admissible:
-        raise ClassificationError(
-            "closed-form differentiation needs an admissible loop",
-            cls.witnesses,
-        )
-    if not target.variables().isdisjoint(cls.p_dependent):
-        system = moment_closure(ctx, target, cap=cap)
-        closed = ep_diff(system.closed_form(), param)
-    else:
-        system = _finish_system(ctx, target, None, (), {})
-        closed = ep_zero()
-    return SensitivityResult(
-        target=target,
-        parameter=param,
-        method="diff",
-        system=system,
-        closed_form=closed,
-        classification=cls,
-    )
-
-
-def sensitivity_by_recurrences(
-    program,
-    target: VarMonomial,
-    param: str,
-    *,
-    cap: int = DEFAULT_EQUATION_CAP,
-    debug: bool = False,
-) -> SensitivityResult:
-    """Assemble and solve the sensitivity-recurrence system directly."""
-    ctx = _as_context(program)
-    system = sensitivity_system(ctx, target, param, cap=cap, debug=debug)
-    return SensitivityResult(
-        target=target,
-        parameter=param,
-        method="sensrec",
-        system=system,
-        closed_form=system.closed_form(),
-        classification=ctx.classification(param),
-    )
-
-
 def parameter_sensitivity(
     program,
     target: VarMonomial,
@@ -497,16 +439,23 @@ def parameter_sensitivity(
     cap: int = DEFAULT_EQUATION_CAP,
     debug: bool = False,
 ) -> SensitivityResult:
-    """Dispatch on ``method``: 'diff', 'sensrec', or 'auto' (differentiation
-    when the loop is admissible, sensitivity recurrences otherwise).
+    """d/dp E[target] by ``method``: 'diff', 'sensrec', or 'auto'
+    (differentiation when the loop is admissible, sensitivity recurrences
+    otherwise).
 
-    The program is classified once; the paths below read the verdict back
-    from the shared context."""
+    'diff' solves the target's moment system to a closed form and
+    differentiates it.  It needs admissibility, since defective variables
+    would keep the moment system from closing.  A target none of whose
+    variables depends on the parameter has the zero sensitivity and the empty
+    system, as with sensitivity recurrences.  'sensrec' assembles and solves
+    the sensitivity-recurrence system directly; ``debug`` turns off its
+    pruning (see :func:`sensitivity_system`).  The program is classified
+    once, here."""
     if method not in ("auto", "diff", "sensrec"):
         raise ValueError(f"unknown method {method!r}")
     ctx = _as_context(program)
+    cls = ctx.classification(param)
     if method == "auto":
-        cls = ctx.classification(param)
         if cls.admissible:
             method = "diff"
         elif cls.thm2_ok:
@@ -516,9 +465,28 @@ def parameter_sensitivity(
                 f"no supported analysis for this program w.r.t. {param!r}",
                 cls.witnesses,
             )
-    if method == "diff":
-        return sensitivity_by_differentiation(ctx, target, param, cap=cap)
-    return sensitivity_by_recurrences(ctx, target, param, cap=cap, debug=debug)
+    if method == "sensrec":
+        system = sensitivity_system(ctx, target, param, cap=cap, debug=debug)
+        closed = system.closed_form()
+    elif not cls.admissible:
+        raise ClassificationError(
+            "closed-form differentiation needs an admissible loop",
+            cls.witnesses,
+        )
+    elif target.variables().isdisjoint(cls.p_dependent):
+        system = _finish_system(ctx, target, None, (), {})
+        closed = ep_zero()
+    else:
+        system = moment_closure(ctx, target, cap=cap)
+        closed = ep_diff(system.closed_form(), param)
+    return SensitivityResult(
+        target=target,
+        parameter=param,
+        method=method,
+        system=system,
+        closed_form=closed,
+        classification=cls,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -378,22 +378,9 @@ def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
     n0 = zero_mult + prefix_need
     order = sum(linear.values()) + 2 * sum(quads.values())
 
-    if order == 0:
-        # Purely nilpotent: everything dies after the prefix.
-        for s in block:
-            prefix = tuple(iterator.value(s, k) for k in range(n0))
-            for extra in range(VERIFICATION_POINTS):
-                if iterator.raw(s, n0 + extra):
-                    raise SeedSystemError(
-                        f"sequence {s!r} does not vanish after its transient"
-                    )
-            solved[s] = ExpPolynomial(prefix=prefix)
-            if scalar_forms is not None:
-                scalar_forms[s] = ScalarCFinite((), (), base=n0)
-        return
-
     # One basis column per undetermined coefficient, evaluated on the seed
-    # window n0 .. n0+order-1, in the system's field.
+    # window n0 .. n0+order-1, in the system's field.  A nilpotent block has
+    # none: its 0x0 seed system leaves a closed form that is only a prefix.
     columns: list[tuple] = []
     powers: dict = {}
     for lam, mult in linear.items():

@@ -319,6 +319,7 @@ def _operand(value):
 
 _PE_ZERO = ParamExpr(0)
 _PE_ONE = ParamExpr(1)
+_PE_TWO = ParamExpr(2)
 
 
 def pe(value) -> ParamExpr:
@@ -384,16 +385,14 @@ class CounterPoly:
     def diff_param(self, param: str) -> "CounterPoly":
         return CounterPoly.make([c.diff(param) for c in self.coeffs])
 
-    def eval_symbolic(self, n: int) -> ParamExpr:
-        acc = ParamExpr.zero()
-        for i, c in enumerate(self.coeffs):
-            acc = acc + c * (n ** i)
-        return acc
-
-    def eval_fraction(self, n: int, values: Mapping[str, Fraction]) -> Fraction:
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            acc += c.eval_fraction(values) * Fraction(n) ** i
+    def evaluate(self, n: int, value=pe):
+        """The value at ``n`` by Horner's rule, in the ring that ``value``
+        maps each coefficient into (``ParamExpr`` by default).  Coefficients
+        are mapped lowest first, and a constant costs no ring operation."""
+        mapped = [value(c) for c in self.coeffs] or [value(ParamExpr.zero())]
+        acc = mapped.pop()
+        while mapped:
+            acc = acc * n + mapped.pop()
         return acc
 
     def __str__(self) -> str:
@@ -479,71 +478,53 @@ def _lucas_values(beta, gamma, upto: int, two) -> list:
     return vals
 
 
-def ep_value_symbolic(f: ExpPolynomial, n: int) -> ParamExpr:
-    """Exact value at integer n as a ParamExpr."""
+def _ep_value(f: ExpPolynomial, n: int, value, two):
+    """The value of ``f`` at index n in the ring that ``value`` maps each
+    coefficient into, with ``two`` that ring's 2.  Coefficients are mapped in
+    the order ``f`` holds them (a quad term's ``beta`` and ``gamma`` first),
+    so the first unassigned or singular one is the one reported."""
     if n < 0:
         raise ValueError("sequence index must be >= 0")
     if n < len(f.prefix):
-        return f.prefix[n]
-    acc = ParamExpr.zero()
-    for t in f.terms:
-        acc = acc + t.poly.eval_symbolic(n) * (t.base ** n)
+        return value(f.prefix[n])
+    parts = [t.poly.evaluate(n, value) * value(t.base) ** n for t in f.terms]
     for qt in f.quad_terms:
-        s = _lucas_values(qt.beta, qt.gamma, n + 1, ParamExpr(2))
-        acc = acc + qt.p.eval_symbolic(n) * s[n] + qt.q.eval_symbolic(n) * s[n + 1]
-    return acc
+        s = _lucas_values(value(qt.beta), value(qt.gamma), n + 1, two)
+        parts += [
+            c.evaluate(n, value) * s[n + k] for k, c in enumerate((qt.p, qt.q)) if not c.is_zero
+        ]
+    return sum(parts[1:], parts[0]) if parts else value(ParamExpr.zero())
+
+
+def ep_value_symbolic(f: ExpPolynomial, n: int) -> ParamExpr:
+    """Exact value at integer n as a ParamExpr."""
+    return _ep_value(f, n, pe, _PE_TWO)
 
 
 def ep_eval(f: ExpPolynomial, values: Mapping[str, Fraction], n: int) -> Fraction:
     """Exact rational evaluation at a parameter assignment and index n."""
-    if n < 0:
-        raise ValueError("sequence index must be >= 0")
-    if n < len(f.prefix):
-        return f.prefix[n].eval_fraction(values)
-    acc = Fraction(0)
-    for t in f.terms:
-        acc += t.poly.eval_fraction(n, values) * t.base.eval_fraction(values) ** n
-    for qt in f.quad_terms:
-        s = _lucas_values(
-            qt.beta.eval_fraction(values), qt.gamma.eval_fraction(values), n + 1, Fraction(2)
-        )
-        acc += qt.p.eval_fraction(n, values) * s[n]
-        acc += qt.q.eval_fraction(n, values) * s[n + 1]
-    return acc
+    return _ep_value(f, n, lambda c: c.eval_fraction(values), Fraction(2))
 
 
 def _merge_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
     by_base: dict[ParamExpr, CounterPoly] = {}
-    order: list[ParamExpr] = []
     for t in terms:
-        if t.base not in by_base:
-            by_base[t.base] = t.poly
-            order.append(t.base)
-        else:
-            by_base[t.base] = by_base[t.base] + t.poly
-    return tuple(
-        ExpTerm(by_base[b], b) for b in order if not by_base[b].is_zero
-    )
+        poly = by_base.get(t.base)
+        by_base[t.base] = t.poly if poly is None else poly + t.poly
+    return tuple(ExpTerm(poly, base) for base, poly in by_base.items() if not poly.is_zero)
 
 
 def _merge_quad_terms(terms: Iterable[QuadTerm]) -> tuple[QuadTerm, ...]:
     by_key: dict[tuple[ParamExpr, ParamExpr], tuple[CounterPoly, CounterPoly]] = {}
-    order: list[tuple[ParamExpr, ParamExpr]] = []
     for t in terms:
         key = (t.beta, t.gamma)
-        if key not in by_key:
-            by_key[key] = (t.p, t.q)
-            order.append(key)
-        else:
-            p0, q0 = by_key[key]
-            by_key[key] = (p0 + t.p, q0 + t.q)
-    out = []
-    for key in order:
-        p0, q0 = by_key[key]
-        if p0.is_zero and q0.is_zero:
-            continue
-        out.append(QuadTerm(p0, q0, key[0], key[1]))
-    return tuple(out)
+        pq = by_key.get(key)
+        by_key[key] = (t.p, t.q) if pq is None else (pq[0] + t.p, pq[1] + t.q)
+    return tuple(
+        QuadTerm(p, q, beta, gamma)
+        for (beta, gamma), (p, q) in by_key.items()
+        if not (p.is_zero and q.is_zero)
+    )
 
 
 def ep_add(f: ExpPolynomial, g: ExpPolynomial) -> ExpPolynomial:

@@ -29,8 +29,6 @@ from probsens.sensitivity import (
     SequenceSymbol,
     moment_closure,
     parameter_sensitivity,
-    sensitivity_by_differentiation,
-    sensitivity_by_recurrences,
     sensitivity_system,
 )
 from probsens.solver import ScalarCFinite, solve_system
@@ -241,7 +239,9 @@ def test_criterion_06_oracle_cross_validation():
     started = time.perf_counter()
 
     pair_prog = parse(PAIR_LOOP, name="pair")
-    pair_form = sensitivity_by_recurrences(PAIR_LOOP, parse_monomial("u"), "p").closed_form
+    pair_form = parameter_sensitivity(
+        PAIR_LOOP, parse_monomial("u"), "p", method="sensrec"
+    ).closed_form
     for n in range(1, 9):
         engine = ep_eval(pair_form, {"p": Fraction(3, 10)}, n)
         est = fd_sensitivity(
@@ -296,8 +296,8 @@ def test_criterion_07_cross_method_agreement():
         if not classify(np_, wrt).admissible:
             continue
         mono = parse_monomial(target)
-        via_diff = sensitivity_by_differentiation(np_, mono, wrt).closed_form
-        via_rec = sensitivity_by_recurrences(np_, mono, wrt).closed_form
+        via_diff = parameter_sensitivity(np_, mono, wrt, method="diff").closed_form
+        via_rec = parameter_sensitivity(np_, mono, wrt, method="sensrec").closed_form
         probes = 0
         while probes < 20:
             point = {

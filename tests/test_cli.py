@@ -177,6 +177,25 @@ def test_classify_runs_the_value_set_fixpoint_once(runner, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_explain_builds_one_dependency_graph(runner, monkeypatch):
+    import probsens.dependency as dependency
+
+    original = dependency.DependencyGraph.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(dependency.DependencyGraph, "__init__", counting)
+    result = runner.invoke(
+        main, ["analyze", FIG_PAIR, "--target", "u", "--wrt", "p", "--explain", "u"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "reads:" in result.output
+    assert len(calls) == 1
+
+
 def test_analyze_dump_normalized_and_explain(runner):
     result = runner.invoke(
         main,

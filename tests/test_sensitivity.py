@@ -25,8 +25,6 @@ from probsens.sensitivity import (
     SequenceSymbol,
     moment_closure,
     parameter_sensitivity,
-    sensitivity_by_differentiation,
-    sensitivity_by_recurrences,
     sensitivity_recurrence,
     sensitivity_system,
     with_power_variable,
@@ -237,7 +235,7 @@ def test_parameter_independent_target_gives_empty_system():
 def test_parameter_independent_monomials_solve_to_zero():
     np_ = norm(TRIPLE_CHAIN)
     for target in ("cnt", "cnt**2", "y2"):
-        res = sensitivity_by_recurrences(np_, mono(target), "p")
+        res = parameter_sensitivity(np_, mono(target), "p", method="sensrec")
         assert res.closed_form.is_zero, target
 
 
@@ -254,7 +252,7 @@ def test_influenced_defective_variable_rejected_with_witness():
 
 def test_differentiation_path_requires_closing_moments():
     with pytest.raises(ClassificationError):
-        sensitivity_by_differentiation(norm(MIXED), mono("u"), "p")
+        parameter_sensitivity(norm(MIXED), mono("u"), "p", method="diff")
 
 
 def test_equation_cap():
@@ -321,8 +319,12 @@ def test_symbolic_derivative_agreement_epidemic():
 
 def test_debug_mode_agrees_at_probes():
     np_ = norm(EPIDEMIC)
-    lean = sensitivity_by_recurrences(np_, mono("infected_prob"), "vax_param")
-    full = sensitivity_by_recurrences(np_, mono("infected_prob"), "vax_param", debug=True)
+    lean = parameter_sensitivity(
+        np_, mono("infected_prob"), "vax_param", method="sensrec"
+    )
+    full = parameter_sensitivity(
+        np_, mono("infected_prob"), "vax_param", method="sensrec", debug=True
+    )
     assert full.equation_count >= lean.equation_count
     for n in range(13):
         a = ep_eval(lean.closed_form, EPIDEMIC_VALS, n)
@@ -337,8 +339,8 @@ def test_debug_mode_agrees_at_probes():
 
 def test_cross_method_agreement_epidemic_fixed_probe():
     np_ = norm(EPIDEMIC)
-    diff = sensitivity_by_differentiation(np_, mono("infected_prob"), "vax_param")
-    rec = sensitivity_by_recurrences(np_, mono("infected_prob"), "vax_param")
+    diff = parameter_sensitivity(np_, mono("infected_prob"), "vax_param", method="diff")
+    rec = parameter_sensitivity(np_, mono("infected_prob"), "vax_param", method="sensrec")
     for n in range(13):
         assert ep_eval(diff.closed_form, EPIDEMIC_VALS, n) == ep_eval(
             rec.closed_form, EPIDEMIC_VALS, n
@@ -359,11 +361,11 @@ _EPIDEMIC_FORMS = {}
 def _epidemic_closed_forms():
     if not _EPIDEMIC_FORMS:
         np_ = norm(EPIDEMIC)
-        _EPIDEMIC_FORMS["diff"] = sensitivity_by_differentiation(
-            np_, mono("infected_prob"), "vax_param"
+        _EPIDEMIC_FORMS["diff"] = parameter_sensitivity(
+            np_, mono("infected_prob"), "vax_param", method="diff"
         ).closed_form
-        _EPIDEMIC_FORMS["rec"] = sensitivity_by_recurrences(
-            np_, mono("infected_prob"), "vax_param"
+        _EPIDEMIC_FORMS["rec"] = parameter_sensitivity(
+            np_, mono("infected_prob"), "vax_param", method="sensrec"
         ).closed_form
     return _EPIDEMIC_FORMS
 
@@ -382,7 +384,7 @@ def test_cross_method_agreement_epidemic_random_probes(vals, n):
 
 def test_solved_sensitivity_matches_finite_differences():
     np_ = norm(MIXED)
-    res = sensitivity_by_recurrences(np_, mono("u"), "p")
+    res = parameter_sensitivity(np_, mono("u"), "p", method="sensrec")
     sigma = {"p": Fraction(3, 10)}
     for n in range(1, 7):
         got = float(ep_eval(res.closed_form, sigma, n))
@@ -414,7 +416,7 @@ def test_power_variable_tracks_second_moment():
     np_ = norm(EPIDEMIC)
     ext, name = with_power_variable(np_, "infected_prob", 2)
     via_track = parameter_sensitivity(ext, mono(name), "vax_param", method="sensrec")
-    direct = sensitivity_by_differentiation(np_, mono("infected_prob**2"), "vax_param")
+    direct = parameter_sensitivity(np_, mono("infected_prob**2"), "vax_param", method="diff")
     for n in range(10):
         assert ep_eval(via_track.closed_form, EPIDEMIC_VALS, n) == ep_eval(
             direct.closed_form, EPIDEMIC_VALS, n

@@ -9,9 +9,13 @@ import pytest
 import sympy as sp
 from sympy import QQ
 
-from probsens.errors import UnsupportedFactorError
+import probsens.solver as solver
+from probsens.errors import SeedSystemError, UnsupportedFactorError
 from probsens.solver import ScalarCFinite, factor_charpoly, solve_system
 from probsens.symbolic import (
+    CounterPoly,
+    ExpPolynomial,
+    ExpTerm,
     ParamExpr,
     ep_diff,
     ep_eval,
@@ -373,3 +377,59 @@ def test_forced_rotation_renders_conjugate_pairs_exactly():
         '2*b))*n)*s[n+1] where s[k+1] = (2*a)*s[k] + (-a**2 - b**2)*s[k-1], s[0] = 2, '
         's[1] = 2*a'
     )
+
+
+# ---------------------------------------------------------------------------
+# Verification of every solved block
+# ---------------------------------------------------------------------------
+
+
+def _nilpotent_pair():
+    """u(n+1) = v(n), v(n+1) = 0: two nilpotent blocks, v's solved first."""
+    return {"u": [(pe(1), "v")], "v": []}, {"u": pe(5), "v": pe(7)}
+
+
+@pytest.mark.parametrize("system", [_forced_rotation, _nilpotent_pair], ids=["rotation", "nilpotent"])
+def test_a_wrong_closed_form_fails_verification(monkeypatch, system):
+    original = solver._assemble
+
+    def spurious(*args):
+        closed = original(*args)
+        extra = ExpTerm(CounterPoly.const(1), pe(3))
+        return ExpPolynomial(closed.prefix, (*closed.terms, extra), closed.quad_terms)
+
+    monkeypatch.setattr(solver, "_assemble", spurious)
+    with pytest.raises(SeedSystemError, match="fails verification at n = "):
+        solve_system(*system())
+
+
+@pytest.mark.parametrize("system", [_forced_rotation, _nilpotent_pair], ids=["rotation", "nilpotent"])
+def test_every_symbol_is_verified_after_its_seed_window(monkeypatch, system):
+    original = solver.ep_value_symbolic
+    indices = []
+
+    def counting(f, n):
+        indices.append(n)
+        return original(f, n)
+
+    monkeypatch.setattr(solver, "ep_value_symbolic", counting)
+    eqs, init = system()
+    forms: dict = {}
+    solve_system(eqs, init, scalar_forms=forms)
+    assert len(indices) == solver.VERIFICATION_POINTS * len(eqs)
+    want = [
+        forms[s].base + forms[s].order + k
+        for s in forms
+        for k in range(solver.VERIFICATION_POINTS)
+    ]
+    assert sorted(indices) == sorted(want)
+
+
+def test_nilpotent_blocks_are_prefixes_with_empty_scalar_forms():
+    eqs, init = _nilpotent_pair()
+    forms: dict = {}
+    solved = solve_system(eqs, init, scalar_forms=forms)
+    assert solved["v"] == ExpPolynomial(prefix=(pe(7),))
+    assert solved["u"] == ExpPolynomial(prefix=(pe(5), pe(7)))
+    assert forms["v"] == ScalarCFinite((), (), base=1)
+    assert forms["u"] == ScalarCFinite((), (), base=2)

@@ -1,5 +1,6 @@
 """Tests for exact parameter expressions and exponential-polynomial closed forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from probsens.symbolic import (
 )
 
 P = ParamExpr("p")
+Q = ParamExpr("q")
 D = ParamExpr("d")
 VP = ParamExpr("vp")
 A = ParamExpr("a")
@@ -253,7 +255,7 @@ def test_singular_point_and_missing_parameter():
 def test_counter_poly():
     f = CounterPoly.make([1, P, Fraction(1, 2)])  # 1 + p*n + n^2/2
     assert f.degree == 2
-    assert f.eval_fraction(3, {"p": Fraction(2)}) == 1 + 6 + Fraction(9, 2)
+    assert f.evaluate(3, lambda c: c.eval_fraction({"p": Fraction(2)})) == 1 + 6 + Fraction(9, 2)
     assert f.shift_up().degree == 3
     assert f.diff_param("p") == CounterPoly.make([0, 1])
     assert (f + f.scale(-1)).is_zero
@@ -325,6 +327,51 @@ def test_ep_extend_prefix_preserves_values():
 def test_ep_value_symbolic():
     f = ExpPolynomial(terms=(ExpTerm(CounterPoly.const(P**2), pe(2)),))
     assert ep_value_symbolic(f, 3) == 8 * P**2
+
+
+def _random_coeff(rng: random.Random) -> ParamExpr:
+    c = pe(rng.randint(-3, 3)) + pe(rng.randint(-2, 2)) * P + pe(rng.randint(-1, 1)) * P * Q
+    return c / (P + rng.randint(1, 3)) if rng.random() < 0.3 else c
+
+
+def _random_counter_poly(rng: random.Random) -> CounterPoly:
+    return CounterPoly.make([_random_coeff(rng) for _ in range(rng.randint(1, 3))])
+
+
+def _random_closed_form(rng: random.Random) -> ExpPolynomial:
+    prefix = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 3)))
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        base = pe(Fraction(rng.randint(1, 4), rng.randint(1, 3))) + P * rng.randint(0, 1)
+        terms.append(ExpTerm(_random_counter_poly(rng), base))
+    quad_terms = []
+    for _ in range(rng.randint(0, 2)):
+        p_poly, q_poly = _random_counter_poly(rng), _random_counter_poly(rng)
+        shape = rng.choice(["p", "q", "both"])
+        quad_terms.append(
+            QuadTerm(
+                p_poly if shape != "q" else CounterPoly(()),
+                q_poly if shape != "p" else CounterPoly(()),
+                P + rng.randint(-2, 2),
+                pe(rng.randint(1, 3)) + Q,
+            )
+        )
+    return ExpPolynomial(prefix, tuple(terms), tuple(quad_terms))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ep_eval_agrees_with_ep_value_symbolic(seed):
+    rng = random.Random(seed)
+    f = _random_closed_form(rng)
+    values = {"p": Fraction(rng.randint(1, 9), 10), "q": Fraction(rng.randint(-5, 5), 7)}
+    for n in range(11):
+        assert ep_eval(f, values, n) == ep_value_symbolic(f, n).eval_fraction(values), (seed, n)
+
+
+def test_ep_eval_names_the_first_unassigned_coefficient():
+    f = ExpPolynomial(terms=(ExpTerm(CounterPoly.make([Q, P]), pe(1)),))  # q + p*n
+    with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): q$"):
+        ep_eval(f, {}, 3)
 
 
 # ---------------------------------------------------------------------------
