@@ -11,6 +11,7 @@ answer cannot pass as a speed-up.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,14 +21,18 @@ from sympy.core.cache import clear_cache
 from probsens.dependency import variable_supports
 from probsens.moments import MomentContext
 from probsens.normalize import normalize
-from probsens.oracle import moment_exact, sample_moment
+from probsens.oracle import fd_sensitivity, moment_exact, sample_moment
 from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import moment_closure, sensitivity_system
 from probsens.solver import VERIFICATION_POINTS, ForwardIterator, solve_system
 from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic
 from probsens.syntax import program_to_source
 
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "src" / "probsens" / "benchmarks"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import refs  # noqa: E402  (hand-derived references, shared with perfbench)
+
 BIMODAL_POINT = {"p": Fraction(2, 7), "q2": Fraction(3, 11), "var": Fraction(4, 13)}
 ROUNDS = 3
 
@@ -203,3 +208,23 @@ def test_oracle_sampling(benchmark):
     )
     exact = 4 * 12 * p * (1 - p) + 12**2 * (2 * p - 1) ** 2
     assert abs(estimate.value - float(exact)) < 5 * estimate.stderr
+
+
+def test_oracle_sampled_fd(benchmark):
+    program = parse((CORPUS / "hawk_dove.prob").read_text(), name="hawk_dove.prob")
+    mono, n, eps, trials = parse_monomial("payoff"), 6, Fraction(1, 10), 50_000
+    point = {"p": Fraction(2, 7), "q": Fraction(3, 11)}
+
+    estimate = benchmark.pedantic(
+        lambda: fd_sensitivity(
+            program, mono, n, "p", point, eps=eps, exact=False, trials=trials, seed=3
+        ),
+        setup=clear_cache,
+        rounds=ROUNDS,
+    )
+    p, q = point["p"], point["q"]
+    want = (refs.hawk_payoff(p + eps, q, n) - refs.hawk_payoff(p - eps, q, n)) / (2 * eps)
+    assert want == refs.hawk_d_payoff(p, q, n)
+    # |payoff| <= 2n, and two thresholds per pass move with p
+    tolerance = refs.sampled_difference_tolerance(2 * n, 2, n, eps, trials)
+    assert abs(estimate.value - float(want)) < tolerance

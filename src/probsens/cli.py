@@ -14,6 +14,7 @@ a singular parameter point.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -499,7 +500,9 @@ def simulate(program, monomial, steps, params, trials, seed, fd):
                     {
                         "mode": est.mode,
                         "value": float(est.value),
-                        "stderr": est.stderr,
+                        # undefined for one trial (and NaN once samples overflow);
+                        # strict JSON has neither Infinity nor NaN
+                        "stderr": est.stderr if math.isfinite(est.stderr) else None,
                         "trials": est.trials,
                     }
                 )

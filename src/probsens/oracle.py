@@ -13,12 +13,16 @@ Both modes accept either a parsed program or its normalized form, and each
 has one interpreter, over structured statements: a normalized program is read
 back as such, with each guarded assignment ``t = rhs [C] else s`` read as
 ``if C: t = rhs else: t = s``.
+
+Each call binds the program to its parameter point once: a coefficient or
+probability is evaluated the first time the interpreter reads it and reused
+for the rest of the call, never across calls.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
@@ -42,7 +46,6 @@ from .syntax import (
     PolyExpr,
     Program,
     VarMonomial,
-    bexpr_eval,
 )
 
 AnyProgram = Union[Program, NormalizedProgram]
@@ -109,15 +112,31 @@ def _dist_outcomes(rhs: DistDraw, sigma) -> list[tuple[Fraction, Fraction]]:
     raise OracleError(f"cannot enumerate draws from a continuous {rhs.kind} distribution")
 
 
-def _rhs_outcomes(rhs, state, sigma) -> list[tuple[Fraction, Fraction]]:
-    if isinstance(rhs, DistDraw):
-        return _dist_outcomes(rhs, sigma)
-    out = []
-    for poly, prob in rhs.choices:
-        p = checked_probability(prob.eval_fraction(sigma), "choice")
-        if p != 0:
-            out.append((poly.eval_with_params(state, sigma), p))
-    return out
+def _exact(q):
+    """``q`` as an ``int`` when it is integral.  An ``int`` and a ``Fraction``
+    of equal value compare and hash alike, and ints are far cheaper to
+    multiply and to hash."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _value(terms, state):
+    """A bound polynomial's value in a tuple state."""
+    acc = 0
+    for c, powers in terms:
+        for i, e in powers:
+            c = c * state[i] ** e
+        acc += c
+    return acc if type(acc) is int else _exact(acc)
+
+
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
 
 class _Budget:
@@ -131,43 +150,128 @@ class _Budget:
             raise OracleError(f"enumeration budget of {self.limit} states exceeded")
 
 
-def _merge(frontier, names):
-    acc: dict[tuple, Fraction] = defaultdict(Fraction)
+def _merge(frontier):
+    acc: dict[tuple, Fraction] = {}
+    get = acc.get
     for state, w in frontier:
-        acc[tuple(state[v] for v in names)] += w
-    return [(dict(zip(names, key)), w) for key, w in acc.items()]
+        old = get(state)
+        acc[state] = w if old is None else old + w
+    return list(acc.items())
 
 
-def _exec_statements(stmts, frontier, sigma, names, budget):
-    for st in stmts:
-        new = []
-        for state, w in frontier:
-            budget.spend()
-            new.extend(_exec_one(st, state, w, sigma, names, budget))
-        frontier = _merge(new, names)
-    return frontier
+class _Enumeration:
+    """One enumeration: a program bound to one parameter point.
 
+    A state is a tuple indexed by variable position.  Each coefficient and
+    probability is evaluated once, on the first state that reaches it and in
+    the order a state-by-state interpreter reads them, so the first error is
+    the same and an unreached branch raises none.  ``bound`` maps a syntax
+    object's ``id`` to its bound form; it lives as long as the call.
+    """
 
-def _exec_one(st, state, w, sigma, names, budget):
-    if isinstance(st, Assignment):
-        outcome_lists = [_rhs_outcomes(rhs, state, sigma) for rhs in st.rhss]
-        out = []
-        for combo in product(*outcome_lists):
-            budget.spend()
-            s2 = dict(state)
-            p = w
-            for t, (val, pr) in zip(st.targets, combo):
-                s2[t] = val
-                p *= pr
-            out.append((s2, p))
+    def __init__(self, names, sigma, budget: _Budget):
+        self.pos = {v: i for i, v in enumerate(names)}
+        self.sigma = sigma
+        self.budget = budget
+        self.bound: dict[int, object] = {}
+
+    def poly(self, poly: PolyExpr):
+        """((coefficient, ((variable index, exponent), ...)), ...)"""
+        terms = self.bound.get(id(poly))
+        if terms is None:
+            terms = self.bound[id(poly)] = tuple(
+                (_exact(c.eval_fraction(self.sigma)), tuple((self.pos[v], e) for v, e in m.powers))
+                for m, c in poly.terms
+            )
+        return terms
+
+    def outcomes(self, rhs):
+        """[(bound value polynomial, probability), ...] of a right-hand side."""
+        out = self.bound.get(id(rhs))
+        if out is None:
+            if isinstance(rhs, DistDraw):
+                out = [(((_exact(v), ()),), p) for v, p in _dist_outcomes(rhs, self.sigma)]
+            else:
+                out = []
+                for poly, prob in rhs.choices:
+                    p = checked_probability(prob.eval_fraction(self.sigma), "choice")
+                    if p != 0:
+                        out.append((self.poly(poly), p))
+            self.bound[id(rhs)] = out
         return out
-    # conditional: first branch whose condition holds, else the else body
-    for cond, body in st.branches:
-        if bexpr_eval(cond, state, sigma):
-            return _exec_statements(body, [(state, w)], sigma, names, budget)
-    if st.else_body is not None:
-        return _exec_statements(st.else_body, [(state, w)], sigma, names, budget)
-    return [(state, w)]
+
+    def holds(self, b, state) -> bool:
+        if isinstance(b, Comparison):
+            lhs, rhs = self.poly(b.lhs), self.poly(b.rhs)
+            return _COMPARE[b.op](_value(lhs, state), _value(rhs, state))
+        if isinstance(b, BTrue):
+            return True
+        if isinstance(b, BFalse):
+            return False
+        if isinstance(b, Not):
+            return not self.holds(b.arg, state)
+        if isinstance(b, And):
+            return self.holds(b.lhs, state) and self.holds(b.rhs, state)
+        return self.holds(b.lhs, state) or self.holds(b.rhs, state)
+
+    def run(self, stmts, frontier):
+        """Run statements over a frontier of (state, weight) pairs, merging
+        equal states between statements.  The last statement's result is
+        left for the caller to merge."""
+        for k, st in enumerate(stmts):
+            if k:
+                frontier = _merge(frontier)
+            if isinstance(st, Assignment):
+                frontier = self.assign(st, frontier)
+            else:
+                frontier = self.branch(st, frontier)
+        return frontier
+
+    def assign(self, st: Assignment, frontier):
+        if not frontier:
+            return frontier
+        budget = self.budget
+        budget.spend()  # the first state's unit comes before its outcomes
+        lists = [self.outcomes(rhs) for rhs in st.rhss]
+        # One unit per state and one per outcome combination; the counts do
+        # not depend on the state, so the whole spend is known up front.
+        budget.spend(len(frontier) * (1 + math.prod(map(len, lists))) - 1)
+        targets = [self.pos[t] for t in st.targets]
+        out = []
+        if len(targets) == 1:
+            t, outcomes = targets[0], lists[0]
+            for state, w in frontier:
+                for terms, p in outcomes:
+                    s = list(state)
+                    s[t] = _value(terms, state)
+                    out.append((tuple(s), w * p))
+            return out
+        for state, w in frontier:
+            for combo in product(*lists):
+                s = list(state)
+                p = w
+                for t, (terms, pr) in zip(targets, combo):
+                    s[t] = _value(terms, state)
+                    p *= pr
+                out.append((tuple(s), p))
+        return out
+
+    def branch(self, st: IfStatement, frontier):
+        """The first branch whose condition holds, else the else body, per
+        state in frontier order."""
+        out = []
+        for state, w in frontier:
+            self.budget.spend()
+            for cond, body in st.branches:
+                if self.holds(cond, state):
+                    break
+            else:
+                body = st.else_body
+                if body is None:
+                    out.append((state, w))
+                    continue
+            out.extend(self.run(body, [(state, w)]))
+        return out
 
 
 def enumerate_distribution(
@@ -178,20 +282,20 @@ def enumerate_distribution(
     budget: int = DEFAULT_BUDGET,
 ) -> dict[Fraction, Fraction]:
     """Exact distribution of a monomial's value after n iterations."""
-    sigma = dict(sigma or {})
-    tracker = _Budget(budget)
     names, init, body = _statements(program)
-    frontier = [({v: Fraction(0) for v in names}, Fraction(1))]
-    frontier = _exec_statements(init, frontier, sigma, names, tracker)
+    run = _Enumeration(names, dict(sigma or {}), _Budget(budget))
+    frontier = _merge(run.run(init, [((0,) * len(names), Fraction(1))]))
     for _ in range(n):
-        frontier = _exec_statements(body, frontier, sigma, names, tracker)
-    dist: dict[Fraction, Fraction] = defaultdict(Fraction)
+        frontier = _merge(run.run(body, frontier))
+    pos = run.pos
+    dist: dict = {}
     for state, w in frontier:
-        val = Fraction(1)
+        val = 1
         for v, e in monomial.powers:
-            val *= state[v] ** e
-        dist[val] += w
-    return dict(dist)
+            val *= state[pos[v]] ** e
+        old = dist.get(val)
+        dist[val] = w if old is None else old + w
+    return {Fraction(val): w for val, w in dist.items()}
 
 
 def moment_exact(
@@ -223,73 +327,18 @@ def _site_generator(seed: int, site: int, iteration: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _poly_vec(poly, states, sigma) -> np.ndarray:
-    trials = len(next(iter(states.values())))
+def _poly_vec(terms, states, trials: int) -> np.ndarray:
+    """A polynomial bound to float coefficients, one value per trial.  A
+    coefficient of None stands for 1: multiplying by 1.0, like raising to
+    the first power, leaves every float as it is, so both are skipped."""
     acc = np.zeros(trials)
-    for mono, coeff in poly.terms:
-        term = np.full(trials, float(coeff.eval_fraction(sigma)))
-        for v, e in mono.powers:
-            term = term * states[v] ** e
-        acc = acc + term
+    for c, powers in terms:
+        term = c
+        for v, e in powers:
+            x = states[v] if e == 1 else states[v] ** e
+            term = x if term is None else term * x
+        acc = acc + (1.0 if term is None else term)
     return acc
-
-
-def _bexpr_vec(b, states, sigma) -> np.ndarray:
-    trials = len(next(iter(states.values())))
-    if isinstance(b, BTrue):
-        return np.ones(trials, dtype=bool)
-    if isinstance(b, BFalse):
-        return np.zeros(trials, dtype=bool)
-    if isinstance(b, Comparison):
-        lv = _poly_vec(b.lhs, states, sigma)
-        rv = _poly_vec(b.rhs, states, sigma)
-        return {
-            "==": lv == rv,
-            "!=": lv != rv,
-            "<": lv < rv,
-            ">": lv > rv,
-            "<=": lv <= rv,
-            ">=": lv >= rv,
-        }[b.op]
-    if isinstance(b, Not):
-        return ~_bexpr_vec(b.arg, states, sigma)
-    if isinstance(b, And):
-        return _bexpr_vec(b.lhs, states, sigma) & _bexpr_vec(b.rhs, states, sigma)
-    if isinstance(b, Or):
-        return _bexpr_vec(b.lhs, states, sigma) | _bexpr_vec(b.rhs, states, sigma)
-    raise AssertionError(b)
-
-
-def _rhs_vec(rhs, site: int, states, sigma, seed: int, iteration: int, trials: int) -> np.ndarray:
-    if isinstance(rhs, DistDraw):
-        gen = _site_generator(seed, site, iteration)
-        exact = [a.eval_fraction(sigma) for a in rhs.args]
-        args = [float(a) for a in exact]
-        if rhs.kind == "Normal":
-            if exact[1] < 0:
-                raise OracleError(f"Normal variance {exact[1]} is negative")
-            mean, var = args
-            return mean + math.sqrt(var) * gen.standard_normal(trials)
-        u = gen.random(trials)
-        if rhs.kind == "Bernoulli":
-            return (u < float(checked_probability(exact[0], "Bernoulli"))).astype(float)
-        if rhs.kind == "Uniform":
-            a, b = args
-            return a + (b - a) * u
-        if rhs.kind == "DiscreteUniform":
-            a, b = args
-            return np.minimum(np.floor(a + u * (b - a + 1)), b)
-        raise AssertionError(rhs.kind)
-    if rhs.is_deterministic:
-        return _poly_vec(rhs.choices[0][0], states, sigma)
-    u = _site_generator(seed, site, iteration).random(trials)
-    cum = np.cumsum(
-        [float(checked_probability(p.eval_fraction(sigma), "choice")) for _, p in rhs.choices]
-    )
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(rhs.choices) - 1)
-    vals = np.stack([_poly_vec(poly, states, sigma) for poly, _ in rhs.choices])
-    return np.take_along_axis(vals, idx[None, :], axis=0)[0]
 
 
 def _number_sites(stmts):
@@ -314,6 +363,122 @@ def _number_sites(stmts):
     return sites
 
 
+class _Sampling:
+    """One simulation: a program bound to one parameter point.
+
+    Each coefficient, distribution argument and choice's cumulative
+    probabilities become floats the first time a statement reads them, in
+    the order the statements run, so the first error is that of evaluating
+    at every read.  ``bound`` maps a syntax object's ``id`` to its bound
+    form; it lives as long as the call.
+    """
+
+    def __init__(self, names, sites, trials: int, seed: int, sigma):
+        self.sites = sites
+        self.trials = trials
+        self.seed = seed
+        self.sigma = sigma
+        self.states = {v: np.zeros(trials) for v in names}
+        self.bound: dict[int, object] = {}
+
+    def poly(self, poly: PolyExpr) -> np.ndarray:
+        terms = self.bound.get(id(poly))
+        if terms is None:
+            terms = []
+            for m, c in poly.terms:
+                value = c.eval_fraction(self.sigma)
+                terms.append((None if value == 1 else float(value), m.powers))
+            self.bound[id(poly)] = terms
+        return _poly_vec(terms, self.states, self.trials)
+
+    def test(self, b) -> np.ndarray:
+        if isinstance(b, Comparison):
+            lv, rv = self.poly(b.lhs), self.poly(b.rhs)
+            return _COMPARE[b.op](lv, rv)
+        if isinstance(b, BTrue):
+            return np.ones(self.trials, dtype=bool)
+        if isinstance(b, BFalse):
+            return np.zeros(self.trials, dtype=bool)
+        if isinstance(b, Not):
+            return ~self.test(b.arg)
+        if isinstance(b, And):
+            return self.test(b.lhs) & self.test(b.rhs)
+        if isinstance(b, Or):
+            return self.test(b.lhs) | self.test(b.rhs)
+        raise AssertionError(b)
+
+    def dist_args(self, rhs: DistDraw) -> list[float]:
+        args = self.bound.get(id(rhs))
+        if args is None:
+            exact = [a.eval_fraction(self.sigma) for a in rhs.args]
+            if rhs.kind == "Normal":
+                if exact[1] < 0:
+                    raise OracleError(f"Normal variance {exact[1]} is negative")
+            elif rhs.kind == "Bernoulli":
+                checked_probability(exact[0], "Bernoulli")
+            args = self.bound[id(rhs)] = [float(a) for a in exact]
+        return args
+
+    def cumulative(self, rhs: Categorical) -> np.ndarray:
+        cum = self.bound.get(id(rhs))
+        if cum is None:
+            cum = self.bound[id(rhs)] = np.cumsum(
+                [float(checked_probability(p.eval_fraction(self.sigma), "choice")) for _, p in rhs.choices]
+            )
+        return cum
+
+    def draw(self, rhs, iteration: int) -> np.ndarray:
+        trials = self.trials
+        if isinstance(rhs, DistDraw):
+            gen = _site_generator(self.seed, self.sites[id(rhs)], iteration)
+            args = self.dist_args(rhs)
+            if rhs.kind == "Normal":
+                mean, var = args
+                return mean + math.sqrt(var) * gen.standard_normal(trials)
+            u = gen.random(trials)
+            if rhs.kind == "Bernoulli":
+                return (u < args[0]).astype(float)
+            if rhs.kind == "Uniform":
+                a, b = args
+                return a + (b - a) * u
+            if rhs.kind == "DiscreteUniform":
+                a, b = args
+                return np.minimum(np.floor(a + u * (b - a + 1)), b)
+            raise AssertionError(rhs.kind)
+        if rhs.is_deterministic:
+            return self.poly(rhs.choices[0][0])
+        u = _site_generator(self.seed, self.sites[id(rhs)], iteration).random(trials)
+        cum = self.cumulative(rhs)
+        vals = [self.poly(poly) for poly, _ in rhs.choices]
+        # The first alternative j with u < cum[j], else the last one: the
+        # index searchsorted(cum, u, side="right") picks, clipped to the last.
+        out = vals[-1]
+        for j in range(len(vals) - 2, -1, -1):
+            out = np.where(u < cum[j], vals[j], out)
+        return out
+
+    def run(self, stmts, mask, iteration: int) -> None:
+        """Run statements on the trials where ``mask`` holds; a mask of None
+        stands for every trial."""
+        states = self.states
+        for st in stmts:
+            if isinstance(st, Assignment):
+                news = [self.draw(rhs, iteration) for rhs in st.rhss]
+                for t, v in zip(st.targets, news):
+                    states[t] = v if mask is None else np.where(mask, v, states[t])
+                continue
+            taken = np.zeros(self.trials, dtype=bool)
+            for cond, branch in st.branches:
+                c = self.test(cond)
+                if mask is not None:
+                    c = c & mask
+                c = c & ~taken
+                self.run(branch, c, iteration)
+                taken |= c
+            if st.else_body is not None:
+                self.run(st.else_body, ~taken if mask is None else mask & ~taken, iteration)
+
+
 def _simulate_states(
     program: AnyProgram,
     n: int,
@@ -322,35 +487,11 @@ def _simulate_states(
     sigma: Mapping[str, Fraction],
 ) -> dict[str, np.ndarray]:
     names, init, body = _statements(program)
-    sites = _number_sites(init + body)
-    states = {v: np.zeros(trials) for v in names}
-
-    def exec_assignment(st: Assignment, mask, iteration):
-        news = [
-            _rhs_vec(rhs, sites.get(id(rhs), 0), states, sigma, seed, iteration, trials)
-            for rhs in st.rhss
-        ]
-        for t, v in zip(st.targets, news):
-            states[t] = np.where(mask, v, states[t])
-
-    def exec_statements(stmts, mask, iteration):
-        for st in stmts:
-            if isinstance(st, Assignment):
-                exec_assignment(st, mask, iteration)
-            else:
-                taken = np.zeros(trials, dtype=bool)
-                for cond, branch in st.branches:
-                    c = _bexpr_vec(cond, states, sigma) & mask & ~taken
-                    exec_statements(branch, c, iteration)
-                    taken |= c
-                if st.else_body is not None:
-                    exec_statements(st.else_body, mask & ~taken, iteration)
-
-    all_true = np.ones(trials, dtype=bool)
-    exec_statements(init, all_true, 0)
+    sim = _Sampling(names, _number_sites(init + body), trials, seed, sigma)
+    sim.run(init, None, 0)
     for k in range(1, n + 1):
-        exec_statements(body, all_true, k)
-    return states
+        sim.run(body, None, k)
+    return sim.states
 
 
 def _sampled_values(

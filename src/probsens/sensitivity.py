@@ -246,7 +246,9 @@ def _monomial_heap_push(heap: list, queued: set, monomial: VarMonomial) -> None:
 
 
 def _cap_guard(cap: int, equations: dict, pending: int) -> None:
-    if len(equations) >= cap and pending:
+    """Raise once the system cannot fit: every one of the ``pending`` queued
+    monomials still gets an equation of its own."""
+    if len(equations) + pending > cap:
         recent = list(equations)[-5:]
         raise EquationCapError(
             cap, len(equations) + pending, tuple(str(s) for s in recent)
@@ -394,7 +396,7 @@ def sensitivity_system(
 
     while sens_heap:
         _, mono = heappop(sens_heap)
-        _cap_guard(cap, equations, len(sens_heap) + 1)
+        _cap_guard(cap, equations, len(sens_heap) + 1 + len(mom_heap))
         rec = sensitivity_recurrence(ctx, graph, mono, param, debug=debug)
         equations[rec.lhs] = rec
         for _, sym in rec.terms:

@@ -339,6 +339,15 @@ def test_cap_option_exits_5(runner):
     assert "cap" in result.output
 
 
+def test_non_closing_moments_exit_5_at_the_default_cap(runner):
+    # E[u] needs ever higher moments of w and x; the queued ones count
+    # against the cap, so the command stops well before 500 equations exist
+    result = runner.invoke(main, ["dump-recurrences", FIG_PAIR, "--target", "u"])
+    assert result.exit_code == 5
+    assert "exceeded the equation cap" in result.output
+    assert "> 500)" in result.output
+
+
 def test_cap_env_var_exits_5(runner, monkeypatch):
     monkeypatch.setenv(cli.CAP_ENV_VAR, "30")
     result = runner.invoke(main, ["dump-recurrences", FIG_PAIR, "--target", "w"])
@@ -542,6 +551,24 @@ def test_simulate_sampled(runner):
     assert out["mode"] == "sampled"
     assert out["trials"] == 2000
     assert out["stderr"] > 0.0
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("fd", [[], ["--fd", "p:1/10"]])
+def test_simulate_one_trial_prints_strict_json(fd):
+    # one trial has no standard error: it is printed as null, not Infinity
+    walk = str(CORPUS / "random_walk_1d.prob")
+    proc = _run_cli("simulate", walk, "--monomial", "x", "--n", "2", "--param", "p=1/3", "--trials", "1", *fd)
+    assert proc.returncode == 0, proc.stderr
+    out = _strict_json(proc.stdout)
+    assert out["trials"] == 1
+    assert out["stderr"] is None
 
 
 def test_simulate_missing_parameter_value_is_usage_error(runner):

@@ -1,9 +1,18 @@
 """Tests for the enumeration/simulation oracle itself, against hand-computed values."""
 
+import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import probsens.oracle as oracle
 from probsens.errors import OracleError
 from probsens.normalize import normalize
 from probsens.oracle import (
@@ -13,6 +22,20 @@ from probsens.oracle import (
     sample_moment,
 )
 from probsens.parser import parse, parse_monomial
+from probsens.syntax import (
+    And,
+    Assignment,
+    BFalse,
+    BTrue,
+    Comparison,
+    DistDraw,
+    Not,
+    bexpr_eval,
+)
+
+from test_normalize import random_programs
+
+CORPUS = Path(oracle.__file__).parent / "benchmarks"
 
 WALK = "x = 0\nwhile true:\n  x = x + 1 {p} x - 1\nend\n"
 
@@ -65,6 +88,16 @@ def test_budget_exceeded():
         moment_exact(normalize(blow), parse_monomial("x"), 50, {}, budget=2000)
     with pytest.raises(OracleError):
         moment_exact(prog, parse_monomial("x"), 1, {})
+
+
+def test_budget_counts_a_unit_per_state_and_per_outcome():
+    # the normalized umbrella spends 4 units on its two initial assignments
+    # and 9, 18, 18, 18 on its first four passes
+    program = normalize(parse((CORPUS / "umbrella.prob").read_text()))
+    mono, point = parse_monomial("umbrella"), {"p": Fraction(2, 7), "q": Fraction(3, 11)}
+    assert moment_exact(program, mono, 4, point, budget=67) == moment_exact(program, mono, 4, point)
+    with pytest.raises(OracleError, match="enumeration budget of 66 states exceeded"):
+        moment_exact(program, mono, 4, point, budget=66)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -171,3 +204,327 @@ def test_sampled_fd_stderr_matches_the_spread_across_seeds():
     spread = (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
     for e in estimates:
         assert spread / 2 < e.stderr < 2 * spread
+
+
+# ---------------------------------------------------------------------------
+# The bound interpreters against the ones they replaced
+#
+# The references below are the dict-state enumerator, which evaluates every
+# coefficient per state and checks the budget one unit at a time, and the
+# sampler that evaluates every coefficient per read and picks a choice with
+# searchsorted.  Both must agree with the oracle exactly: the same
+# distribution in the same order, the same budget spent, the same sampled
+# bytes and the same first error.
+# ---------------------------------------------------------------------------
+
+
+def _ref_outcomes(rhs, state, sigma):
+    if isinstance(rhs, DistDraw):
+        return oracle._dist_outcomes(rhs, sigma)
+    out = []
+    for poly, prob in rhs.choices:
+        p = oracle.checked_probability(prob.eval_fraction(sigma), "choice")
+        if p != 0:
+            out.append((poly.eval_with_params(state, sigma), p))
+    return out
+
+
+def _ref_merge(frontier, names):
+    acc = defaultdict(Fraction)
+    for state, w in frontier:
+        acc[tuple(state[v] for v in names)] += w
+    return [(dict(zip(names, key)), w) for key, w in acc.items()]
+
+
+def _ref_exec_statements(stmts, frontier, sigma, names, budget):
+    for st in stmts:
+        new = []
+        for state, w in frontier:
+            budget.spend()
+            new.extend(_ref_exec_one(st, state, w, sigma, names, budget))
+        frontier = _ref_merge(new, names)
+    return frontier
+
+
+def _ref_exec_one(st, state, w, sigma, names, budget):
+    if isinstance(st, Assignment):
+        outcome_lists = [_ref_outcomes(rhs, state, sigma) for rhs in st.rhss]
+        out = []
+        for combo in product(*outcome_lists):
+            budget.spend()
+            s2 = dict(state)
+            p = w
+            for t, (val, pr) in zip(st.targets, combo):
+                s2[t] = val
+                p *= pr
+            out.append((s2, p))
+        return out
+    for cond, body in st.branches:
+        if bexpr_eval(cond, state, sigma):
+            return _ref_exec_statements(body, [(state, w)], sigma, names, budget)
+    if st.else_body is not None:
+        return _ref_exec_statements(st.else_body, [(state, w)], sigma, names, budget)
+    return [(state, w)]
+
+
+def _ref_distribution(program, monomial, n, sigma, budget):
+    names, init, body = oracle._statements(program)
+    frontier = [({v: Fraction(0) for v in names}, Fraction(1))]
+    frontier = _ref_exec_statements(init, frontier, sigma, names, budget)
+    for _ in range(n):
+        frontier = _ref_exec_statements(body, frontier, sigma, names, budget)
+    dist = defaultdict(Fraction)
+    for state, w in frontier:
+        val = Fraction(1)
+        for v, e in monomial.powers:
+            val *= state[v] ** e
+        dist[val] += w
+    return dict(dist)
+
+
+def _ref_poly_vec(poly, states, sigma):
+    trials = len(next(iter(states.values())))
+    acc = np.zeros(trials)
+    for mono, coeff in poly.terms:
+        term = np.full(trials, float(coeff.eval_fraction(sigma)))
+        for v, e in mono.powers:
+            term = term * states[v] ** e
+        acc = acc + term
+    return acc
+
+
+def _ref_bexpr_vec(b, states, sigma):
+    trials = len(next(iter(states.values())))
+    if isinstance(b, BTrue):
+        return np.ones(trials, dtype=bool)
+    if isinstance(b, BFalse):
+        return np.zeros(trials, dtype=bool)
+    if isinstance(b, Comparison):
+        lv = _ref_poly_vec(b.lhs, states, sigma)
+        rv = _ref_poly_vec(b.rhs, states, sigma)
+        return {"==": lv == rv, "!=": lv != rv, "<": lv < rv, ">": lv > rv,
+                "<=": lv <= rv, ">=": lv >= rv}[b.op]
+    if isinstance(b, Not):
+        return ~_ref_bexpr_vec(b.arg, states, sigma)
+    if isinstance(b, And):
+        return _ref_bexpr_vec(b.lhs, states, sigma) & _ref_bexpr_vec(b.rhs, states, sigma)
+    return _ref_bexpr_vec(b.lhs, states, sigma) | _ref_bexpr_vec(b.rhs, states, sigma)
+
+
+def _ref_rhs_vec(rhs, site, states, sigma, seed, iteration, trials):
+    if isinstance(rhs, DistDraw):
+        gen = oracle._site_generator(seed, site, iteration)
+        exact = [a.eval_fraction(sigma) for a in rhs.args]
+        args = [float(a) for a in exact]
+        if rhs.kind == "Normal":
+            if exact[1] < 0:
+                raise OracleError(f"Normal variance {exact[1]} is negative")
+            mean, var = args
+            return mean + math.sqrt(var) * gen.standard_normal(trials)
+        u = gen.random(trials)
+        if rhs.kind == "Bernoulli":
+            return (u < float(oracle.checked_probability(exact[0], "Bernoulli"))).astype(float)
+        if rhs.kind == "Uniform":
+            a, b = args
+            return a + (b - a) * u
+        a, b = args
+        return np.minimum(np.floor(a + u * (b - a + 1)), b)
+    if rhs.is_deterministic:
+        return _ref_poly_vec(rhs.choices[0][0], states, sigma)
+    u = oracle._site_generator(seed, site, iteration).random(trials)
+    cum = np.cumsum(
+        [float(oracle.checked_probability(p.eval_fraction(sigma), "choice")) for _, p in rhs.choices]
+    )
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(rhs.choices) - 1)
+    vals = np.stack([_ref_poly_vec(poly, states, sigma) for poly, _ in rhs.choices])
+    return np.take_along_axis(vals, idx[None, :], axis=0)[0]
+
+
+def _ref_sampled_values(program, monomial, n, trials, seed, sigma):
+    names, init, body = oracle._statements(program)
+    sites = oracle._number_sites(init + body)
+    states = {v: np.zeros(trials) for v in names}
+
+    def exec_statements(stmts, mask, iteration):
+        for st in stmts:
+            if isinstance(st, Assignment):
+                news = [
+                    _ref_rhs_vec(rhs, sites.get(id(rhs), 0), states, sigma, seed, iteration, trials)
+                    for rhs in st.rhss
+                ]
+                for t, v in zip(st.targets, news):
+                    states[t] = np.where(mask, v, states[t])
+            else:
+                taken = np.zeros(trials, dtype=bool)
+                for cond, branch in st.branches:
+                    c = _ref_bexpr_vec(cond, states, sigma) & mask & ~taken
+                    exec_statements(branch, c, iteration)
+                    taken |= c
+                if st.else_body is not None:
+                    exec_statements(st.else_body, mask & ~taken, iteration)
+
+    all_true = np.ones(trials, dtype=bool)
+    exec_statements(init, all_true, 0)
+    for k in range(1, n + 1):
+        exec_statements(body, all_true, k)
+    vals = np.ones(trials)
+    for v, e in monomial.powers:
+        vals = vals * states[v] ** e
+    return vals
+
+
+def _outcome(run):
+    """('ok', result) or ('error', type, message) of the first error."""
+    try:
+        return ("ok", run())
+    except (OracleError, ValueError, ZeroDivisionError, KeyError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _enumerated(program, monomial, n, sigma, budget):
+    """The oracle's distribution as a list in dict order, and the budget it
+    spent; the budget is read from the one tracker the call makes."""
+    trackers = []
+
+    class Recording(oracle._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            trackers.append(self)
+
+    with mock.patch.object(oracle, "_Budget", Recording):
+        out = _outcome(lambda: list(enumerate_distribution(program, monomial, n, sigma, budget).items()))
+    return out, trackers[0].used
+
+
+def _assert_enumeration_matches(program, monomial, n, sigma, budget=oracle.DEFAULT_BUDGET):
+    tracker = oracle._Budget(budget)
+    want = _outcome(lambda: list(_ref_distribution(program, monomial, n, sigma, tracker).items()))
+    got, used = _enumerated(program, monomial, n, sigma, budget)
+    assert got == want
+    if got[0] == "ok":
+        assert used == tracker.used
+        assert all(type(v) is Fraction and type(w) is Fraction for v, w in got[1])
+    return got
+
+
+def _assert_sampling_matches(program, monomial, n, sigma, trials=64, seed=5):
+    want = _outcome(lambda: _ref_sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
+    got = _outcome(lambda: oracle._sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
+    assert got == want
+
+
+@given(
+    random_programs(),
+    st.sampled_from(["a", "b", "c", "a*b", "c**2"]),
+    st.integers(0, 2),
+    st.sampled_from([None, Fraction(1, 3), Fraction(0), Fraction(1), Fraction(3, 2)]),
+    st.integers(0, 80),
+)
+@settings(max_examples=80, deadline=None)
+def test_bound_interpreters_match_references_on_random_programs(src, target, n, p, budget):
+    # {1/2} becomes the parameter p: left unassigned (None), at the edges of
+    # [0, 1], or outside it; a small budget runs out on some programs
+    src = src.replace("{1/2}", "{p}")
+    sigma = {} if p is None else {"p": p}
+    mono = parse_monomial(target)
+    for program in (parse(src), normalize(parse(src))):
+        _assert_enumeration_matches(program, mono, n, sigma)
+        _assert_enumeration_matches(program, mono, n, sigma, budget)
+        _assert_sampling_matches(program, mono, n, sigma)
+
+
+CORPUS_POINT = (Fraction(2, 7), Fraction(3, 11), Fraction(4, 13))
+
+
+def _corpus_programs():
+    for path in sorted(CORPUS.glob("*.prob")):
+        program = parse(path.read_text(), name=path.name)
+        yield pytest.param(program, id=path.stem)
+
+
+@pytest.mark.parametrize("program", _corpus_programs())
+def test_bound_interpreters_match_references_on_the_corpus(program):
+    # coin_flips_50 spends about 3 * 2^k units by its k-th coin, so the
+    # default budget would keep the reference busy for minutes; with 20000
+    # it runs out early in the first pass.  Errors: a missing parameter,
+    # each parameter outside [0, 1], and a budget that runs out early.
+    params = sorted(program.params)
+    sigma = dict(zip(params, CORPUS_POINT))
+    mono = parse_monomial(program.variables[0])
+    budget = 20_000 if program.name == "coin_flips_50.prob" else oracle.DEFAULT_BUDGET
+    for n in range(3):
+        _assert_enumeration_matches(program, mono, n, sigma, budget)
+        _assert_enumeration_matches(program, mono, n, sigma, 50)
+        _assert_sampling_matches(program, mono, n, sigma)
+        for name in params:
+            missing = {k: v for k, v in sigma.items() if k != name}
+            _assert_enumeration_matches(program, mono, n, missing, budget)
+            _assert_sampling_matches(program, mono, n, missing)
+            bad = dict(sigma, **{name: Fraction(3, 2)})
+            _assert_enumeration_matches(program, mono, n, bad, budget)
+            _assert_sampling_matches(program, mono, n, bad)
+
+
+def test_zero_probability_and_three_way_choices_sample_alike():
+    program = parse(
+        "x = 0\ny = 0\nz = 0\nwhile true:\n"
+        "  x = 1 {p} 2 {q} 3\n"
+        "  y = y + 1 {0} y - 1 {q} y\n"
+        "  z = z + x {p} z - y {0} z * 2 {q} 7\n"
+        "end\n"
+    )
+    for p, q in [(Fraction(1, 3), Fraction(1, 3)), (Fraction(0), Fraction(1, 2)),
+                 (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]:
+        sigma = {"p": p, "q": q}
+        for target in ("x", "y", "z", "x*z"):
+            mono = parse_monomial(target)
+            for form in (program, normalize(program)):
+                _assert_sampling_matches(form, mono, 4, sigma, trials=500)
+                _assert_enumeration_matches(form, mono, 3, sigma)
+
+
+def test_draws_sample_and_enumerate_alike():
+    program = parse(
+        "x = 0\nb = 0\nd = 0\nu = 0\ng = 0\nwhile true:\n"
+        "  b = Bernoulli(p)\n  d = DiscreteUniform(0, 3)\n"
+        "  if b == 1:\n    if d < 2:\n      x = x + d\n    else:\n      x = x - d\n    end\n"
+        "  else:\n    x = x - 1 {q} x\n  end\n"
+        "  u = Uniform(0, 2)\n  g = Normal(m, v)\nend\n"
+    )
+    sigma = {"p": Fraction(1, 4), "q": Fraction(2, 5), "m": Fraction(1), "v": Fraction(2)}
+    for target in ("x", "b", "d", "u", "g", "x*u"):
+        _assert_sampling_matches(program, parse_monomial(target), 3, sigma, trials=300)
+    for bad in ({"p": Fraction(-1, 4)}, {"v": Fraction(-2)}, {"m": None}):
+        point = {k: v for k, v in {**sigma, **bad}.items() if v is not None}
+        _assert_sampling_matches(program, parse_monomial("x"), 3, point, trials=300)
+        _assert_enumeration_matches(program, parse_monomial("x"), 2, point)
+    # the continuous draws come after x, so enumeration reaches them and fails
+    _assert_enumeration_matches(program, parse_monomial("x"), 2, sigma)
+
+
+def test_first_error_between_budget_and_evaluation():
+    # a state spends its unit before its outcomes are evaluated, so a budget
+    # that runs out on that unit wins over a missing or bad parameter
+    program = parse("x = 0\ny = 0\nwhile true:\n  x = x + 1 {1/2} x\n  y = y + x {p} y\nend\n")
+    mono = parse_monomial("y")
+    for sigma in ({}, {"p": Fraction(3, 2)}):
+        # 4 units for the initial values and 3 for the first x; y's first
+        # state spends the 8th unit
+        for budget in range(10):
+            error = _assert_enumeration_matches(program, mono, 2, sigma, budget)[2]
+            assert ("budget" in error) == (budget < 8)
+
+
+def test_unread_guards_and_unreached_branches_raise_nothing():
+    # the right operand of `and` is read only where the left one holds, and
+    # x never reaches 1, so neither k nor q is ever needed
+    program = parse(
+        "x = 0\ny = 0\nwhile true:\n"
+        "  if x == 1 and y < k:\n    y = y + 1 {q} y\n  end\n"
+        "  y = y + 1\nend\n"
+    )
+    mono = parse_monomial("y")
+    assert _assert_enumeration_matches(program, mono, 3, {}) == ("ok", [(Fraction(3), Fraction(1))])
+    # sampling reads every guard, so there the missing k is an error
+    _assert_sampling_matches(program, mono, 3, {})
+    _assert_sampling_matches(program, mono, 0, {})
