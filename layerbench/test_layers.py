@@ -23,9 +23,15 @@ from probsens.moments import MomentContext
 from probsens.normalize import normalize
 from probsens.oracle import fd_sensitivity, moment_exact, sample_moment
 from probsens.parser import parse, parse_monomial
-from probsens.sensitivity import moment_closure, sensitivity_system
+from probsens.sensitivity import moment_closure, parameter_sensitivity, sensitivity_system
 from probsens.solver import VERIFICATION_POINTS, ForwardIterator, solve_system
-from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic
+from probsens.symbolic import (
+    ParamExpr,
+    ep_eval,
+    ep_value_symbolic,
+    exp_polynomial_to_json,
+    render_exp_polynomial,
+)
 from probsens.syntax import program_to_source
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +140,36 @@ def test_verify_closed_forms(benchmark, bimodal_system):
     assert len(values) == VERIFICATION_POINTS * len(equations)
     for (s, n), value in zip(points, values):
         assert value == iterator.value(s, n), (s, n)
+
+
+#: Manifest rows whose reports print the most coefficient text.
+RENDER_ROWS = [
+    ("bimodal.prob", "x**2", "p", "diff"),
+    ("non_admissible_3.prob", "z1**2", "p", "sensrec"),
+    ("gamblers_ruin.prob", "capital**2", "p", "sensrec"),
+    ("vaccination.prob", "infected_prob", "vax_param", "diff"),
+]
+
+
+def _render(results):
+    return [
+        (r.system.render(), render_exp_polynomial(r.closed_form), exp_polynomial_to_json(r.closed_form))
+        for r in results
+    ]
+
+
+def test_render_corpus(benchmark, monkeypatch):
+    """What a report prints of a solved analysis: the equations, the closed
+    form as text and the closed form as JSON, with the rows solved in setup."""
+    results = [
+        parameter_sensitivity(_program(name), parse_monomial(target), wrt, method=method)
+        for name, target, wrt, method in RENDER_ROWS
+    ]
+
+    texts = benchmark.pedantic(lambda: _render(results), setup=clear_cache, rounds=ROUNDS)
+    # every coefficient printed through the sympy view instead
+    monkeypatch.setattr(ParamExpr, "__str__", lambda self: str(self.e))
+    assert texts == _render(results)
 
 
 def _coin_program(k: int):

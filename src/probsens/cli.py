@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -471,38 +472,39 @@ def simulate(program, monomial, steps, params, trials, seed, fd):
             "n": steps,
         }
         try:
-            if fd is not None:
-                name, _, eps_raw = fd.partition(":")
-                eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
-                est = fd_sensitivity(
-                    prog,
-                    mono,
-                    steps,
-                    name.strip(),
-                    sigma,
-                    eps=eps,
-                    exact=trials == 0,
-                    trials=trials or 200_000,
-                    seed=seed,
-                )
-                out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
-            elif trials == 0:
-                exact = moment_exact(prog, mono, steps, sigma)
-                est = None
-                out.update(
-                    {"mode": "exact", "value": float(exact), "value_exact": str(exact),
-                     "stderr": 0.0, "trials": 0}
-                )
-            else:
-                est = sample_moment(prog, mono, steps, trials, seed, sigma)
+            # sampled values may overflow float64 (see _json_number)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if fd is not None:
+                    name, _, eps_raw = fd.partition(":")
+                    eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
+                    est = fd_sensitivity(
+                        prog,
+                        mono,
+                        steps,
+                        name.strip(),
+                        sigma,
+                        eps=eps,
+                        exact=trials == 0,
+                        trials=trials or 200_000,
+                        seed=seed,
+                    )
+                    out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
+                elif trials == 0:
+                    exact = moment_exact(prog, mono, steps, sigma)
+                    est = None
+                    out.update(
+                        {"mode": "exact", "value": _json_number(exact), "value_exact": str(exact),
+                         "stderr": 0.0, "trials": 0}
+                    )
+                else:
+                    est = sample_moment(prog, mono, steps, trials, seed, sigma)
             if est is not None:
                 out.update(
                     {
                         "mode": est.mode,
-                        "value": float(est.value),
-                        # undefined for one trial (and NaN once samples overflow);
-                        # strict JSON has neither Infinity nor NaN
-                        "stderr": est.stderr if math.isfinite(est.stderr) else None,
+                        "value": _json_number(est.value),
+                        # undefined for one trial (and NaN once samples overflow)
+                        "stderr": _json_number(est.stderr),
                         "trials": est.trials,
                     }
                 )
@@ -515,6 +517,17 @@ def simulate(program, monomial, steps, params, trials, seed, fd):
         click.echo(json.dumps(out, indent=2))
 
     _run_guarded(body)
+
+
+def _json_number(x) -> float | None:
+    """``x`` as a float, or None where strict JSON has no number for it: an
+    exact value too large for a float, or an infinity or NaN, such as the
+    mean of sampled values that overflowed."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
 
 
 # ---------------------------------------------------------------------------

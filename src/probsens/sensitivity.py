@@ -91,7 +91,7 @@ class SequenceSymbol:
         return self.param is None and self.monomial.is_one
 
     def sort_key(self) -> tuple:
-        return (self.monomial.deglex_key(), 0 if self.param is None else 1)
+        return (self.monomial.deglex_key, 0 if self.param is None else 1)
 
     def indexed(self, index: str) -> str:
         if self.param is None:
@@ -241,7 +241,7 @@ class RecurrenceSystem:
 
 def _monomial_heap_push(heap: list, queued: set, monomial: VarMonomial) -> None:
     if monomial not in queued and not monomial.is_one:
-        heappush(heap, (monomial.deglex_key(), monomial))
+        heappush(heap, (monomial.deglex_key, monomial))
         queued.add(monomial)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 import sympy as sp
@@ -26,7 +27,8 @@ from .errors import SingularParameterError
 _MPQ = type(QQ(0))
 
 # One field per set of parameter names, with generators in sympy's own
-# order, so a reduced fraction prints exactly as ``sp.cancel`` prints it.
+# order, so a reduced fraction carries its sign where ``sp.cancel`` puts it
+# (the denominator's leading term in that order is positive).
 _DOMAINS: dict[frozenset, object] = {frozenset(): QQ}
 _NAMES: dict[object, tuple[str, ...]] = {}
 
@@ -145,6 +147,85 @@ def _eval_poly(poly, point) -> Fraction:
     return acc
 
 
+# Printing builds the text sympy's ``StrPrinter`` gives for ``f.as_expr()``
+# from the terms of the reduced numerator and denominator, with integer and
+# exponent-tuple work only; ``ParamExpr.e`` is the sympy view it must match.
+
+
+def _terms(poly, names, den: int = 1) -> list:
+    """The terms of ``poly / den`` as ``(numerator, denominator, powers)``,
+    in sympy's order for a sum: descending lex over the names sorted as
+    strings, which need not be the field's generator order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rows = []
+    for monom, coeff in poly.terms():
+        c = int(coeff)
+        g = gcd(c, den)
+        key = tuple(monom[i] for i in order)
+        powers = [names[i] if monom[i] == 1 else f"{names[i]}**{monom[i]}" for i in order if monom[i]]
+        rows.append((key, c // g, den // g, powers))
+    rows.sort(key=lambda row: row[0], reverse=True)
+    return [row[1:] for row in rows]
+
+
+def _product(num: int, den: int, top: list[str], bottom: list[str]) -> str:
+    """The text of ``num/den * top / bottom``, with ``top`` and ``bottom``
+    lists of factor texts: the sign first, the coefficient's numerator and
+    denominator leading their sides, and a denominator of two or more factors
+    in parentheses."""
+    a = ([str(abs(num))] if abs(num) != 1 else []) + top
+    b = ([str(den)] if den != 1 else []) + bottom
+    text = ("-" if num < 0 else "") + ("*".join(a) or "1")
+    if not b:
+        return text
+    return f"{text}/{b[0]}" if len(b) == 1 else f"{text}/({'*'.join(b)})"
+
+
+def _sum(rows: list) -> str:
+    """The text of a sum of two or more ``_terms`` rows.  A positive constant
+    goes first when the one other term is a negative multiple of a single
+    power (``1 - p``, but ``-p*q + 1``)."""
+    if len(rows) == 2 and not rows[1][2] and rows[1][0] > 0 and rows[0][0] < 0 and len(rows[0][2]) == 1:
+        rows = rows[::-1]
+    texts = [_product(n, d, powers, []) for n, d, powers in rows]
+    out = [texts[0]]
+    for t in texts[1:]:
+        out.append(f" - {t[1:]}" if t[0] == "-" else f" + {t}")
+    return "".join(out)
+
+
+def _poly_text(poly, names, den: int = 1) -> str:
+    rows = _terms(poly, names, den)
+    return _sum(rows) if len(rows) > 1 else _product(*rows[0], [])
+
+
+def _text(f) -> str:
+    """``str(f.as_expr())`` for a field element ``f``, as sympy prints it.
+    The fraction is reduced, so a monomial over a monomial has coprime
+    coefficients."""
+    if type(f) is _MPQ:
+        return _product(int(f.numerator), int(f.denominator), [], [])
+    names = _NAMES[f.field]
+    if f.denom.is_ground:
+        # sympy spreads a rational factor over a sum: (p + 1)/2 is p/2 + 1/2
+        return _poly_text(f.numer, names, int(f.denom.LC))
+    top, bottom = _terms(f.numer, names), _terms(f.denom, names)
+    if len(bottom) > 1:
+        below = f"({_sum(bottom)})"
+        if len(top) > 1:
+            return f"({_sum(top)})/{below}"
+        n, _, powers = top[0]
+        return _product(n, 1, powers, [below])
+    dc, _, below = bottom[0]
+    if len(top) > 1:
+        return _product(1, dc, [f"({_sum(top)})"], below)
+    n, _, powers = top[0]
+    if n == dc == 1 and not powers and len(below) == 1 and "**" in below[0]:
+        name, k = below[0].split("**")
+        return f"{name}**(-{k})"  # a lone power, not a quotient
+    return _product(n, dc, powers, below)
+
+
 class ParamExpr:
     """An exact rational function of the symbolic parameters.
 
@@ -152,17 +233,17 @@ class ParamExpr:
     parameters it was built from, or of ``QQ`` when the value is constant.
     Operands from different fields meet in the field over the union of their
     parameter names.  ``==`` and ``hash`` are exact and independent of the
-    field, and ``e`` is a sympy view built on demand for rendering.
+    field.  ``str`` prints from the terms of the fraction; ``e`` is a sympy
+    view built on demand, the reference that printing is tested against.
     """
 
-    __slots__ = ("elem", "_e", "_hash")
+    __slots__ = ("elem", "_hash")
 
     def __init__(self, value: Union[int, Fraction, str, sp.Expr, "ParamExpr"]):
         f = value.elem if isinstance(value, ParamExpr) else _element(value)
         if type(f) is FracElement and f.numer.is_ground and f.denom.is_ground:
             f = QQ(f.numer.LC, f.denom.LC)
         self.elem = f
-        self._e = None
         self._hash = None
 
     # -- construction helpers -------------------------------------------------
@@ -238,15 +319,10 @@ class ParamExpr:
     @property
     def e(self) -> sp.Expr:
         """The value as a sympy expression, in ``sp.cancel`` form."""
-        e = self._e
-        if e is None:
-            f = self.elem
-            if type(f) is _MPQ:
-                e = sp.Rational(int(f.numerator), int(f.denominator))
-            else:
-                e = f.as_expr()
-            self._e = e
-        return e
+        f = self.elem
+        if type(f) is _MPQ:
+            return sp.Rational(int(f.numerator), int(f.denominator))
+        return f.as_expr()
 
     def free_params(self) -> frozenset[str]:
         f = self.elem
@@ -264,7 +340,7 @@ class ParamExpr:
     def as_fraction(self) -> Fraction:
         f = self.elem
         if type(f) is not _MPQ:
-            raise ValueError(f"{self.e} is not a plain rational number")
+            raise ValueError(f"{self} is not a plain rational number")
         return Fraction(int(f.numerator), int(f.denominator))
 
     def eval_fraction(self, values: Mapping[str, Fraction]) -> Fraction:
@@ -280,7 +356,7 @@ class ParamExpr:
         _require(f.denom, names, values)
         den = _eval_poly(f.denom, point)
         if den == 0:
-            raise SingularParameterError(str(f.denom.as_expr()))
+            raise SingularParameterError(_poly_text(f.denom, names))
         _require(f.numer, names, values)
         return _eval_poly(f.numer, point) / den
 
@@ -307,10 +383,10 @@ class ParamExpr:
         return h
 
     def __str__(self) -> str:
-        return str(self.e)
+        return _text(self.elem)
 
     def __repr__(self) -> str:
-        return f"ParamExpr({self.e})"
+        return f"ParamExpr({self})"
 
 
 def _operand(value):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .symbolic import ParamExpr, pe
@@ -83,8 +84,11 @@ class VarMonomial:
             return _MONO_ONE
         return VarMonomial(tuple((v, e * k) for v, e in self.powers))
 
+    @cached_property
     def deglex_key(self) -> tuple:
-        """Ordering key: total degree first, then lexicographic powers."""
+        """Ordering key: total degree first, then lexicographic powers.
+        Computed once per monomial; it is not a field, so ``==`` and
+        ``hash`` do not see it."""
         return (self.degree, self.powers)
 
     def __str__(self) -> str:
@@ -114,7 +118,7 @@ class PolyExpr:
             else:
                 acc[mono] = pe(coeff)
         cleaned = [(m, c) for m, c in acc.items() if not c.is_zero]
-        cleaned.sort(key=lambda t: t[0].deglex_key())
+        cleaned.sort(key=lambda t: t[0].deglex_key)
         return PolyExpr(tuple(cleaned))
 
     @staticmethod

@@ -571,6 +571,24 @@ def test_simulate_one_trial_prints_strict_json(fd):
     assert out["stderr"] is None
 
 
+@pytest.mark.parametrize("trials", ["0", "10"])
+def test_simulate_overflowing_value_prints_null(trials):
+    # x1 = x1**2 + q*x2 passes float64's range within 12 iterations
+    proc = _run_cli(
+        "simulate", str(CORPUS / "non_admissible_3.prob"), "--monomial", "x1", "--n", "12",
+        "--param", "p=1/3,q=1/3,r=1/3", "--trials", trials,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = _strict_json(proc.stdout)
+    assert out["value"] is None
+    if trials == "0":
+        assert out["stderr"] == 0.0
+        assert Fraction(out["value_exact"]) > sys.float_info.max
+    else:
+        assert out["stderr"] is None and out["trials"] == 10
+
+
 def test_simulate_missing_parameter_value_is_usage_error(runner):
     result = runner.invoke(
         main, ["simulate", FIG_SINGLE, "--monomial", "infected_prob", "--n", "2"]

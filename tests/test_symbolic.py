@@ -1,7 +1,9 @@
 """Tests for exact parameter expressions and exponential-polynomial closed forms."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -9,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probsens.errors import SingularParameterError
+from probsens.normalize import normalize
+from probsens.parser import parse, parse_monomial
+from probsens.sensitivity import parameter_sensitivity
 from probsens.symbolic import (
     CounterPoly,
     ExpPolynomial,
@@ -245,6 +250,109 @@ def test_singular_point_and_missing_parameter():
         (f * ParamExpr("q")).eval_fraction({"q": Fraction(1)})
     with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): p, q$"):
         (P * ParamExpr("q") + 1).eval_fraction({})
+
+
+# ---------------------------------------------------------------------------
+# Printing: str(v) is built from v's terms and must equal sympy's str(v.e)
+# ---------------------------------------------------------------------------
+
+# name orders: {a, p} and {x, b, p} differ from sympy's generator order, and
+# p10 sorts before p2 as a string
+NAME_SETS = [("p",), ("a", "p"), ("x", "b", "p"), ("p1", "p2", "p10")]
+
+
+@st.composite
+def printed_fractions(draw):
+    """A reduced fraction over one of NAME_SETS with a constant or a
+    non-constant denominator."""
+    names = draw(st.sampled_from(NAME_SETS))
+    gens = [ParamExpr(n) for n in names]
+    coeffs = st.one_of(st.sampled_from([1, -1, 2, -2, 3]), st.integers(-60, 60))
+
+    def polynomial():
+        acc = ParamExpr(0)
+        for _ in range(draw(st.integers(1, 4))):
+            term = ParamExpr(draw(coeffs))
+            for g in gens:
+                term = term * g ** draw(st.integers(0, 3))
+            acc = acc + term
+        return acc
+
+    num = polynomial()
+    if draw(st.booleans()):
+        den = ParamExpr(draw(st.integers(1, 12)))
+    else:
+        den = polynomial()
+    return num if den.is_zero else num / den
+
+
+@given(printed_fractions())
+@settings(max_examples=300, deadline=None)
+def test_printing_matches_sympy(v):
+    for w in (v, -v, v / 2, v + 1, v - Fraction(1, 3)):
+        assert str(w) == str(w.e)
+    if not v.is_zero:
+        assert str(1 / v) == str((1 / v).e)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1 - P, "1 - p"),
+        (1 - P * Q, "-p*q + 1"),
+        ((1 - P) / 2, "1/2 - p/2"),
+        ((P + 1) / 2, "p/2 + 1/2"),
+        ((1 - P**2) / Q, "(1 - p**2)/q"),
+        ((-P - 1) / Q, "(-p - 1)/q"),
+        (2 * P / (3 * Q + 3), "2*p/(3*q + 3)"),
+        ((P + 1) / (2 * Q), "(p + 1)/(2*q)"),
+        (1 / P**2, "p**(-2)"),
+        (-1 / P**2, "-1/p**2"),
+        (1 / (2 * P**2), "1/(2*p**2)"),
+        (ParamExpr(Fraction(-3, 4)), "-3/4"),
+    ],
+)
+def test_printing_pinned(value, text):
+    assert str(value) == text == str(value.e)
+    assert repr(value) == f"ParamExpr({text})"
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
+
+
+def _coefficients(result):
+    """Every coefficient a report prints: the equations, the combination and
+    the closed form."""
+    system, closed = result.system, result.closed_form
+    out = [c for rec in system.equations.values() for c, _ in rec.terms]
+    out += [c for c, _ in system.combination] + list(closed.prefix)
+    for t in closed.terms:
+        out += [*t.poly.coeffs, t.base]
+    for qt in closed.quad_terms:
+        out += [*qt.p.coeffs, *qt.q.coeffs, qt.beta, qt.gamma]
+    return out
+
+
+@pytest.mark.parametrize(
+    "program, target, wrt, method",
+    [
+        ("vaccination.prob", "infected_prob", "vax_param", "diff"),
+        ("bimodal.prob", "x**2", "p", "diff"),
+        ("non_admissible_3.prob", "z1**2", "p", "sensrec"),
+        ("gamblers_ruin.prob", "capital**2", "p", "sensrec"),
+    ],
+)
+def test_printing_matches_sympy_on_manifest_rows(program, target, wrt, method):
+    rows = json.loads((CORPUS / "manifest.json").read_text())["rows"]
+    assert (program, target, wrt, method) in {
+        (r["program"], r["target"], r["wrt"], r["method"]) for r in rows
+    }
+    prog = normalize(parse((CORPUS / program).read_text(), name=program))
+    result = parameter_sensitivity(prog, parse_monomial(target), wrt, method=method)
+    coefficients = _coefficients(result)
+    assert any(not c.is_rational for c in coefficients)
+    for c in coefficients:
+        assert str(c) == str(c.e)
 
 
 # ---------------------------------------------------------------------------
