@@ -6,9 +6,9 @@ dependency-analysis verdict, ``simulate`` runs the enumeration/sampling
 oracle, and ``bench`` replays a manifest of programs and compares equation
 counts.
 
-Exit codes: 0 success, 2 parse/usage, 3 rejected by classification,
-4 unsupported characteristic factor, 5 equation cap exceeded, 6 evaluation at
-a singular parameter point.
+An analyzer error ends a command with one ``error:`` line on stderr and the
+exit code of its class; ``errors.py`` holds that table from error to exit code.
+Click's own usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -29,17 +29,14 @@ from . import __version__
 from .errors import (
     ClassificationError,
     EquationCapError,
-    GuardNotSupportedError,
-    NonFiniteGuardError,
-    OracleError,
+    InputError,
     ParseError,
-    SingularParameterError,
-    UninitializedVariableError,
+    ProbsensError,
     UnsupportedFactorError,
 )
 from .moments import DEFAULT_EQUATION_CAP, MomentContext
 from .normalize import normalize
-from .oracle import checked_probability, fd_sensitivity, moment_exact, sample_moment
+from .oracle import fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
 from .sensitivity import (
     coeff_text,
@@ -53,38 +50,6 @@ from .syntax import DistDraw
 SCHEMA_VERSION = "1"
 CAP_ENV_VAR = "PROBSENS_EQ_CAP"
 
-EXIT_PARSE = 2
-EXIT_CLASSIFICATION = 3
-EXIT_FACTOR = 4
-EXIT_CAP = 5
-EXIT_SINGULAR = 6
-
-
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _run_guarded(body):
-    """Map the analyzer's error taxonomy onto process exit codes."""
-    try:
-        return body()
-    except ParseError as e:
-        _fail(EXIT_PARSE, str(e))
-    except (
-        ClassificationError,
-        NonFiniteGuardError,
-        GuardNotSupportedError,
-        UninitializedVariableError,
-    ) as e:
-        _fail(EXIT_CLASSIFICATION, str(e))
-    except UnsupportedFactorError as e:
-        _fail(EXIT_FACTOR, str(e))
-    except EquationCapError as e:
-        _fail(EXIT_CAP, str(e))
-    except SingularParameterError as e:
-        _fail(EXIT_SINGULAR, str(e))
-
 
 def _load_program(path: str):
     source = Path(path).read_text()
@@ -93,6 +58,18 @@ def _load_program(path: str):
     if errors:
         raise ParseError("; ".join(d.message for d in errors))
     return prog
+
+
+def _load_normalized(path: str):
+    return normalize(_load_program(path))
+
+
+def _check_parameter(np_, wrt: str) -> None:
+    if wrt not in np_.params:
+        raise ClassificationError(
+            f"{wrt!r} is not a parameter of the program "
+            f"(parameters: {', '.join(sorted(np_.params)) or 'none'})"
+        )
 
 
 def _resolve_cap(option_value: int | None) -> int:
@@ -104,9 +81,9 @@ def _resolve_cap(option_value: int | None) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        _fail(EXIT_PARSE, f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+        raise InputError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap < 1:
-        _fail(EXIT_PARSE, f"{CAP_ENV_VAR} must be at least 1, got {cap}")
+        raise InputError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
     return cap
 
 
@@ -132,9 +109,10 @@ def _parse_bindings(pairs) -> dict[str, Fraction]:
 
 
 def _target_monomial(np_, text: str):
-    """The target monomial, each of whose variables the program must have."""
+    """The target monomial, each of whose variables the program must have
+    (a temporary of normalization is not one of them)."""
     mono = parse_monomial(text)
-    unknown = sorted(mono.variables() - set(np_.all_variables))
+    unknown = sorted(mono.variables() - set(np_.variables))
     if unknown:
         raise ClassificationError(f"unknown variable(s) in target: {', '.join(unknown)}")
     return mono
@@ -150,7 +128,9 @@ def _check_probabilities(np_, values: dict[str, Fraction]) -> None:
             probabilities = [("choice", prob) for _, prob in rhs.choices]
         for kind, prob in probabilities:
             if prob.free_params() <= values.keys():
-                checked_probability(prob.eval_fraction(values), kind)
+                q = prob.eval_fraction(values)
+                if q < 0 or q > 1:
+                    raise InputError(f"{kind} probability {q} outside [0, 1]")
 
 
 def _classification_json(cls) -> dict:
@@ -183,7 +163,19 @@ def _system_equations_json(system) -> list[dict]:
     return out
 
 
-@click.group()
+class _ReportingGroup(click.Group):
+    """Ends a command that raises an analyzer error with one ``error:`` line
+    and the exit code of the error's class."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ProbsensError as e:
+            click.echo(f"error: {e}", err=True)
+            ctx.exit(e.exit_code)
+
+
+@click.group(cls=_ReportingGroup)
 @click.version_option(version=__version__)
 def main():
     """Exact parameter sensitivities for moments of probabilistic loops."""
@@ -229,72 +221,57 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--dump-normalized", is_flag=True, help="Print the normalized loop before the report.")
 @click.option("--explain", "explain_var", metavar="VAR", default=None, help="Print dependency facts for one variable.")
-@click.option("--keep-all-terms", is_flag=True, hidden=True, help="Disable the two pruning rules (diagnostic).")
-def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_normalized, explain_var, keep_all_terms):
+def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_normalized, explain_var):
     """Derive, solve, and report d/dWRT E[TARGET] for a loop program."""
+    np_ = _load_normalized(program)
+    _check_parameter(np_, wrt)
+    target_mono = _target_monomial(np_, target)
 
-    def body():
-        prog = _load_program(program)
-        np_ = normalize(prog)
-        if wrt not in np_.params:
-            raise ClassificationError(
-                f"{wrt!r} is not a parameter of the program "
-                f"(parameters: {', '.join(sorted(np_.params)) or 'none'})"
-            )
-        target_mono = _target_monomial(np_, target)
+    values = _parse_bindings(eval_values)
+    if at_n and not values:
+        raise click.UsageError("--at-n needs --eval to supply parameter values")
+    if values and not at_n:
+        raise click.UsageError("--eval needs --at-n to pick iteration indices")
+    if values:
+        _check_probabilities(np_, values)
 
-        values = _parse_bindings(eval_values)
-        if at_n and not values:
-            raise click.UsageError("--at-n needs --eval to supply parameter values")
-        if values and not at_n:
-            raise click.UsageError("--eval needs --at-n to pick iteration indices")
-        if values:
-            try:
-                _check_probabilities(np_, values)
-            except OracleError as e:
-                _fail(EXIT_PARSE, str(e))
+    if dump_normalized:
+        click.echo(np_.to_source())
+        click.echo()
+    started = time.perf_counter()
+    ctx = MomentContext(np_)
+    if explain_var:
+        _explain(ctx.graph, explain_var, wrt)
+    result = parameter_sensitivity(ctx, target_mono, wrt, method=method, cap=_resolve_cap(cap))
+    wall_ms = (time.perf_counter() - started) * 1000.0
 
-        if dump_normalized:
-            click.echo(np_.to_source())
-            click.echo()
-        started = time.perf_counter()
-        ctx = MomentContext(np_)
-        if explain_var:
-            _explain(ctx.graph, explain_var, wrt)
-        result = parameter_sensitivity(
-            ctx, target_mono, wrt, method=method, cap=_resolve_cap(cap), debug=keep_all_terms
-        )
-        wall_ms = (time.perf_counter() - started) * 1000.0
+    evaluations = []
+    for n in at_n:
+        try:
+            v = ep_eval(result.closed_form, values, n)
+        except ValueError as e:  # an unassigned parameter or a negative index
+            raise InputError(str(e)) from e
+        evaluations.append({"n": n, "value": str(v), "float": float(v)})
 
-        evaluations = []
-        for n in at_n:
-            try:
-                v = ep_eval(result.closed_form, values, n)
-            except ValueError as e:  # an unassigned parameter or a negative index
-                _fail(EXIT_PARSE, str(e))
-            evaluations.append({"n": n, "value": str(v), "float": float(v)})
-
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "program": np_.name,
-            "path": str(program),
-            "target": str(target_mono),
-            "parameter": wrt,
-            "method": result.method,
-            "classification": _classification_json(result.classification),
-            "rec": result.equation_count,
-            "equations": _system_equations_json(result.system),
-            "closed_form": exp_polynomial_to_json(result.closed_form),
-            "closed_form_text": render_exp_polynomial(result.closed_form),
-            "evaluations": evaluations,
-            "wall_ms": wall_ms,
-        }
-        if fmt == "json":
-            click.echo(json.dumps(report, indent=2))
-        else:
-            _print_analysis_text(report)
-
-    _run_guarded(body)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "program": np_.name,
+        "path": str(program),
+        "target": str(target_mono),
+        "parameter": wrt,
+        "method": result.method,
+        "classification": _classification_json(result.classification),
+        "rec": result.equation_count,
+        "equations": _system_equations_json(result.system),
+        "closed_form": exp_polynomial_to_json(result.closed_form),
+        "closed_form_text": render_exp_polynomial(result.closed_form),
+        "evaluations": evaluations,
+        "wall_ms": wall_ms,
+    }
+    if fmt == "json":
+        click.echo(json.dumps(report, indent=2))
+    else:
+        _print_analysis_text(report)
 
 
 def _print_analysis_text(report: dict) -> None:
@@ -351,44 +328,39 @@ def _explain(graph, var: str, wrt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def classify_cmd(program, wrt, fmt):
     """Report admissibility and sensitivity-closability of a program."""
-
-    def body():
-        prog = _load_program(program)
-        np_ = normalize(prog)
-        params = [wrt] if wrt else sorted(np_.params)
-        if wrt and wrt not in np_.params:
-            raise ClassificationError(f"{wrt!r} is not a parameter of the program")
-        ctx = MomentContext(np_)
-        records = [ctx.classification(p) for p in params or [None]]
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "program": np_.name,
-                        "classifications": [_classification_json(c) for c in records],
-                    },
-                    indent=2,
-                )
+    np_ = _load_normalized(program)
+    if wrt:
+        _check_parameter(np_, wrt)
+    params = [wrt] if wrt else sorted(np_.params)
+    ctx = MomentContext(np_)
+    records = [ctx.classification(p) for p in params or [None]]
+    if fmt == "json":
+        click.echo(
+            json.dumps(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "program": np_.name,
+                    "classifications": [_classification_json(c) for c in records],
+                },
+                indent=2,
             )
-            return
-        click.echo(f"program: {np_.name}")
-        base = records[0]
-        click.echo(f"admissible: {'yes' if base.admissible else 'no'}")
-        if base.defective:
-            click.echo(f"defective: {', '.join(base.defective)}")
-        for c in records:
-            if c.parameter is None:
-                continue
-            click.echo(
-                f"wrt {c.parameter}: sensitivity recurrences "
-                f"{'close' if c.thm2_ok else 'do not close'}; "
-                f"dependent variables: {', '.join(c.p_dependent) or '(none)'}"
-            )
-            for w in c.witnesses:
-                click.echo(f"  {w}")
-
-    _run_guarded(body)
+        )
+        return
+    click.echo(f"program: {np_.name}")
+    base = records[0]
+    click.echo(f"admissible: {'yes' if base.admissible else 'no'}")
+    if base.defective:
+        click.echo(f"defective: {', '.join(base.defective)}")
+    for c in records:
+        if c.parameter is None:
+            continue
+        click.echo(
+            f"wrt {c.parameter}: sensitivity recurrences "
+            f"{'close' if c.thm2_ok else 'do not close'}; "
+            f"dependent variables: {', '.join(c.p_dependent) or '(none)'}"
+        )
+        for w in c.witnesses:
+            click.echo(f"  {w}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,42 +376,36 @@ def classify_cmd(program, wrt, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def dump_recurrences(program, target, wrt, cap, fmt):
     """Print the recurrence system a target needs, without solving it."""
-
-    def body():
-        prog = _load_program(program)
-        np_ = normalize(prog)
-        target_mono = _target_monomial(np_, target)
-        limit = _resolve_cap(cap)
-        if wrt is None:
-            system = moment_closure(np_, target_mono, cap=limit)
-        else:
-            if wrt not in np_.params:
-                raise ClassificationError(f"{wrt!r} is not a parameter of the program")
-            system = sensitivity_system(np_, target_mono, wrt, cap=limit)
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "program": np_.name,
-                        "target": str(target_mono),
-                        "parameter": wrt,
-                        "rec": system.size,
-                        "equations": _system_equations_json(system),
-                        "initials": {
-                            str(s): str(v) for s, v in system.initials.items()
-                        },
+    np_ = _load_normalized(program)
+    target_mono = _target_monomial(np_, target)
+    limit = _resolve_cap(cap)
+    if wrt is None:
+        system = moment_closure(np_, target_mono, cap=limit)
+    else:
+        _check_parameter(np_, wrt)
+        system = sensitivity_system(np_, target_mono, wrt, cap=limit)
+    if fmt == "json":
+        click.echo(
+            json.dumps(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "program": np_.name,
+                    "target": str(target_mono),
+                    "parameter": wrt,
+                    "rec": system.size,
+                    "equations": _system_equations_json(system),
+                    "initials": {
+                        str(s): str(v) for s, v in system.initials.items()
                     },
-                    indent=2,
-                )
+                },
+                indent=2,
             )
-            return
-        text = system.render()
-        if text:
-            click.echo(text)
-        click.echo(f"equations: {system.size}")
-
-    _run_guarded(body)
+        )
+        return
+    text = system.render()
+    if text:
+        click.echo(text)
+    click.echo(f"equations: {system.size}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,66 +423,60 @@ def dump_recurrences(program, target, wrt, cap, fmt):
 @click.option("--fd", default=None, metavar="PARAM[:EPS]", help="Central-difference sensitivity instead of the plain moment.")
 def simulate(program, monomial, steps, params, trials, seed, fd):
     """Estimate E[monomial] after n iterations by enumeration or sampling."""
-
-    def body():
-        prog = _load_program(program)
-        mono = parse_monomial(monomial)
-        unknown = sorted(mono.variables() - set(prog.variables))
-        if unknown:
-            raise click.UsageError(f"unknown variable(s) in monomial: {', '.join(unknown)}")
-        sigma = _parse_bindings(params)
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "program": Path(program).stem,
-            "monomial": str(mono),
-            "n": steps,
-        }
-        try:
-            # sampled values may overflow float64 (see _json_number)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if fd is not None:
-                    name, _, eps_raw = fd.partition(":")
-                    eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
-                    est = fd_sensitivity(
-                        prog,
-                        mono,
-                        steps,
-                        name.strip(),
-                        sigma,
-                        eps=eps,
-                        exact=trials == 0,
-                        trials=trials or 200_000,
-                        seed=seed,
-                    )
-                    out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
-                elif trials == 0:
-                    exact = moment_exact(prog, mono, steps, sigma)
-                    est = None
-                    out.update(
-                        {"mode": "exact", "value": _json_number(exact), "value_exact": str(exact),
-                         "stderr": 0.0, "trials": 0}
-                    )
-                else:
-                    est = sample_moment(prog, mono, steps, trials, seed, sigma)
-            if est is not None:
-                out.update(
-                    {
-                        "mode": est.mode,
-                        "value": _json_number(est.value),
-                        # undefined for one trial (and NaN once samples overflow)
-                        "stderr": _json_number(est.stderr),
-                        "trials": est.trials,
-                    }
+    prog = _load_program(program)
+    mono = parse_monomial(monomial)
+    unknown = sorted(mono.variables() - set(prog.variables))
+    if unknown:
+        raise click.UsageError(f"unknown variable(s) in monomial: {', '.join(unknown)}")
+    sigma = _parse_bindings(params)
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "program": Path(program).stem,
+        "monomial": str(mono),
+        "n": steps,
+    }
+    try:
+        # sampled values may overflow float64 (see _json_number)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if fd is not None:
+                name, _, eps_raw = fd.partition(":")
+                eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
+                est = fd_sensitivity(
+                    prog,
+                    mono,
+                    steps,
+                    name.strip(),
+                    sigma,
+                    eps=eps,
+                    exact=trials == 0,
+                    trials=trials or 200_000,
+                    seed=seed,
                 )
-                if isinstance(est.value, Fraction):
-                    out["value_exact"] = str(est.value)
-        except (ValueError, KeyError) as e:
-            raise click.UsageError(str(e))
-        except OracleError as e:
-            _fail(1, str(e))
-        click.echo(json.dumps(out, indent=2))
-
-    _run_guarded(body)
+                out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
+            elif trials == 0:
+                exact = moment_exact(prog, mono, steps, sigma)
+                est = None
+                out.update(
+                    {"mode": "exact", "value": _json_number(exact), "value_exact": str(exact),
+                     "stderr": 0.0, "trials": 0}
+                )
+            else:
+                est = sample_moment(prog, mono, steps, trials, seed, sigma)
+        if est is not None:
+            out.update(
+                {
+                    "mode": est.mode,
+                    "value": _json_number(est.value),
+                    # undefined for one trial (and NaN once samples overflow)
+                    "stderr": _json_number(est.stderr),
+                    "trials": est.trials,
+                }
+            )
+            if isinstance(est.value, Fraction):
+                out["value_exact"] = str(est.value)
+    except (ValueError, KeyError) as e:
+        raise click.UsageError(str(e))
+    click.echo(json.dumps(out, indent=2))
 
 
 def _json_number(x) -> float | None:
@@ -554,13 +514,12 @@ def bench(manifest, timeout, only, fmt, strict):
     """
     if manifest is None:
         manifest = Path(__file__).parent / "benchmarks" / "manifest.json"
-    spec = json.loads(Path(manifest).read_text())
     base = Path(manifest).parent
-    rows = []
-    for row in spec["rows"]:
-        if only and only not in row["program"]:
-            continue
-        rows.append(_bench_row(base, row, timeout))
+    rows = [
+        _bench_row(base, row, timeout)
+        for row in _manifest_rows(manifest)
+        if not only or only in row["program"]
+    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "manifest": str(manifest),
@@ -574,6 +533,32 @@ def bench(manifest, timeout, only, fmt, strict):
         _print_bench_text(report)
     if strict and any(r["hard"] and not r["match"] for r in rows):
         sys.exit(1)
+
+
+def _manifest_rows(manifest) -> list[dict]:
+    """The rows of a benchmark manifest, each of which names a program, a
+    target, a parameter and, optionally, a method."""
+    try:
+        spec = json.loads(Path(manifest).read_text())
+    except ValueError as e:
+        raise InputError(f"manifest {manifest} is not valid JSON: {e}") from e
+    rows = spec.get("rows") if isinstance(spec, dict) else None
+    if not isinstance(rows, list):
+        raise InputError(f"manifest {manifest} has no list of rows")
+    for i, row in enumerate(rows, 1):
+        fields = {"method": "auto", **row} if isinstance(row, dict) else {}
+        for key in ("program", "target", "wrt", "method"):
+            if not isinstance(fields.get(key), str):
+                raise InputError(f"manifest row {i} has no {key} text")
+    return rows
+
+
+#: A failed row's status, by the exit code ``analyze`` ended with.
+_BENCH_STATUS = {
+    EquationCapError.exit_code: "cap",
+    ClassificationError.exit_code: "classification",
+    UnsupportedFactorError.exit_code: "factor",
+}
 
 
 def _bench_row(base: Path, row: dict, timeout: float) -> dict:
@@ -599,14 +584,8 @@ def _bench_row(base: Path, row: dict, timeout: float) -> dict:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
         if proc.returncode == 0:
             rec = json.loads(proc.stdout)["rec"]
-        elif proc.returncode == EXIT_CAP:
-            status = "cap"
-        elif proc.returncode == EXIT_CLASSIFICATION:
-            status = "classification"
-        elif proc.returncode == EXIT_FACTOR:
-            status = "factor"
         else:
-            status = f"error({proc.returncode})"
+            status = _BENCH_STATUS.get(proc.returncode, f"error({proc.returncode})")
     except subprocess.TimeoutExpired:
         status = "timeout"
     wall = time.perf_counter() - started

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every analysis stage.
 
 Each error carries enough structured detail for the CLI to print an
-actionable message and pick the right exit code.
+actionable message; its class's ``exit_code`` is the CLI's exit code for it.
 """
 
 from __future__ import annotations
@@ -10,8 +10,12 @@ from __future__ import annotations
 class ProbsensError(Exception):
     """Base class for all analyzer errors."""
 
+    exit_code = 1
+
 
 class ParseError(ProbsensError):
+    exit_code = 2
+
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
         self.col = col
@@ -29,6 +33,8 @@ class ClassificationError(ProbsensError):
     cycles or parameter-influenced edges into defective variables.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, witnesses: tuple[str, ...] = ()):
         self.witnesses = witnesses
         if witnesses:
@@ -38,6 +44,8 @@ class ClassificationError(ProbsensError):
 
 class NonFiniteGuardError(ProbsensError):
     """A branching condition references a variable with no finite value set."""
+
+    exit_code = 3
 
     def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
@@ -49,8 +57,12 @@ class NonFiniteGuardError(ProbsensError):
 class GuardNotSupportedError(ProbsensError):
     """A branching condition cannot be tabulated (e.g. it compares parameters)."""
 
+    exit_code = 3
+
 
 class UninitializedVariableError(ProbsensError):
+    exit_code = 3
+
     def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
         super().__init__("uninitialized variable(s): " + ", ".join(variables))
@@ -58,6 +70,8 @@ class UninitializedVariableError(ProbsensError):
 
 class EquationCapError(ProbsensError):
     """Recurrence-system construction exceeded the equation cap."""
+
+    exit_code = 5
 
     def __init__(self, cap: int, count: int, last_symbols: tuple[str, ...] = ()):
         self.cap = cap
@@ -75,6 +89,8 @@ class EquationCapError(ProbsensError):
 class UnsupportedFactorError(ProbsensError):
     """The characteristic polynomial has an irreducible factor of degree >= 3."""
 
+    exit_code = 4
+
     def __init__(self, factor: str):
         self.factor = factor
         super().__init__(
@@ -84,6 +100,8 @@ class UnsupportedFactorError(ProbsensError):
 
 class SingularParameterError(ProbsensError):
     """Evaluation hit a parameter point where a denominator vanishes."""
+
+    exit_code = 6
 
     def __init__(self, denominator: str):
         self.denominator = denominator
@@ -95,4 +113,10 @@ class SeedSystemError(ProbsensError):
 
 
 class OracleError(ProbsensError):
-    pass
+    """The enumeration or sampling oracle cannot run on the given input."""
+
+
+class InputError(ProbsensError):
+    """An input the CLI itself rejects, such as a malformed manifest."""
+
+    exit_code = 2

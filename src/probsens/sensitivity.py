@@ -32,6 +32,7 @@ from .solver import ForwardIterator, solve_system
 from .symbolic import (
     ExpPolynomial,
     ParamExpr,
+    _paren,
     ep_add,
     ep_diff,
     ep_scale,
@@ -118,12 +119,6 @@ def coeff_text(c: ParamExpr, names: Optional[dict[ParamExpr, str]] = None) -> st
     return s
 
 
-def _coeff_source(s: str) -> str:
-    if " + " in s or " - " in s or s.startswith("-") or "/" in s or "*" in s:
-        return f"({s})"
-    return s
-
-
 @dataclass(frozen=True)
 class Recurrence:
     """``lhs(n+1) = sum of coeff * symbol(n)`` with pairwise-distinct symbols.
@@ -150,7 +145,7 @@ class Recurrence:
             elif c.is_one:
                 parts.append(s.indexed("n"))
             else:
-                parts.append(f"{_coeff_source(coeff_text(c, names))}*{s.indexed('n')}")
+                parts.append(f"{_paren(coeff_text(c, names))}*{s.indexed('n')}")
         rhs = " + ".join(parts) if parts else "0"
         return f"{self.lhs.indexed('n+1')} = {rhs}"
 

@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import probsens.cli as cli
+import probsens.errors as errors
 from probsens.cli import main
 from probsens.normalize import normalize
 from probsens.parser import parse, parse_monomial, validate
@@ -237,6 +238,83 @@ def test_dump_recurrences_unknown_target_variable_exits_3():
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == ["error: unknown variable(s) in target: zz"]
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--wrt", "contact_param", "--method", "diff"],
+        ["analyze", "--wrt", "vax_param"],
+        ["dump-recurrences", "--wrt", "vax_param"],
+        ["dump-recurrences"],
+    ],
+    ids=["analyze-diff", "analyze-auto", "dump-sensitivity", "dump-moments"],
+)
+def test_normalization_temporary_is_not_a_target(runner, args):
+    assert "_t1" in cli._load_normalized(FIG_SINGLE).temporaries
+    command, *options = args
+    result = runner.invoke(main, [command, FIG_SINGLE, "--target", "_t1", *options])
+    assert result.exit_code == 3
+    assert result.stderr == "error: unknown variable(s) in target: _t1\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", FIG_SINGLE, "--target", "infected_prob"],
+        ["classify", FIG_SINGLE],
+        ["dump-recurrences", FIG_SINGLE, "--target", "infected_prob"],
+    ],
+    ids=["analyze", "classify", "dump-recurrences"],
+)
+def test_unknown_parameter_names_the_programs_parameters(runner, args):
+    result = runner.invoke(main, [*args, "--wrt", "nope"])
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "error: 'nope' is not a parameter of the program "
+        "(parameters: contact_param, decline, vax_param)\n"
+    )
+    assert result.stdout == ""
+
+
+def _error_classes(cls=errors.ProbsensError) -> set[type]:
+    return {cls}.union(*(_error_classes(sub) for sub in cls.__subclasses__()))
+
+
+#: One instance of every error class of ``probsens.errors``.
+ANALYZER_ERRORS = [
+    errors.ProbsensError("internal check failed"),
+    errors.ParseError("unexpected token", line=3, col=4),
+    errors.ClassificationError("not admissible"),
+    errors.NonFiniteGuardError(("x",)),
+    errors.GuardNotSupportedError("guard compares parameters"),
+    errors.UninitializedVariableError(("x", "y")),
+    errors.EquationCapError(30, 31, ("E(x)",)),
+    errors.UnsupportedFactorError("x**3 - p"),
+    errors.SingularParameterError("p - 1"),
+    errors.SeedSystemError("seed system is inconsistent"),
+    errors.OracleError("state budget exceeded"),
+    errors.InputError("bad input"),
+]
+
+
+def test_every_error_class_is_exercised():
+    assert {type(e) for e in ANALYZER_ERRORS} == {
+        cls for cls in _error_classes() if cls.__module__ == errors.__name__
+    }
+
+
+@pytest.mark.parametrize("error", ANALYZER_ERRORS, ids=lambda e: type(e).__name__)
+def test_analyzer_error_exits_with_its_class_code(runner, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "parameter_sensitivity", fail)
+    result = runner.invoke(main, ["analyze", FIG_SINGLE, "--target", "infected_prob", "--wrt", "vax_param"])
+    assert result.exit_code == type(error).exit_code
+    assert result.stderr == f"error: {error}\n"
+    assert result.stdout == ""
 
 
 def test_analyze_eval_requires_at_n(runner):
@@ -675,6 +753,51 @@ def test_bench_filtered_rows_match(runner):
     for row in report["rows"]:
         assert row["status"] == "ok"
         assert row["match"] is True
+
+
+def test_bench_reports_factor_and_parse_error_rows(runner, tmp_path):
+    (tmp_path / "cycle.prob").write_text(
+        "u = 1\nv = 0\nw = 0\nwhile true:\n    u, v, w = v, w, 2*u {p} u {1 - p}\nend\n"
+    )
+    (tmp_path / "bad.prob").write_text("x = = 3\nwhile true:\n    x = x\nend\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "rows": [
+                    {"program": "cycle.prob", "target": "u", "wrt": "p", "expect_status": "factor"},
+                    {"program": "bad.prob", "target": "x", "wrt": "p", "expect_status": "error(2)"},
+                ]
+            }
+        )
+    )
+    result = runner.invoke(main, ["bench", "--manifest", str(manifest), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert [row["status"] for row in report["rows"]] == ["factor", "error(2)"]
+    assert report["ok"] == report["total"] == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rows": [', "is not valid JSON"),
+        ("{}", "has no list of rows"),
+        ('{"rows": [{"program": "a.prob", "target": "x"}]}', "manifest row 1 has no wrt text"),
+        ('{"rows": [{"program": "a.prob", "target": "x", "wrt": "p", "method": 5}]}',
+         "manifest row 1 has no method text"),
+        ('{"rows": [3]}', "manifest row 1 has no program text"),
+    ],
+    ids=["truncated", "no-rows", "row-without-wrt", "numeric-method", "row-not-an-object"],
+)
+def test_bench_malformed_manifest_exits_2(tmp_path, text, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    proc = _run_cli("bench", "--manifest", str(manifest))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [_error_line(proc)]
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bench_text_table(runner):
