@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from sympy.core.cache import clear_cache
 
+import probsens.solver as solver
 from probsens.dependency import variable_supports
 from probsens.moments import MomentContext
 from probsens.normalize import normalize
@@ -120,14 +121,21 @@ def test_ep_eval(benchmark, bimodal_system):
     assert values[-1] == target
 
 
-def test_verify_closed_forms(benchmark, bimodal_system):
+def test_verify_closed_forms(benchmark, bimodal_system, monkeypatch):
     """The solver's verification step: every solved closed form evaluated
     at the VERIFICATION_POINTS indices after its seed window."""
     system, equations = bimodal_system
-    forms: dict = {}
-    solved = solve_system(equations, system.initials, scalar_forms=forms)
+    seed_solve = solver._solve_seed_system
+    window_ends: dict = {}
+
+    def recording(seed_matrix, symbols, iterator, n0, order):
+        window_ends.update((s, n0 + order) for s in symbols)
+        return seed_solve(seed_matrix, symbols, iterator, n0, order)
+
+    monkeypatch.setattr(solver, "_solve_seed_system", recording)
+    solved = solve_system(equations, system.initials)
     points = [
-        (s, forms[s].base + forms[s].order + k)
+        (s, window_ends[s] + k)
         for s in equations
         for k in range(VERIFICATION_POINTS)
     ]

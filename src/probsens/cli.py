@@ -39,7 +39,6 @@ from .normalize import normalize
 from .oracle import fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
 from .sensitivity import (
-    coeff_text,
     moment_closure,
     parameter_sensitivity,
     sensitivity_system,
@@ -146,21 +145,15 @@ def _classification_json(cls) -> dict:
 
 
 def _system_equations_json(system) -> list[dict]:
-    names: dict = {}  # one print table for the whole system
-    out = []
-    for sym, rec in system.equations.items():
-        if sym.is_constant:
-            continue
-        out.append(
-            {
-                "lhs": sym.indexed("n+1"),
-                "terms": [
-                    {"coeff": coeff_text(c, names), "symbol": str(s)} for c, s in rec.terms
-                ],
-                "text": rec.render(names),
-            }
-        )
-    return out
+    return [
+        {
+            "lhs": sym.indexed("n+1"),
+            "terms": [{"coeff": str(c), "symbol": str(s)} for c, s in rec.terms],
+            "text": rec.render(),
+        }
+        for sym, rec in system.equations.items()
+        if not sym.is_constant
+    ]
 
 
 class _ReportingGroup(click.Group):
@@ -251,7 +244,7 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
             v = ep_eval(result.closed_form, values, n)
         except ValueError as e:  # an unassigned parameter or a negative index
             raise InputError(str(e)) from e
-        evaluations.append({"n": n, "value": str(v), "float": float(v)})
+        evaluations.append({"n": n, "value": str(v), "float": _json_number(v)})
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -295,7 +288,8 @@ def _print_analysis_text(report: dict) -> None:
         click.echo("  (target does not depend on the parameter)")
     click.echo(f"closed form: {report['closed_form_text']}")
     for ev in report["evaluations"]:
-        click.echo(f"  n={ev['n']}: {ev['value']} (= {ev['float']:.6g})")
+        approx = "" if ev["float"] is None else f" (= {ev['float']:.6g})"
+        click.echo(f"  n={ev['n']}: {ev['value']}{approx}")
     click.echo(f"wall: {report['wall_ms']:.1f} ms")
 
 

@@ -18,10 +18,14 @@ of the tokens first collects the assigned names: a statement starts the
 source or follows a newline or a header's ``:``, and a name list followed by
 ``=`` there is an assignment.  One recursive-descent pass then builds the
 polynomials, conditions and statements of ``syntax`` directly.  It checks
-divisions, probabilities and distribution arguments where it reads them, and
-definite assignment statement by statement, so the first error in source
-order is the one raised.  A guarded loop ``while G`` (G not literally true)
-is desugared to ``while true`` with the body wrapped in ``if G``.
+divisions, that probabilities and distribution arguments read no program
+variable, and definite assignment statement by statement, so the first error
+in source order is the one raised.  A guarded loop ``while G`` (G not
+literally true) is desugared to ``while true`` with the body wrapped in
+``if G``.  The values of probabilities and distribution arguments are
+checked afterwards, by :func:`validate`: numeric probabilities in [0, 1]
+that sum to one, the number of a draw's arguments, and the bounds of
+``DiscreteUniform`` and ``Uniform``.
 """
 
 from __future__ import annotations
@@ -579,7 +583,8 @@ class _Parser:
 
 
 def parse(source: str, name: str = "<program>") -> Program:
-    """Parse source text into a validated Program."""
+    """Parse source text into a Program; :func:`validate` then checks the
+    values of its probabilities and distribution arguments."""
     tokens = tokenize(source)
     variables = _assigned_names(tokens)
     parser = _Parser(tokens, variables)

@@ -52,7 +52,6 @@ __all__ = [
     "RecurrenceSystem",
     "SensitivityResult",
     "SequenceSymbol",
-    "coeff_text",
     "moment_closure",
     "parameter_sensitivity",
     "sensitivity_recurrence",
@@ -91,9 +90,6 @@ class SequenceSymbol:
         """The designated constant sequence E(1) = 1."""
         return self.param is None and self.monomial.is_one
 
-    def sort_key(self) -> tuple:
-        return (self.monomial.deglex_key, 0 if self.param is None else 1)
-
     def indexed(self, index: str) -> str:
         if self.param is None:
             return f"E({self.monomial} | {index})"
@@ -106,17 +102,6 @@ class SequenceSymbol:
 
 
 MOMENT_ONE = SequenceSymbol.moment(VarMonomial.one())
-
-
-def coeff_text(c: ParamExpr, names: Optional[dict[ParamExpr, str]] = None) -> str:
-    """``str(c)``, printed once per ``names`` table: one table serves a whole
-    rendered system, whose coefficients repeat a few values many times."""
-    if names is None:
-        return str(c)
-    s = names.get(c)
-    if s is None:
-        s = names[c] = str(c)
-    return s
 
 
 @dataclass(frozen=True)
@@ -134,18 +119,17 @@ class Recurrence:
                 return c
         return ParamExpr.zero()
 
-    def render(self, names: Optional[dict[ParamExpr, str]] = None) -> str:
-        """The equation as text; ``names`` is a print table shared by the
-        equations of one system (see :func:`coeff_text`)."""
+    def render(self) -> str:
+        """The equation as text."""
         parts = []
         for c, s in self.terms:
             if s.is_constant:
-                text = coeff_text(c, names)
+                text = str(c)
                 parts.append(text if not (" + " in text or " - " in text) else f"({text})")
             elif c.is_one:
                 parts.append(s.indexed("n"))
             else:
-                parts.append(f"{_paren(coeff_text(c, names))}*{s.indexed('n')}")
+                parts.append(f"{_paren(str(c))}*{s.indexed('n')}")
         rhs = " + ".join(parts) if parts else "0"
         return f"{self.lhs.indexed('n+1')} = {rhs}"
 
@@ -220,13 +204,7 @@ class RecurrenceSystem:
         return acc
 
     def render(self) -> str:
-        names: dict[ParamExpr, str] = {}
-        lines = []
-        for s, rec in self.equations.items():
-            if s.is_constant:
-                continue
-            lines.append(rec.render(names))
-        return "\n".join(lines)
+        return "\n".join(rec.render() for s, rec in self.equations.items() if not s.is_constant)
 
 
 # ---------------------------------------------------------------------------

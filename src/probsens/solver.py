@@ -19,15 +19,14 @@ in closed form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.densearith import dup_mul
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+from sympy.utilities.iterables import strongly_connected_components
 
 from .errors import SeedSystemError, UnsupportedFactorError
 from .symbolic import (
@@ -45,7 +44,6 @@ from .symbolic import (
 
 __all__ = [
     "ForwardIterator",
-    "ScalarCFinite",
     "factor_charpoly",
     "solve_system",
 ]
@@ -56,40 +54,6 @@ VERIFICATION_POINTS = 3
 
 #: The variable in which a factor of a characteristic polynomial is printed.
 _X = sp.Symbol("x")
-
-
-@dataclass(frozen=True)
-class ScalarCFinite:
-    """A single sequence satisfying a linear recurrence with constant
-    coefficients:
-
-        u(base + n + order) = sum_i coefficients[i] * u(base + n + i)
-
-    for all n >= 0, together with the seed values u(base), ...,
-    u(base + order - 1) that pin down the solution.
-    """
-
-    coefficients: tuple[ParamExpr, ...]
-    seeds: tuple[ParamExpr, ...]
-    base: int = 0
-
-    def __post_init__(self):
-        if len(self.seeds) != len(self.coefficients):
-            raise ValueError("need exactly one seed per recurrence order")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def values(self, upto: int) -> list[ParamExpr]:
-        """u(base), ..., u(base + upto) by direct iteration."""
-        vals = list(self.seeds)
-        while len(vals) <= upto:
-            acc = ParamExpr.zero()
-            for i, c in enumerate(self.coefficients):
-                acc = acc + c * vals[len(vals) - self.order + i]
-            vals.append(acc)
-        return vals[: upto + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -154,53 +118,13 @@ def _accumulate(entries: dict, key, mult: int, combine=operator.add) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sccs(nodes: Sequence, successors: Mapping) -> list[list]:
-    """Strongly connected components, dependencies before dependents."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[list] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(successors[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                out.append(comp)
-    return out
+def _sccs(eqs: Mapping) -> list[list]:
+    """Strongly connected components of the system's dependency graph,
+    dependencies before dependents.  Each lists its members in the reverse
+    of the order a depth-first search from the first symbol of ``eqs``
+    reaches them; a block's forcing eigenvalues are collected in that order."""
+    edges = [(s, t) for s, terms in eqs.items() for _, t in terms]
+    return [comp[::-1] for comp in strongly_connected_components((list(eqs), edges))]
 
 
 class ForwardIterator:
@@ -275,8 +199,6 @@ class ForwardIterator:
 def solve_system(
     equations: Mapping[Hashable, Iterable[tuple]],
     initials: Mapping[Hashable, object],
-    *,
-    scalar_forms: dict | None = None,
 ) -> dict:
     """Closed forms for every sequence of a closed linear system.
 
@@ -284,8 +206,7 @@ def solve_system(
     ``(coefficient, symbol)`` meaning ``s(n+1) = sum(c_i * t_i(n))`` — and
     ``initials`` gives every symbol's value at n = 0.  Coefficients must be
     constant in n (parameters are fine).  Returns a map from symbol to
-    :class:`ExpPolynomial`; if ``scalar_forms`` is a dict, it is filled with
-    the :class:`ScalarCFinite` each symbol was solved through.
+    :class:`ExpPolynomial`.
     """
     eqs: dict = {
         s: tuple((pe(c), t) for c, t in terms) for s, terms in equations.items()
@@ -298,11 +219,10 @@ def solve_system(
         if s not in initials:
             raise ValueError(f"missing initial value for {s!r}")
 
-    successors = {s: [t for _, t in eqs[s]] for s in eqs}
     iterator = ForwardIterator(eqs, initials)
     solved: dict = {}
-    for block in _sccs(list(eqs), successors):
-        _solve_block(block, eqs, iterator, solved, scalar_forms)
+    for block in _sccs(eqs):
+        _solve_block(block, eqs, iterator, solved)
     return solved
 
 
@@ -341,7 +261,7 @@ def _charpoly(block, eqs, domain) -> list:
     return DomainMatrix(rows, (m, m), domain).charpoly()
 
 
-def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
+def _solve_block(block, eqs, iterator, solved) -> None:
     bset = set(block)
     domain = iterator.domain
     chi = _charpoly(block, eqs, domain)
@@ -410,8 +330,6 @@ def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
     )
     symbols = list(block)
     solution = _solve_seed_system(seed_matrix, symbols, iterator, n0, order)
-    if scalar_forms is not None:
-        annihilator = _expanded_annihilator(linear, quads, domain)
     for j, s in enumerate(symbols):
         coeffs = [ParamExpr(solution[k][j]) for k in range(order)]
         closed = _assemble(
@@ -424,28 +342,6 @@ def _solve_block(block, eqs, iterator, solved, scalar_forms) -> None:
                     f"closed form for {s!r} fails verification at n = {n}"
                 )
         solved[s] = closed
-        if scalar_forms is not None:
-            scalar_forms[s] = ScalarCFinite(
-                annihilator,
-                tuple(iterator.value(s, n0 + i) for i in range(order)),
-                base=n0,
-            )
-
-
-def _expanded_annihilator(linear, quads, domain) -> tuple[ParamExpr, ...]:
-    """Coefficients c_i of the (monic) nonzero-eigenvalue annihilator,
-    arranged as u(n+order) = sum_i c_i * u(n+i), multiplied out in
-    ``domain[x]``."""
-    one = domain.one
-    acc = [one]  # leading coefficient first
-    for lam, mult in linear.items():
-        for _ in range(mult):
-            acc = dup_mul(acc, [one, -to_domain(lam, domain)], domain)
-    for (beta, gamma), mult in quads.items():
-        factor = [one, -to_domain(beta, domain), -to_domain(gamma, domain)]
-        for _ in range(mult):
-            acc = dup_mul(acc, factor, domain)
-    return tuple(ParamExpr(-c) for c in reversed(acc[1:]))
 
 
 def _assemble(prefix, linear, quads, coeffs) -> ExpPolynomial:

@@ -233,11 +233,12 @@ class ParamExpr:
     parameters it was built from, or of ``QQ`` when the value is constant.
     Operands from different fields meet in the field over the union of their
     parameter names.  ``==`` and ``hash`` are exact and independent of the
-    field.  ``str`` prints from the terms of the fraction; ``e`` is a sympy
-    view built on demand, the reference that printing is tested against.
+    field.  ``str`` prints from the terms of the fraction, once per object;
+    ``e`` is a sympy view built on demand, the reference that printing is
+    tested against.
     """
 
-    __slots__ = ("elem", "_hash")
+    __slots__ = ("elem", "_hash", "_text")
 
     def __init__(self, value: Union[int, Fraction, str, sp.Expr, "ParamExpr"]):
         f = value.elem if isinstance(value, ParamExpr) else _element(value)
@@ -245,6 +246,7 @@ class ParamExpr:
             f = QQ(f.numer.LC, f.denom.LC)
         self.elem = f
         self._hash = None
+        self._text = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -383,7 +385,10 @@ class ParamExpr:
         return h
 
     def __str__(self) -> str:
-        return _text(self.elem)
+        text = self._text
+        if text is None:
+            text = self._text = _text(self.elem)
+        return text
 
     def __repr__(self) -> str:
         return f"ParamExpr({self})"
@@ -624,14 +629,6 @@ def ep_scale(f: ExpPolynomial, c) -> ExpPolynomial:
         terms=tuple(ExpTerm(t.poly.scale(c), t.base) for t in f.terms),
         quad_terms=tuple(QuadTerm(t.p.scale(c), t.q.scale(c), t.beta, t.gamma) for t in f.quad_terms),
     )
-
-
-def ep_extend_prefix(f: ExpPolynomial, n0: int) -> ExpPolynomial:
-    """Return an equal sequence whose closed-form terms start at index >= n0."""
-    if n0 <= len(f.prefix):
-        return f
-    prefix = tuple(ep_value_symbolic(f, n) for n in range(n0))
-    return ExpPolynomial(prefix=prefix, terms=f.terms, quad_terms=f.quad_terms)
 
 
 def ep_diff(f: ExpPolynomial, param: str) -> ExpPolynomial:

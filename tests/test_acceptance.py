@@ -31,8 +31,8 @@ from probsens.sensitivity import (
     parameter_sensitivity,
     sensitivity_system,
 )
-from probsens.solver import ScalarCFinite, solve_system
-from probsens.symbolic import ep_diff, ep_eval, ep_value_symbolic, pe
+from probsens.solver import solve_system
+from probsens.symbolic import ep_diff, ep_eval, ep_value_symbolic
 
 from test_solver import _random_system, iterate
 
@@ -397,23 +397,13 @@ def test_criterion_10_random_cfinite_systems():
         rng = random.Random(seed)
         size = rng.randint(1, 5)
         eqs, init = _random_system(rng, size)
-        forms: dict = {}
         try:
-            solved = solve_system(eqs, init, scalar_forms=forms)
+            solved = solve_system(eqs, init)
         except UnsupportedFactorError:
             continue  # cubic-plus irreducible factor: out of scope by design
         rows = iterate(eqs, init, 30)
         for s in eqs:
             for n in range(31):
                 assert ep_value_symbolic(solved[s], n) == rows[n][s], (seed, s, n)
-            sc = forms[s]
-            assert isinstance(sc, ScalarCFinite)
-            for i, seed_value in enumerate(sc.seeds):
-                assert seed_value == rows[sc.base + i][s]
-            for n in range(sc.base, 31 - sc.order):
-                acc = pe(0)
-                for i, c in enumerate(sc.coefficients):
-                    acc = acc + c * rows[n + i][s]
-                assert acc == rows[n + sc.order][s], (seed, s, n)
         solved_count += 1
-    _report(10, "100 randomized systems: closed forms and defining recurrences exact to n = 30")
+    _report(10, "100 randomized systems: closed forms exact to n = 30")

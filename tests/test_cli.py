@@ -6,6 +6,7 @@ environment variable, and a round trip over the packaged program corpus.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -326,6 +327,29 @@ def test_analyze_eval_requires_at_n(runner):
     assert "--at-n" in result.output
 
 
+def _doubling_eval(runner, tmp_path, *extra):
+    """d/dp E[x] at p = 1/2 and n = 5000 of x = 2*x {p} x: an exact value
+    far beyond the range of a float."""
+    path = tmp_path / "doubling.prob"
+    path.write_text("x = 1\nwhile true:\n    x = 2*x {p} x\nend\n")
+    args = ["analyze", str(path), "--target", "x", "--wrt", "p", "--eval", "p=1/2", "--at-n", "5000"]
+    return runner.invoke(main, [*args, *extra])
+
+
+def test_analyze_json_value_beyond_float_range_has_null_float(runner, tmp_path):
+    result = _doubling_eval(runner, tmp_path, "--format", "json")
+    assert result.exit_code == 0, result.output
+    [ev] = json.loads(result.stdout)["evaluations"]
+    assert ev["float"] is None
+    assert Fraction(ev["value"]) == 5000 * Fraction(3, 2) ** 4999
+
+
+def test_analyze_text_value_beyond_float_range_prints_exact_value_only(runner, tmp_path):
+    result = _doubling_eval(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    assert f"\n  n=5000: {5000 * Fraction(3, 2) ** 4999}\n" in result.stdout
+
+
 def test_parse_error_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.prob"
     bad.write_text("x = = 3\nwhile true:\n    x = x\nend\n")
@@ -499,7 +523,7 @@ def test_dump_moment_system_text(runner):
     [("coin_flips_13", "total**2", "p"), ("bimodal.prob", "x**2", "p"), ("bimodal.prob", "x**2", None)],
 )
 def test_rendered_coefficients_match_their_str(runner, tmp_path, program, target, wrt):
-    # One print table serves a whole rendered system; every coefficient it
+    # A coefficient keeps its text once printed; every coefficient a report
     # prints must still read exactly as str(c).
     if program.startswith("coin_flips_"):
         path = tmp_path / f"{program}.prob"
@@ -868,3 +892,44 @@ def test_manifest_rows_reference_real_programs():
         assert (CORPUS / row["program"]).exists()
         parse_monomial(row["target"])
         assert ("expect_rec" in row) != ("expect_status" in row)
+
+
+#: SHA-256 digests of the exit code and stdout of each pinned corpus command
+#: (see ``_pinned_digests``), keyed by the command with the program's file
+#: name in place of its path.  Regenerate, from the root of the checkout, with
+#: ``PYTHONPATH=src:tests python -c "import json, test_cli as t;
+#: print(json.dumps(t._pinned_digests(), indent=1))" > tests/cli_output_sha256.json``.
+PINNED_OUTPUTS = Path(__file__).parent / "cli_output_sha256.json"
+
+
+def _pinned_digests() -> dict[str, str]:
+    """``analyze --format json`` (without ``wall_ms`` and ``path``) and the
+    text of ``dump-recurrences --wrt`` for every manifest row except
+    ``coin_flips_50 total**2``, which runs to the equation cap."""
+    runner = CliRunner()
+    digests = {}
+    for row in json.loads(MANIFEST.read_text())["rows"]:
+        if (row["program"], row["target"]) == ("coin_flips_50.prob", "total**2"):
+            continue
+        select = ["--target", row["target"], "--wrt", row["wrt"]]
+        commands = [
+            ["analyze", *select, "--method", row.get("method", "auto"), "--format", "json"],
+            ["dump-recurrences", *select],
+        ]
+        for command in commands:
+            result = runner.invoke(main, [command[0], str(CORPUS / row["program"]), *command[1:]])
+            out = result.stdout
+            if command[0] == "analyze" and result.exit_code == 0:
+                report = json.loads(out)
+                del report["wall_ms"], report["path"]
+                out = json.dumps(report, indent=2)
+            key = " ".join([command[0], row["program"], *command[1:]])
+            digests[key] = hashlib.sha256(f"{result.exit_code}\n{out}".encode()).hexdigest()
+    return digests
+
+
+def test_corpus_outputs_match_their_pinned_digests():
+    pinned = json.loads(PINNED_OUTPUTS.read_text())
+    got = _pinned_digests()
+    assert got.keys() == pinned.keys()
+    assert [key for key in pinned if got[key] != pinned[key]] == []

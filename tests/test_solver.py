@@ -11,7 +11,7 @@ from sympy import QQ
 
 import probsens.solver as solver
 from probsens.errors import SeedSystemError, UnsupportedFactorError
-from probsens.solver import ScalarCFinite, factor_charpoly, solve_system
+from probsens.solver import factor_charpoly, solve_system
 from probsens.symbolic import (
     CounterPoly,
     ExpPolynomial,
@@ -151,45 +151,28 @@ def test_missing_initial_rejected():
         solve_system(eqs, {})
 
 
-# ---------------------------------------------------------------------------
-# ScalarCFinite views
-# ---------------------------------------------------------------------------
+def test_blocks_come_dependencies_first():
+    eqs = {
+        "a": [(pe(1), "b")],
+        "b": [(pe(1), "c"), (pe(1), "d")],
+        "c": [(pe(1), "b")],
+        "d": [],
+    }
+    assert solver._sccs(eqs) == [["d"], ["c", "b"], ["a"]]
 
 
-def test_scalar_view_satisfies_own_recurrence():
+def test_closed_forms_of_a_forced_chain_match_iteration():
     eqs = {
         "u": [(pe(2), "u"), (pe(1), "v")],
         "v": [(pe(1), "v"), (pe(1), "one")],
         "one": [(pe(1), "one")],
     }
     init = {"u": pe(0), "v": pe(1), "one": pe(1)}
-    forms: dict = {}
-    solved = solve_system(eqs, init, scalar_forms=forms)
+    solved = solve_system(eqs, init)
     rows = iterate(eqs, init, 16)
     for s in eqs:
-        sc = forms[s]
-        assert isinstance(sc, ScalarCFinite)
-        # seeds sit at the stated base
-        for i, seed in enumerate(sc.seeds):
-            assert seed == rows[sc.base + i][s]
-        # and the recurrence itself holds well past the seeds
-        for n in range(sc.base, 12 - sc.order):
-            acc = pe(0)
-            for i, c in enumerate(sc.coefficients):
-                acc = acc + c * rows[n + i][s]
-            assert acc == rows[n + sc.order][s]
-        # the closed form agrees everywhere
         for n in range(13):
             assert ep_value_symbolic(solved[s], n) == rows[n][s]
-
-
-def test_scalar_cfinite_values_and_charpoly():
-    sc = ScalarCFinite((pe(-1), pe(2)), (pe(0), pe(1)))  # u(n+2) = 2u(n+1) - u(n)
-    assert sc.order == 2
-    vals = sc.values(6)
-    assert [str(v) for v in vals] == ["0", "1", "2", "3", "4", "5", "6"]
-    # x**2 - 2*x + 1, as u(n+2) = c_0*u(n) + c_1*u(n+1)
-    assert sc.coefficients == (pe(-1), pe(2))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +386,20 @@ def test_a_wrong_closed_form_fails_verification(monkeypatch, system):
         solve_system(*system())
 
 
+def _record_seed_windows(monkeypatch) -> dict:
+    """Map each solved symbol to the ``(n0, order)`` of its block's seed
+    window, as the solver hands them to its seed solve."""
+    original = solver._solve_seed_system
+    windows: dict = {}
+
+    def recording(seed_matrix, symbols, iterator, n0, order):
+        windows.update((s, (n0, order)) for s in symbols)
+        return original(seed_matrix, symbols, iterator, n0, order)
+
+    monkeypatch.setattr(solver, "_solve_seed_system", recording)
+    return windows
+
+
 @pytest.mark.parametrize("system", [_forced_rotation, _nilpotent_pair], ids=["rotation", "nilpotent"])
 def test_every_symbol_is_verified_after_its_seed_window(monkeypatch, system):
     original = solver.ep_value_symbolic
@@ -413,23 +410,23 @@ def test_every_symbol_is_verified_after_its_seed_window(monkeypatch, system):
         return original(f, n)
 
     monkeypatch.setattr(solver, "ep_value_symbolic", counting)
+    windows = _record_seed_windows(monkeypatch)
     eqs, init = system()
-    forms: dict = {}
-    solve_system(eqs, init, scalar_forms=forms)
+    solve_system(eqs, init)
     assert len(indices) == solver.VERIFICATION_POINTS * len(eqs)
+    assert windows.keys() == eqs.keys()
     want = [
-        forms[s].base + forms[s].order + k
-        for s in forms
+        n0 + order + k
+        for n0, order in windows.values()
         for k in range(solver.VERIFICATION_POINTS)
     ]
     assert sorted(indices) == sorted(want)
 
 
-def test_nilpotent_blocks_are_prefixes_with_empty_scalar_forms():
+def test_nilpotent_blocks_are_prefixes_with_empty_seed_windows(monkeypatch):
+    windows = _record_seed_windows(monkeypatch)
     eqs, init = _nilpotent_pair()
-    forms: dict = {}
-    solved = solve_system(eqs, init, scalar_forms=forms)
+    solved = solve_system(eqs, init)
     assert solved["v"] == ExpPolynomial(prefix=(pe(7),))
     assert solved["u"] == ExpPolynomial(prefix=(pe(5), pe(7)))
-    assert forms["v"] == ScalarCFinite((), (), base=1)
-    assert forms["u"] == ScalarCFinite((), (), base=2)
+    assert windows == {"v": (1, 0), "u": (2, 0)}

@@ -23,7 +23,6 @@ from probsens.symbolic import (
     ep_add,
     ep_diff,
     ep_eval,
-    ep_extend_prefix,
     ep_scale,
     ep_value_symbolic,
     pe,
@@ -424,9 +423,9 @@ def test_ep_scale_and_zero():
     assert ep_eval(g, {"p": Fraction(2, 3)}, 2) == Fraction(50, 3)
 
 
-def test_ep_extend_prefix_preserves_values():
+def test_adding_a_zero_prefix_preserves_values():
     f = _geo(Fraction(2, 3))
-    g = ep_extend_prefix(f, 3)
+    g = ep_add(f, ExpPolynomial(prefix=(pe(0),) * 3))
     assert g.start == 3
     for n in range(8):
         assert ep_eval(g, {}, n) == ep_eval(f, {}, n)
