@@ -41,6 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import refs  # noqa: E402  (hand-derived references, shared with perfbench)
 
 BIMODAL_POINT = {"p": Fraction(2, 7), "q2": Fraction(3, 11), "var": Fraction(4, 13)}
+CHAINS_POINT = {"p": Fraction(2, 7), "q": Fraction(3, 11), "r": Fraction(4, 13)}
 ROUNDS = 3
 
 
@@ -61,12 +62,16 @@ def _program(name: str):
     return normalize(parse((CORPUS / name).read_text(), name=name))
 
 
-@pytest.fixture(scope="module")
-def bimodal_system():
-    """The sensitivity system of bimodal x**2 with respect to p (9 equations)."""
-    system = sensitivity_system(MomentContext(_program("bimodal.prob")), parse_monomial("x**2"), "p")
+def _sensitivity_system(name: str, target: str, wrt: str):
+    system = sensitivity_system(MomentContext(_program(name)), parse_monomial(target), wrt)
     equations = {s: rec.terms for s, rec in system.equations.items()}
     return system, equations
+
+
+@pytest.fixture(scope="module")
+def bimodal_system():
+    """The sensitivity system of bimodal x**2 with respect to p (10 equations)."""
+    return _sensitivity_system("bimodal.prob", "x**2", "p")
 
 
 def test_paramexpr_arithmetic(benchmark):
@@ -94,16 +99,26 @@ def test_forward_iterator_20_steps(benchmark, bimodal_system):
         assert rows[20][s].eval_fraction(BIMODAL_POINT) == exact[20][s]
 
 
-def test_solve_system(benchmark, bimodal_system):
-    system, equations = bimodal_system
+#: Sensitivity systems solved by ``test_solve_system``: bimodal x**2, and
+#: the slowest corpus op, the sensrec row of non_admissible_3 z1**2.
+SOLVE_CASES = {
+    "bimodal_x2": (("bimodal.prob", "x**2", "p"), BIMODAL_POINT),
+    "non_admissible_3_z1_sq": (("non_admissible_3.prob", "z1**2", "p"), CHAINS_POINT),
+}
+
+
+@pytest.mark.parametrize("case", SOLVE_CASES)
+def test_solve_system(benchmark, case):
+    row, point = SOLVE_CASES[case]
+    system, equations = _sensitivity_system(*row)
 
     def work():
         return solve_system(equations, system.initials)
 
     solved = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
-    exact = ForwardIterator(equations, system.initials, BIMODAL_POINT).rows(12)
+    exact = ForwardIterator(equations, system.initials, point).rows(12)
     for s in equations:
-        assert ep_eval(solved[s], BIMODAL_POINT, 12) == exact[12][s]
+        assert ep_eval(solved[s], point, 12) == exact[12][s]
 
 
 def test_ep_eval(benchmark, bimodal_system):

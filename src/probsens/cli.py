@@ -103,7 +103,10 @@ def _parse_bindings(pairs) -> dict[str, Fraction]:
             if "=" not in item:
                 raise click.UsageError(f"expected name=value, got {item!r}")
             name, _, raw = item.partition("=")
-            values[name.strip()] = _parse_fraction(raw.strip())
+            name = name.strip()
+            if name in values:
+                raise click.UsageError(f"parameter {name!r} given twice")
+            values[name] = _parse_fraction(raw.strip())
     return values
 
 

@@ -4,11 +4,15 @@ A closed system ``s(n+1) = A·s(n) + forcing`` is condensed into strongly
 connected blocks processed in dependency order.  Each block contributes a
 scalar annihilator — its characteristic polynomial times one factor per
 eigenvalue of the already-solved forcing inputs — whose roots fix the
-exponential-polynomial shape of every symbol in the block.  The remaining
-undetermined coefficients are solved against exact seed values obtained by
-iterating the full system symbolically, then double-checked on three extra
-indices.  All of this is exact linear algebra in one field: Q(params), the
-rational functions of the system's parameters.
+exponential-polynomial shape of every symbol in the block.  A block of one
+symbol has the characteristic polynomial x - a, with ``a`` the sum of the
+symbol's coefficients on itself, so its eigenvalue is read off directly;
+only larger blocks build and factor a characteristic polynomial.  The
+remaining undetermined coefficients are solved against exact seed values
+obtained by iterating the full system symbolically, over one common
+denominator, then double-checked on three extra indices.  All of this is
+exact linear algebra in one field: Q(params), the rational functions of the
+system's parameters.
 
 Zero eigenvalues (nilpotent behaviour) and forcing inputs that are only
 valid from some index onward both turn into an explicit prefix of tabulated
@@ -20,9 +24,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
+from sympy import QQ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
@@ -131,55 +137,72 @@ class ForwardIterator:
     """Exact forward iteration of a closed system, memoized row by row.
 
     ``equations`` maps each symbol to its ``(coefficient, symbol)`` terms and
-    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  The rows
-    are computed in ``domain``, the parameter field of the whole system, and
-    handed out as ``ParamExpr``.  With ``values``, every coefficient and
-    initial value is evaluated once at those rational parameter values and
-    the rows hold ``Fraction``s.
+    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  Values are
+    handed out in ``domain``, the parameter field of the whole system (``raw``),
+    or as ``ParamExpr`` (``value``, ``row``), but iterated over one common
+    denominator: with ``D`` the lcm of the coefficients' denominators and
+    ``E`` the lcm of the initial values', the value at n is
+    ``U(n) / (E * D**n)``, where the numerators follow
+    ``U_s(n+1) = sum((c.numer * D / c.denom) * U_t(n))`` in the ring of
+    ``domain`` (``ZZ[params]``, or ``ZZ`` when there are no parameters) and
+    no step cancels.  A value is cancelled once, when it is first handed out.
+    With ``values``, every coefficient and initial value is evaluated once at
+    those rational parameter values and the rows hold ``Fraction``s.
     """
 
     def __init__(self, equations, initials, values: Mapping[str, Fraction] | None = None):
+        symbols = list(equations)
         if values is None:
-            initials = {s: pe(initials[s]) for s in equations}
             coefficients = [c for terms in equations.values() for c, _ in terms]
-            self.domain = common_domain([*coefficients, *initials.values()])
-            self._zero = self.domain.zero
+            starts = [pe(initials[s]) for s in symbols]
+            self.domain = domain = common_domain([*coefficients, *starts])
+            coefficients, self._step = _over_common_denominator(coefficients, domain)
+            starts, start_den = _over_common_denominator(starts, domain)
+            self._zero = domain.get_ring().zero
+            self._fraction = QQ.new if domain is QQ else domain.field.new
+            self._denominators = [start_den]
+            self._reduced: dict = {}
+            self._rows: list[dict] = []
         else:
             self.domain = None
             self._zero = Fraction(0)
-
-        def convert(c):
-            return to_domain(c, self.domain) if values is None else c.eval_fraction(values)
-
-        self._eq = {
-            s: tuple((convert(c), t) for c, t in terms) for s, terms in equations.items()
-        }
-        self._raw = [{s: convert(initials[s]) for s in equations}]
-        self._rows: list[dict] = []
+            coefficients = [c.eval_fraction(values) for terms in equations.values() for c, _ in terms]
+            starts = [initials[s].eval_fraction(values) for s in symbols]
+        scaled = iter(coefficients)
+        self._eq = {s: tuple((next(scaled), t) for _, t in terms) for s, terms in equations.items()}
+        self._num = [dict(zip(symbols, starts))]
 
     def _advance(self, n: int) -> None:
-        while len(self._raw) <= n:
-            prev = self._raw[-1]
+        while len(self._num) <= n:
+            prev = self._num[-1]
             nxt = {}
             for s, terms in self._eq.items():
                 acc = self._zero
                 for c, t in terms:
                     acc = acc + c * prev[t]
                 nxt[s] = acc
-            self._raw.append(nxt)
+            self._num.append(nxt)
 
     def raw(self, sym, n: int):
         """The value at ``n`` as an element of ``domain`` (or a Fraction)."""
         self._advance(n)
-        return self._raw[n][sym]
+        if self.domain is None:
+            return self._num[n][sym]
+        out = self._reduced.get((sym, n))
+        if out is None:
+            dens = self._denominators
+            while len(dens) <= n:
+                dens.append(dens[-1] * self._step)
+            out = self._reduced[sym, n] = self._fraction(self._num[n][sym], dens[n])
+        return out
 
     def row(self, n: int) -> dict:
         self._advance(n)
         if self.domain is None:
-            return self._raw[n]
+            return self._num[n]
         while len(self._rows) <= n:
-            raw = self._raw[len(self._rows)]
-            self._rows.append({s: ParamExpr(v) for s, v in raw.items()})
+            k = len(self._rows)
+            self._rows.append({s: ParamExpr(self.raw(s, k)) for s in self._eq})
         return self._rows[n]
 
     def rows(self, steps: int) -> list[dict]:
@@ -189,6 +212,17 @@ class ForwardIterator:
     def value(self, sym, n: int):
         v = self.raw(sym, n)
         return v if self.domain is None else ParamExpr(v)
+
+
+def _over_common_denominator(values: Sequence[ParamExpr], domain) -> tuple[list, object]:
+    """``values`` as numerators over their least common denominator L, all
+    in the ring of ``domain``: returns the numerators and L."""
+    ring = domain.get_ring()
+    fractions = [to_domain(v, domain) for v in values]
+    dens = {domain.denom(f) for f in fractions}
+    lcm = reduce(ring.lcm, dens, ring.one)
+    scale = {den: ring.exquo(lcm, den) for den in dens}
+    return [domain.numer(f) * scale[domain.denom(f)] for f in fractions], lcm
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +295,24 @@ def _charpoly(block, eqs, domain) -> list:
     return DomainMatrix(rows, (m, m), domain).charpoly()
 
 
+def _one_symbol_factors(s, eqs, domain):
+    """What ``_classify_factors`` reads off the factors of the characteristic
+    polynomial of the block of ``s`` alone.  That polynomial is x - a, with
+    ``a`` the sum of the coefficients of ``s`` on itself; being linear, it is
+    its own one irreducible factor, so it needs no determinant and no
+    factoring."""
+    a = sum((to_domain(c, domain) for c, t in eqs[s] if t == s), domain.zero)
+    return (0, {ParamExpr(a): 1}, {}) if a else (1, {}, {})
+
+
 def _solve_block(block, eqs, iterator, solved) -> None:
     bset = set(block)
     domain = iterator.domain
-    chi = _charpoly(block, eqs, domain)
-    zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
+    if len(block) == 1:
+        zero_mult, linear, quads = _one_symbol_factors(block[0], eqs, domain)
+    else:
+        chi = _charpoly(block, eqs, domain)
+        zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
 
     # Forcing inputs are already in closed form; their eigenvalues join the
     # annihilator (multiplicities combine by max across inputs, since the

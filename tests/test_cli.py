@@ -761,6 +761,22 @@ def test_simulate_bad_fd_or_monomial_is_a_usage_error(args, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--target", "x", "--wrt", "p", "--eval", "p=1/2,p=1/3", "--at-n", "2"],
+        ["simulate", "--monomial", "x", "--n", "2", "--param", "p=1/2", "--param", " p = 1/3"],
+    ],
+    ids=["analyze-eval", "simulate-param"],
+)
+def test_a_parameter_given_twice_is_a_usage_error(args):
+    command, *options = args
+    proc = _run_cli(command, str(CORPUS / "random_walk_1d.prob"), *options)
+    assert proc.returncode == 2
+    assert _error_line(proc) == "Error: parameter 'p' given twice"
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

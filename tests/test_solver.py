@@ -4,14 +4,22 @@ closed-form construction, and exact agreement with forward iteration."""
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ
 
 import probsens.solver as solver
 from probsens.errors import SeedSystemError, UnsupportedFactorError
-from probsens.solver import factor_charpoly, solve_system
+from probsens.moments import MomentContext
+from probsens.normalize import normalize
+from probsens.parser import parse, parse_monomial
+from probsens.sensitivity import sensitivity_system
+from probsens.solver import ForwardIterator, factor_charpoly, solve_system
 from probsens.symbolic import (
     CounterPoly,
     ExpPolynomial,
@@ -25,6 +33,8 @@ from probsens.symbolic import (
     pe,
     render_exp_polynomial,
 )
+
+CORPUS = Path(solver.__file__).parent / "benchmarks"
 
 
 def expr(text: str) -> ParamExpr:
@@ -430,3 +440,146 @@ def test_nilpotent_blocks_are_prefixes_with_empty_seed_windows(monkeypatch):
     assert solved["v"] == ExpPolynomial(prefix=(pe(7),))
     assert solved["u"] == ExpPolynomial(prefix=(pe(5), pe(7)))
     assert windows == {"v": (1, 0), "u": (2, 0)}
+
+
+# ---------------------------------------------------------------------------
+# One-symbol blocks: x - a needs no determinant and no factoring
+# ---------------------------------------------------------------------------
+
+
+def _general_factors(s, eqs, domain):
+    """The factors of a one-symbol block the way every larger block gets
+    them: its characteristic polynomial, factored, then classified."""
+    chi = solver._charpoly([s], eqs, domain)
+    return solver._classify_factors(factor_charpoly(chi, domain), domain)
+
+
+_SCALE = st.sampled_from(["1", "a", "b", "1/(1 + a)", "a/(a + b)", "a*b - 1/2"])
+_COEFFICIENT = st.builds(
+    lambda k, d, scale: pe(Fraction(k, d)) * expr(scale),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+    _SCALE,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    self_terms=st.lists(_COEFFICIENT, max_size=3),
+    cancel=st.booleans(),
+    forcing=st.sampled_from(["none", "same", "other"]),
+    start=_COEFFICIENT,
+)
+def test_one_symbol_shortcut_matches_the_general_path(self_terms, cancel, forcing, start):
+    # u(n+1) = (sum of self_terms) * u(n) + v(n), with v geometric: its
+    # ratio is u's own self-coefficient a ("same", which merges into an
+    # n*a**n term), another value, or v is absent.
+    if cancel and self_terms:
+        self_terms = [*self_terms, -sum(self_terms[1:], self_terms[0])]  # a == 0
+    a = sum(self_terms, pe(0))
+    ratio = {"same": a, "other": a + 2}.get(forcing)
+    eqs = {"u": [(c, "u") for c in self_terms]}
+    init = {"u": start}
+    if ratio is not None:
+        eqs["u"].append((pe(1), "v"))
+        eqs["v"] = [(ratio, "v")]
+        init["v"] = pe(1)
+    domain = ForwardIterator(eqs, init).domain
+
+    got = solver._one_symbol_factors("u", eqs, domain)
+    want = _general_factors("u", eqs, domain)
+    assert got == want
+    assert [str(lam) for lam in got[1]] == [str(lam) for lam in want[1]]
+    assert got == ((1, {}, {}) if a.is_zero else (0, {a: 1}, {}))
+
+    shortcut = solve_system(eqs, init)
+    with mock.patch.object(solver, "_one_symbol_factors", _general_factors):
+        general = solve_system(eqs, init)
+    assert shortcut == general
+    assert {s: render_exp_polynomial(f) for s, f in shortcut.items()} == {
+        s: render_exp_polynomial(f) for s, f in general.items()
+    }
+    if forcing == "same" and not a.is_zero:
+        (term,) = shortcut["u"].terms
+        assert term.base == a and term.poly.degree == 1  # (c0 + c1*n) * a**n
+
+
+def _bimodal_sensitivity_system():
+    """d/dp E[x**2] of bimodal.prob: every block is one symbol."""
+    name = "bimodal.prob"
+    ctx = MomentContext(normalize(parse((CORPUS / name).read_text(), name=name)))
+    system = sensitivity_system(ctx, parse_monomial("x**2"), "p")
+    return {s: rec.terms for s, rec in system.equations.items()}, system.initials
+
+
+def test_a_triangular_system_is_solved_without_factoring(monkeypatch):
+    eqs, init = _bimodal_sensitivity_system()
+    assert all(len(block) == 1 for block in solver._sccs(eqs))
+
+    def forbidden(*args):
+        raise AssertionError("a one-symbol block was factored")
+
+    monkeypatch.setattr(solver, "factor_charpoly", forbidden)
+    monkeypatch.setattr(solver, "_charpoly", forbidden)
+    solved = solve_system(eqs, init)
+    rows = iterate(eqs, init, 10)
+    for s in eqs:
+        for n in range(11):
+            assert ep_value_symbolic(solved[s], n) == rows[n][s], (s, n)
+
+
+def test_blocks_of_two_or_more_symbols_are_still_factored(monkeypatch):
+    original = solver.factor_charpoly
+    degrees = []
+
+    def recording(coeffs, domain):
+        degrees.append(len(coeffs) - 1)
+        return original(coeffs, domain)
+
+    monkeypatch.setattr(solver, "factor_charpoly", recording)
+    solve_system(*_forced_rotation())  # blocks {one}, {u, v}, {w, x}
+    assert degrees == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Forward iteration over one common denominator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "coefficients, initials",
+    [
+        (["1/(1 + p)", "p/(1 + p)", "-p", "1/(2 - p)"], ["p/(2 + p)", "1", "-1/q"]),
+        (["3/4", "p/6", "-2*q", "5"], ["1/3", "q/5", "-2"]),
+        (["3/(4*(1 + p))", "p/3", "1/(p + 2)", "-7/10"], ["1/3", "1/(1 - p)", "p/4"]),
+        (["3/4", "-5/6", "7/5", "-1"], ["1/3", "2", "-9/4"]),
+    ],
+    ids=["polynomial-denominators", "integer-denominators", "mixed", "parameter-free"],
+)
+def test_forward_iteration_matches_reduced_iteration(coefficients, initials):
+    c0, c1, c2, c3 = (expr(c) for c in coefficients)
+    # triangular, like the corpus systems, so that the values the reference
+    # iteration reduces at every step stay small enough to test 30 steps
+    eqs = {
+        "u": [(c0, "u"), (c1, "v"), (c3, "w")],
+        "v": [(c2, "v"), (c3, "w"), (c0, "v")],
+        "w": [(pe(1), "w")],
+    }
+    init = dict(zip(eqs, (expr(v) for v in initials)))
+    iterator = ForwardIterator(eqs, init)
+    assert (iterator.domain is QQ) == (coefficients[0] == "3/4" and coefficients[1] == "-5/6")
+    rows = iterate(eqs, init, 30)
+
+    def check(got, want):
+        assert isinstance(got, ParamExpr)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+
+    for s in eqs:  # the last index first: values are handed out in any order
+        check(iterator.value(s, 30), rows[30][s])
+    for n in range(31):
+        row = iterator.row(n)
+        assert row.keys() == eqs.keys()
+        for s in eqs:
+            check(row[s], rows[n][s])
+            check(iterator.value(s, n), rows[n][s])
+    assert iterator.rows(30) == rows
