@@ -25,11 +25,10 @@ from probsens.normalize import normalize
 from probsens.oracle import fd_sensitivity, moment_exact, sample_moment
 from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import moment_closure, parameter_sensitivity, sensitivity_system
-from probsens.solver import VERIFICATION_POINTS, ForwardIterator, solve_system
+from probsens.solver import ForwardIterator, solve_system
 from probsens.symbolic import (
     ParamExpr,
     ep_eval,
-    ep_value_symbolic,
     exp_polynomial_to_json,
     render_exp_polynomial,
 )
@@ -137,32 +136,29 @@ def test_ep_eval(benchmark, bimodal_system):
 
 
 def test_verify_closed_forms(benchmark, bimodal_system, monkeypatch):
-    """The solver's verification step: every solved closed form evaluated
-    at the VERIFICATION_POINTS indices after its seed window."""
+    """The solver's check of every solved block: the residual
+    S(n+1) - A*S(n) - g(n) as an identity, and the value at n0."""
     system, equations = bimodal_system
-    seed_solve = solver._solve_seed_system
-    window_ends: dict = {}
+    check = solver._check_block
+    calls = []
 
-    def recording(seed_matrix, symbols, iterator, n0, order):
-        window_ends.update((s, n0 + order) for s in symbols)
-        return seed_solve(seed_matrix, symbols, iterator, n0, order)
+    def recording(*args):
+        calls.append(args)
+        return check(*args)
 
-    monkeypatch.setattr(solver, "_solve_seed_system", recording)
+    monkeypatch.setattr(solver, "_check_block", recording)
     solved = solve_system(equations, system.initials)
-    points = [
-        (s, window_ends[s] + k)
-        for s in equations
-        for k in range(VERIFICATION_POINTS)
-    ]
 
     def work():
-        return [ep_value_symbolic(solved[s], n) for s, n in points]
+        return [check(*args) for args in calls]
 
-    values = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
-    iterator = ForwardIterator(equations, system.initials)
-    assert len(values) == VERIFICATION_POINTS * len(equations)
-    for (s, n), value in zip(points, values):
-        assert value == iterator.value(s, n), (s, n)
+    expansions = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
+    assert sorted(map(str, (s for e in expansions for s in e))) == sorted(map(str, equations))
+    exact = ForwardIterator(equations, system.initials, BIMODAL_POINT).rows(12)
+    for block, n0, *_ in calls:
+        for s in block:
+            assert ep_eval(solved[s], BIMODAL_POINT, n0) == exact[n0][s], (s, n0)
+            assert ep_eval(solved[s], BIMODAL_POINT, 12) == exact[12][s], s
 
 
 #: Manifest rows whose reports print the most coefficient text.

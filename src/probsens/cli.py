@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -433,32 +432,30 @@ def simulate(program, monomial, steps, params, trials, seed, fd):
         "n": steps,
     }
     try:
-        # sampled values may overflow float64 (see _json_number)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if fd is not None:
-                name, _, eps_raw = fd.partition(":")
-                eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
-                est = fd_sensitivity(
-                    prog,
-                    mono,
-                    steps,
-                    name.strip(),
-                    sigma,
-                    eps=eps,
-                    exact=trials == 0,
-                    trials=trials or 200_000,
-                    seed=seed,
-                )
-                out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
-            elif trials == 0:
-                exact = moment_exact(prog, mono, steps, sigma)
-                est = None
-                out.update(
-                    {"mode": "exact", "value": _json_number(exact), "value_exact": str(exact),
-                     "stderr": 0.0, "trials": 0}
-                )
-            else:
-                est = sample_moment(prog, mono, steps, trials, seed, sigma)
+        if fd is not None:
+            name, _, eps_raw = fd.partition(":")
+            eps = _parse_fraction(eps_raw) if eps_raw else Fraction(1, 10**4)
+            est = fd_sensitivity(
+                prog,
+                mono,
+                steps,
+                name.strip(),
+                sigma,
+                eps=eps,
+                exact=trials == 0,
+                trials=trials or 200_000,
+                seed=seed,
+            )
+            out["fd"] = {"parameter": name.strip(), "eps": str(eps)}
+        elif trials == 0:
+            exact = moment_exact(prog, mono, steps, sigma)
+            est = None
+            out.update(
+                {"mode": "exact", "value": _json_number(exact), "value_exact": str(exact),
+                 "stderr": 0.0, "trials": 0}
+            )
+        else:
+            est = sample_moment(prog, mono, steps, trials, seed, sigma)
         if est is not None:
             out.update(
                 {

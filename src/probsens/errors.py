@@ -109,7 +109,8 @@ class SingularParameterError(ProbsensError):
 
 
 class SeedSystemError(ProbsensError):
-    """The linear system fixing closed-form coefficients was inconsistent."""
+    """A solved closed form failed its check against the recurrence, or the
+    seed system fixing its coefficients was singular."""
 
 
 class OracleError(ProbsensError):

@@ -1,30 +1,46 @@
 """Closed forms for linear recurrence systems with constant coefficients.
 
-A closed system ``s(n+1) = A·s(n) + forcing`` is condensed into strongly
-connected blocks processed in dependency order.  Each block contributes a
-scalar annihilator — its characteristic polynomial times one factor per
-eigenvalue of the already-solved forcing inputs — whose roots fix the
-exponential-polynomial shape of every symbol in the block.  A block of one
-symbol has the characteristic polynomial x - a, with ``a`` the sum of the
-symbol's coefficients on itself, so its eigenvalue is read off directly;
-only larger blocks build and factor a characteristic polynomial.  The
-remaining undetermined coefficients are solved against exact seed values
-obtained by iterating the full system symbolically, over one common
-denominator, then double-checked on three extra indices.  All of this is
-exact linear algebra in one field: Q(params), the rational functions of the
-system's parameters.
+A closed system ``s(n+1) = A·s(n)`` is condensed into strongly connected
+blocks, solved in dependency order.  The terms of a block's equations on
+symbols of earlier blocks, whose closed forms are known, add up to one
+forcing exponential polynomial g_s(n) per symbol, valid from the latest
+start of its inputs.  Everything is exact arithmetic in one field:
+Q(params), the rational functions of the system's parameters.
 
-Zero eigenvalues (nilpotent behaviour) and forcing inputs that are only
-valid from some index onward both turn into an explicit prefix of tabulated
-values; the ansatz applies from the first index where every ingredient is
-in closed form.
+A block of one symbol, s(n+1) = a·s(n) + g(n), is solved by undetermined
+coefficients (Kauers and Paule, *The Concrete Tetrahedron*, on C-finite
+sequences).  A forcing term P(n)·bⁿ has the particular term Q(n)·bⁿ with
+b·Q(n+1) − a·Q(n) = P(n); its coefficients follow from the top down, one
+division each, and deg Q = deg P + 1 when b = a.  A conjugate-pair
+term takes a 2×2 system per degree, whose determinant is never zero.  The
+coefficient of aⁿ comes from the value at n0; when a is 0 there is none,
+and the closed form starts one step later.  Every block of the corpus
+systems has one symbol.
+
+A block of two or more symbols builds its characteristic polynomial,
+factors it, and solves a Vandermonde-like seed system against iterated
+values on a window of indices.  Zero eigenvalues (nilpotent behaviour) and
+forcing inputs that are only valid from some index onward both delay n0,
+the index from which the exponential polynomial holds; the values before it
+are an explicit prefix.
+
+Every block's closed forms are checked by one rule.  The residual
+S(n+1) − A·S(n) − g(n) must be zero term by term, and S(n0) must equal the
+iterated value.  Since the functions nʲbⁿ with distinct nonzero b are
+linearly independent, the two together prove the closed form for all
+n ≥ n0.  The forcing, the coefficients of a one-symbol block's terms and
+the residual are sums of fractions kept unreduced as (numerator,
+denominator) pairs: such a coefficient is cancelled once, and the residual
+never.  Forward iteration, over one common denominator, is needed only for
+the prefixes, the values at n0 and the seed windows.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import sympy as sp
@@ -54,9 +70,7 @@ __all__ = [
     "solve_system",
 ]
 
-#: Number of indices beyond the seed window on which every solved closed
-#: form is re-checked against direct iteration.
-VERIFICATION_POINTS = 3
+_MPQ = type(QQ(0))
 
 #: The variable in which a factor of a characteristic polynomial is printed.
 _X = sp.Symbol("x")
@@ -146,33 +160,46 @@ class ForwardIterator:
     ``U_s(n+1) = sum((c.numer * D / c.denom) * U_t(n))`` in the ring of
     ``domain`` (``ZZ[params]``, or ``ZZ`` when there are no parameters) and
     no step cancels.  A value is cancelled once, when it is first handed out.
-    With ``values``, every coefficient and initial value is evaluated once at
-    those rational parameter values and the rows hold ``Fraction``s.
+    A value at n = 0 is the initial value itself, and the numerators are set
+    up on the first step past it.  With ``values``, every coefficient and
+    initial value is evaluated once at those rational parameter values and
+    the rows hold ``Fraction``s.
     """
 
     def __init__(self, equations, initials, values: Mapping[str, Fraction] | None = None):
         symbols = list(equations)
+        self._equations = equations
         if values is None:
             coefficients = [c for terms in equations.values() for c, _ in terms]
             starts = [pe(initials[s]) for s in symbols]
-            self.domain = domain = common_domain([*coefficients, *starts])
-            coefficients, self._step = _over_common_denominator(coefficients, domain)
-            starts, start_den = _over_common_denominator(starts, domain)
-            self._zero = domain.get_ring().zero
-            self._fraction = QQ.new if domain is QQ else domain.field.new
-            self._denominators = [start_den]
+            self.domain = common_domain([*coefficients, *starts])
+            self._starts = dict(zip(symbols, starts))
             self._reduced: dict = {}
             self._rows: list[dict] = []
+            self._num: list[dict] = []  # set up by the first step
         else:
             self.domain = None
             self._zero = Fraction(0)
             coefficients = [c.eval_fraction(values) for terms in equations.values() for c, _ in terms]
             starts = [initials[s].eval_fraction(values) for s in symbols]
+            self._set_up(coefficients, starts)
+
+    def _set_up(self, coefficients: list, starts: list) -> None:
         scaled = iter(coefficients)
-        self._eq = {s: tuple((next(scaled), t) for _, t in terms) for s, terms in equations.items()}
-        self._num = [dict(zip(symbols, starts))]
+        self._eq = {s: tuple((next(scaled), t) for _, t in terms) for s, terms in self._equations.items()}
+        self._num = [dict(zip(self._equations, starts))]
 
     def _advance(self, n: int) -> None:
+        if not self._num:
+            # over common denominators; a caller that reads only values at
+            # n = 0 never pays for the lcms
+            domain = self.domain
+            coefficients = [c for terms in self._equations.values() for c, _ in terms]
+            coefficients, self._step = _over_common_denominator(coefficients, domain)
+            starts, start_den = _over_common_denominator(list(self._starts.values()), domain)
+            self._zero = _ring(domain).zero
+            self._denominators = [start_den]
+            self._set_up(coefficients, starts)
         while len(self._num) <= n:
             prev = self._num[-1]
             nxt = {}
@@ -185,24 +212,29 @@ class ForwardIterator:
 
     def raw(self, sym, n: int):
         """The value at ``n`` as an element of ``domain`` (or a Fraction)."""
-        self._advance(n)
         if self.domain is None:
+            self._advance(n)
             return self._num[n][sym]
         out = self._reduced.get((sym, n))
         if out is None:
-            dens = self._denominators
-            while len(dens) <= n:
-                dens.append(dens[-1] * self._step)
-            out = self._reduced[sym, n] = self._fraction(self._num[n][sym], dens[n])
+            if n == 0:
+                out = to_domain(self._starts[sym], self.domain)
+            else:
+                self._advance(n)
+                dens = self._denominators
+                while len(dens) <= n:
+                    dens.append(dens[-1] * self._step)
+                out = _reduce((self._num[n][sym], dens[n]), self.domain)
+            self._reduced[sym, n] = out
         return out
 
     def row(self, n: int) -> dict:
-        self._advance(n)
         if self.domain is None:
+            self._advance(n)
             return self._num[n]
         while len(self._rows) <= n:
             k = len(self._rows)
-            self._rows.append({s: ParamExpr(self.raw(s, k)) for s in self._eq})
+            self._rows.append({s: ParamExpr(self.raw(s, k)) for s in self._equations})
         return self._rows[n]
 
     def rows(self, steps: int) -> list[dict]:
@@ -214,10 +246,17 @@ class ForwardIterator:
         return v if self.domain is None else ParamExpr(v)
 
 
+@cache
+def _ring(domain):
+    """The ring of numerators of ``domain``, built once: sympy builds a new
+    one on every ``get_ring`` call."""
+    return domain.get_ring()
+
+
 def _over_common_denominator(values: Sequence[ParamExpr], domain) -> tuple[list, object]:
     """``values`` as numerators over their least common denominator L, all
     in the ring of ``domain``: returns the numerators and L."""
-    ring = domain.get_ring()
+    ring = _ring(domain)
     fractions = [to_domain(v, domain) for v in values]
     dens = {domain.denom(f) for f in fractions}
     lcm = reduce(ring.lcm, dens, ring.one)
@@ -255,94 +294,235 @@ def solve_system(
 
     iterator = ForwardIterator(eqs, initials)
     solved: dict = {}
+    expanded: dict = {}
     for block in _sccs(eqs):
-        _solve_block(block, eqs, iterator, solved)
+        _solve_block(block, eqs, iterator, solved, expanded)
     return solved
 
 
-def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
-    """Solve the Vandermonde-like seed system for every symbol in a block.
+def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
+    """Solve and check one block, and add its closed forms to ``solved`` and
+    their expansions (see :func:`_expand`) to ``expanded``."""
+    domain = iterator.domain
+    matrix, forcing, start = _block_parts(block, eqs, solved, expanded, domain)
+    if len(block) == 1:
+        (s,) = block
+        closed, n0 = _solve_one_symbol(s, matrix[s].get(s, domain.zero), forcing[s], start, iterator)
+    else:
+        closed, n0 = _solve_by_seeds(block, matrix, forcing, start, iterator)
+    expanded.update(_check_block(block, n0, matrix, forcing, closed, iterator))
+    solved.update(closed)
 
-    ``seed_matrix`` is a ``DomainMatrix`` over the system's parameter field,
-    and elimination runs in that field, so every intermediate entry is a
-    reduced fraction.  Returns the solution rows, one column per symbol.
+
+# Inside the solver an exponential polynomial is a dict from each base b to
+# ``(P,)``, its term P(n)*b**n, and from each pair (beta, gamma) to
+# ``(p, q)``, its term p(n)*s(n) + q(n)*s(n+1); P, p and q are dense lists
+# of coefficients, lowest degree first, with p and q of one length: field
+# elements, or unreduced pairs (see :func:`_sum`).  Keys keep the order in
+# which they are met, which is the order of the closed-form terms.
+
+
+def _expand(f: ExpPolynomial, domain) -> dict:
+    """The exponential-polynomial part of ``f``, its prefix left out, with
+    coefficients as unreduced pairs over the ring of ``domain``."""
+    parts: dict = {t.base: (_pairs(t.poly, domain),) for t in f.terms}
+    for qt in f.quad_terms:
+        p, q = _pairs(qt.p, domain), _pairs(qt.q, domain)
+        length = max(len(p), len(q))
+        parts[(qt.beta, qt.gamma)] = tuple(c + [(0, 1)] * (length - len(c)) for c in (p, q))
+    return parts
+
+
+def _pairs(poly: CounterPoly, domain) -> list:
+    return [_pair(to_domain(c, domain)) for c in poly.coeffs]
+
+
+def _closed_form(prefix, parts: dict) -> ExpPolynomial:
+    """The closed form with the given prefix and exponential-polynomial
+    part, its zero terms dropped.  Both solving paths build their results
+    here."""
+    terms = []
+    quad_terms = []
+    for key, polys in parts.items():
+        polys = [CounterPoly.make(c) for c in polys]
+        if all(poly.is_zero for poly in polys):
+            continue
+        if len(polys) == 1:
+            terms.append(ExpTerm(polys[0], key))
+        else:
+            quad_terms.append(QuadTerm(*polys, *key))
+    return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
+
+
+def _block_parts(block, eqs, solved, expanded, domain):
+    """What the rest of the system contributes to a block, in ``domain``.
+
+    Returns the block's own coefficient matrix A (``{s: {t: A_st}}``), each
+    symbol's forcing g_s(n), the sum of ``c * T(n)`` over its terms on solved
+    symbols, and the first index from which all of those are in closed form.
+    The forcing's coefficients are unreduced pairs (see :func:`_sum`): each
+    is cancelled once, inside the coefficient solved from it.  A base whose
+    contributions cancel keeps its place with a zero polynomial.
+    """
+    bset = set(block)
+    matrix: dict = {}
+    forcing: dict = {}
+    start = 0
+    for s in block:
+        row = matrix[s] = {}
+        sums: dict = {}
+        for c, t in eqs[s]:
+            if t in bset:
+                c = to_domain(c, domain)
+                row[t] = row[t] + c if t in row else c
+            elif not c.is_zero:
+                start = max(start, solved[t].start)
+                _add_summands(sums, expanded[t], _pair(to_domain(c, domain)))
+        forcing[s] = _summed(sums)
+    return matrix, forcing, start
+
+
+# ---------------------------------------------------------------------------
+# One-symbol blocks: undetermined coefficients
+# ---------------------------------------------------------------------------
+
+
+def _solve_one_symbol(s, a, forcing: dict, start: int, iterator):
+    """The closed form of s(n+1) = a*s(n) + g(n), with g the ``forcing``
+    valid from ``start`` on; returns it, as a one-entry map, with its n0.
+
+    Each forcing term P(n)*b**n gets the particular term Q(n)*b**n with
+    b*Q(n+1) - a*Q(n) = P(n), and each pair term its (u, v) likewise; the
+    general solution adds K*a**n, fixed by the iterated value at n0.  When
+    a is 0 there is no K, and the same formulas hold one step later.
     """
     domain = iterator.domain
-    rhs = DomainMatrix(
-        [[iterator.raw(s, n0 + i) for s in symbols] for i in range(order)],
-        (order, len(symbols)),
-        domain,
-    )
-    try:
-        solution = seed_matrix.lu_solve(rhs)
-    except DMNonInvertibleMatrixError as exc:  # must never happen
-        raise SeedSystemError(
-            f"seed system for block {symbols!r} is singular: {exc}"
-        ) from exc
-    return solution.to_list()
+    own = ParamExpr(a)
+    parts: dict = {own: ([domain.zero],)} if a else {}
+    for key, polys in forcing.items():
+        if len(polys) == 2:
+            parts[key] = _particular_pair(*polys, key, a, domain)
+            continue
+        b = to_domain(key, domain)
+        parts[own if b == a else key] = (_particular_coefficients(polys[0], b, a, domain),)
+    n0 = start if a else start + 1
+    if a:
+        # K*a**n0 + (the particular terms at n0) = s(n0)
+        a_num, a_den = _pair(a)
+        rest = _sum([_pair(iterator.raw(s, n0)), _neg(_value_at(parts, n0, domain))])
+        parts[own][0][0] = _reduce(_div(rest, (a_num**n0, a_den**n0)), domain)
+    prefix = tuple(iterator.value(s, k) for k in range(n0))
+    return {s: _closed_form(prefix, parts)}, n0
 
 
-def _charpoly(block, eqs, domain) -> list:
+def _particular_coefficients(poly: list, b, a, domain) -> list:
+    """Q with b*Q(n+1) - a*Q(n) = P(n), from the top coefficient down.  The
+    n**k coefficient reads (b - a)*q_k + b*sum(C(j, k)*q_j for j > k) = p_k.
+    When b = a the first term vanishes: the equation fixes q_(k+1) instead,
+    Q is one degree above P, and q_0 is 0.  ``poly`` holds unreduced pairs;
+    each coefficient of Q is cancelled once."""
+    resonant = b == a
+    out: list = [domain.zero] * (len(poly) + resonant)
+    b = _pair(b)
+    diff = _sum([b, _neg(_pair(a))])
+    for k in range(len(poly) - 1, -1, -1):
+        j = k + resonant  # the coefficient the n**k equation fixes
+        rest = _sum([poly[k], _neg(_mul(b, _binomial_tail(out, k, j + 1)))])
+        out[j] = _reduce(_div(rest, _scaled(b, k + 1) if resonant else diff), domain)
+    return out
+
+
+def _particular_pair(p: list, q: list, pair, a, domain) -> tuple[list, list]:
+    """(u, v) with u(n)*s(n) + v(n)*s(n+1) the particular term of the pair
+    term p(n)*s(n) + q(n)*s(n+1), where ``pair`` is (beta, gamma) and
+    s(n+2) = beta*s(n+1) + gamma*s(n).  Matching s(n) and s(n+1) gives, per
+    degree k, from the top down,
+
+        -a*u_k + gamma*v_k     = p_k - gamma*V_k
+        u_k + (beta - a)*v_k   = q_k - U_k - beta*V_k
+
+    with U_k and V_k the sums over higher degrees j of C(j, k)*u_j and
+    C(j, k)*v_j.  The determinant is minus the pair's quadratic
+    x**2 - beta*x - gamma at a, never zero: the quadratic is irreducible.
+    The pairs' coefficients grow fast with the degree, so this solve runs
+    in reduced field arithmetic."""
+    beta, gamma = (to_domain(x, domain) for x in pair)
+    size = len(p)
+    u: list = [None] * size
+    v: list = [None] * size
+    shifted = beta - a
+    det = -a * shifted - gamma
+    for k in range(size - 1, -1, -1):
+        tail_u, tail_v = (_reduce(_binomial_tail(c, k, k + 1), domain) for c in (u, v))
+        r1 = _reduce(p[k], domain) - gamma * tail_v
+        r2 = _reduce(q[k], domain) - tail_u - beta * tail_v
+        u[k] = (r1 * shifted - gamma * r2) / det
+        v[k] = (-a * r2 - r1) / det
+    return u, v
+
+
+def _binomial_tail(coeffs: list, k: int, first: int) -> tuple:
+    """sum(C(j, k) * coeffs[j] for j >= first), unreduced."""
+    return _sum([_scaled(_pair(coeffs[j]), comb(j, k)) for j in range(first, len(coeffs))])
+
+
+def _value_at(parts: dict, n: int, domain) -> tuple:
+    """The value at ``n`` of an exponential polynomial, unreduced."""
+    values = []
+    for key, polys in parts.items():
+        if len(polys) == 1:
+            b_num, b_den = _pair(to_domain(key, domain))
+            values.append(_mul(_horner(polys[0], n), (b_num**n, b_den**n)))
+        else:
+            beta, gamma = (to_domain(x, domain) for x in key)
+            s = _lucas_values(beta, gamma, n + 1, domain.convert(2))
+            values += [_mul(_horner(c, n), _pair(s[n + k])) for k, c in enumerate(polys)]
+    return _sum(values)
+
+
+def _horner(poly: list, n: int) -> tuple:
+    """P(n), unreduced."""
+    acc = (0, 1)
+    for c in reversed(poly):
+        acc = _sum([_scaled(acc, n), _pair(c)])
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Blocks of two or more symbols: factors and the seed system
+# ---------------------------------------------------------------------------
+
+
+def _charpoly(block, matrix, domain) -> list:
     """det(x*I - A) of the block's own coefficient matrix A, as a dense list
     over ``domain`` with the leading coefficient first."""
     m = len(block)
-    pos = {s: i for i, s in enumerate(block)}
-    rows = [[domain.zero] * m for _ in range(m)]
-    for s in block:
-        for c, t in eqs[s]:
-            if t in pos:
-                rows[pos[s]][pos[t]] += to_domain(c, domain)
+    rows = [[matrix[s].get(t, domain.zero) for t in block] for s in block]
     return DomainMatrix(rows, (m, m), domain).charpoly()
 
 
-def _one_symbol_factors(s, eqs, domain):
-    """What ``_classify_factors`` reads off the factors of the characteristic
-    polynomial of the block of ``s`` alone.  That polynomial is x - a, with
-    ``a`` the sum of the coefficients of ``s`` on itself; being linear, it is
-    its own one irreducible factor, so it needs no determinant and no
-    factoring."""
-    a = sum((to_domain(c, domain) for c, t in eqs[s] if t == s), domain.zero)
-    return (0, {ParamExpr(a): 1}, {}) if a else (1, {}, {})
-
-
-def _solve_block(block, eqs, iterator, solved) -> None:
-    bset = set(block)
+def _solve_by_seeds(block, matrix, forcing, start, iterator):
+    """Closed forms for a block from its factored characteristic polynomial
+    and a seed system; returns them with the block's n0."""
     domain = iterator.domain
-    if len(block) == 1:
-        zero_mult, linear, quads = _one_symbol_factors(block[0], eqs, domain)
-    else:
-        chi = _charpoly(block, eqs, domain)
-        zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
+    chi = _charpoly(block, matrix, domain)
+    zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
 
-    # Forcing inputs are already in closed form; their eigenvalues join the
-    # annihilator (multiplicities combine by max across inputs, since the
-    # forcing annihilator is the lcm of the inputs'), and their prefixes delay
-    # the index from which the ansatz is valid — by one extra step per zero
-    # eigenvalue, because a nilpotent level forwards the off-pattern values.
-    prefix_need = 0
+    # The forcing's bases join the annihilator, each with the largest
+    # multiplicity any symbol's forcing needs; a zero eigenvalue delays the
+    # ansatz by one step, because a nilpotent level forwards the off-pattern
+    # values.
     forced_linear: dict = {}
     forced_quads: dict = {}
     for s in block:
-        for c, t in eqs[s]:
-            if t in bset or c.is_zero:
-                continue
-            f = solved[t]
-            prefix_need = max(prefix_need, f.start)
-            for term in f.terms:
-                _accumulate(forced_linear, term.base, term.poly.degree + 1, max)
-            for qt in f.quad_terms:
-                _accumulate(
-                    forced_quads,
-                    (qt.beta, qt.gamma),
-                    max(qt.p.degree, qt.q.degree) + 1,
-                    max,
-                )
+        for key, polys in forcing[s].items():
+            _accumulate(forced_linear if len(polys) == 1 else forced_quads, key, len(polys[0]), max)
     for lam, mult in forced_linear.items():
         _accumulate(linear, lam, mult)
     for key, mult in forced_quads.items():
         _accumulate(quads, key, mult)
 
-    n0 = zero_mult + prefix_need
+    n0 = zero_mult + start
     order = sum(linear.values()) + 2 * sum(quads.values())
 
     # One basis column per undetermined coefficient, evaluated on the seed
@@ -377,36 +557,179 @@ def _solve_block(block, eqs, iterator, solved) -> None:
     )
     symbols = list(block)
     solution = _solve_seed_system(seed_matrix, symbols, iterator, n0, order)
+    closed = {}
     for j, s in enumerate(symbols):
-        coeffs = [ParamExpr(solution[k][j]) for k in range(order)]
-        closed = _assemble(
-            tuple(iterator.value(s, k) for k in range(n0)), linear, quads, coeffs
+        # The coefficients are laid out as the columns are: ``mult`` per
+        # eigenvalue, then ``2 * mult`` per pair, alternating s and s1.
+        coeffs = iter(row[j] for row in solution)
+        parts: dict = {lam: ([next(coeffs) for _ in range(mult)],) for lam, mult in linear.items()}
+        for key, mult in quads.items():
+            window = [next(coeffs) for _ in range(2 * mult)]
+            parts[key] = (window[0::2], window[1::2])
+        prefix = tuple(iterator.value(s, k) for k in range(n0))
+        closed[s] = _closed_form(prefix, parts)
+    return closed, n0
+
+
+def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
+    """Solve the Vandermonde-like seed system for every symbol in a block.
+
+    ``seed_matrix`` is a ``DomainMatrix`` over the system's parameter field,
+    and elimination runs in that field, so every intermediate entry is a
+    reduced fraction.  Returns the solution rows, one column per symbol.
+    """
+    domain = iterator.domain
+    rhs = DomainMatrix(
+        [[iterator.raw(s, n0 + i) for s in symbols] for i in range(order)],
+        (order, len(symbols)),
+        domain,
+    )
+    try:
+        solution = seed_matrix.lu_solve(rhs)
+    except DMNonInvertibleMatrixError as exc:  # must never happen
+        raise SeedSystemError(
+            f"seed system for block {symbols!r} is singular: {exc}"
+        ) from exc
+    return solution.to_list()
+
+
+# ---------------------------------------------------------------------------
+# The check every block's closed forms pass
+# ---------------------------------------------------------------------------
+
+
+def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
+    """Prove the block's closed forms for every n >= n0, or raise
+    ``SeedSystemError``; returns their expansions.
+
+    For each symbol the residual S(n+1) - A*S(n) - g(n) must be the zero
+    exponential polynomial, and S(n0) must equal the iterated value.  The
+    functions n**j * b**n (and the pair terms) are linearly independent, so
+    the first makes the recurrence hold at every n >= n0, and the second
+    starts the induction.  Values before n0 are the prefix, read off the
+    iteration.
+    """
+    domain = iterator.domain
+    expanded = {t: _expand(closed[t], domain) for t in block}
+    for s in block:
+        residual = _residual(s, matrix[s], expanded, forcing[s], domain)
+        if any(num for slots in residual.values() for slot in slots for num, _ in slot):
+            raise SeedSystemError(
+                f"closed form for {s!r} fails verification: it does not satisfy its recurrence"
+            )
+        if ep_value_symbolic(closed[s], n0) != iterator.value(s, n0):
+            raise SeedSystemError(f"closed form for {s!r} fails verification at n = {n0}")
+    return expanded
+
+
+def _residual(s, row, expanded, forcing, domain) -> dict:
+    """S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), with every coefficient an
+    unreduced pair, zero exactly when its numerator is: the check cancels
+    nothing.  ``row`` maps each block symbol t to A_st, ``expanded`` holds
+    the block's closed forms and ``forcing`` is g_s."""
+    sums: dict = {}
+    _add_summands(sums, _step(expanded[s], _pair(row.get(s, domain.zero)), domain), (1, 1))
+    for t, c in row.items():
+        if t != s:
+            _add_summands(sums, expanded[t], _neg(_pair(c)))
+    _add_summands(sums, forcing, (-1, 1))
+    return _summed(sums)
+
+
+def _step(parts: dict, a: tuple, domain) -> dict:
+    """S(n+1) - a*S(n) for the expansion ``parts`` of S(n).  A term
+    Q(n)*b**n becomes ((b - a)*Q(n) + b*(Q(n+1) - Q(n)))*b**n, which is one
+    product per coefficient when Q is constant.  A pair term
+    u(n)*s(n) + v(n)*s(n+1) becomes (gamma*v(n+1) - a*u(n))*s(n) +
+    (u(n+1) + beta*v(n+1) - a*v(n))*s(n+1), since
+    s(n+2) = beta*s(n+1) + gamma*s(n)."""
+    out = {}
+    minus_a = _neg(a)
+    for key, polys in parts.items():
+        if len(polys) == 1:
+            (q,) = polys
+            b = _pair(to_domain(key, domain))
+            b_a = _sum([b, minus_a])
+            out[key] = ([_sum([_mul(b_a, x), _mul(b, d)]) for x, d in zip(q, _binomial_sums(q, 1))],)
+            continue
+        beta, gamma = (_pair(to_domain(x, domain)) for x in key)
+        u, v = polys
+        u1, v1 = _binomial_sums(u, 0), _binomial_sums(v, 0)
+        out[key] = (
+            [_sum([_mul(gamma, y1), _mul(minus_a, x)]) for x, y1 in zip(u, v1)],
+            [_sum([x1, _mul(beta, y1), _mul(minus_a, y)]) for x1, y1, y in zip(u1, v1, v)],
         )
-        for extra in range(VERIFICATION_POINTS):
-            n = n0 + order + extra
-            if ep_value_symbolic(closed, n) != iterator.value(s, n):
-                raise SeedSystemError(
-                    f"closed form for {s!r} fails verification at n = {n}"
-                )
-        solved[s] = closed
+    return out
 
 
-def _assemble(prefix, linear, quads, coeffs) -> ExpPolynomial:
-    """The closed form whose coefficients ``coeffs`` are laid out as the seed
-    columns are: ``mult`` per eigenvalue, then ``2 * mult`` per quadratic
-    factor, alternating its ``s`` and ``s1`` columns."""
-    terms = []
-    pos = 0
-    for lam, mult in linear.items():
-        poly = CounterPoly.make(coeffs[pos : pos + mult])
-        pos += mult
-        if not poly.is_zero:
-            terms.append(ExpTerm(poly, lam))
-    quad_terms = []
-    for (beta, gamma), mult in quads.items():
-        window = coeffs[pos : pos + 2 * mult]
-        pos += 2 * mult
-        p_poly, q_poly = CounterPoly.make(window[0::2]), CounterPoly.make(window[1::2])
-        if not (p_poly.is_zero and q_poly.is_zero):
-            quad_terms.append(QuadTerm(p_poly, q_poly, beta, gamma))
-    return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
+def _binomial_sums(poly: list, offset: int) -> list:
+    """sum(C(j, k) * p_j for j >= k + offset) for each k, unreduced: the
+    coefficients of P(n+1) for offset 0, of P(n+1) - P(n) for offset 1."""
+    size = len(poly)
+    return [_sum([_scaled(poly[j], comb(j, k)) for j in range(k + offset, size)]) for k in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# Unreduced fractions: (numerator, denominator) pairs over a field's ring
+# ---------------------------------------------------------------------------
+
+
+def _add_summands(sums: dict, parts: dict, c) -> None:
+    """Add ``c * x`` for every coefficient x of ``parts`` to ``sums``, which
+    maps each key to one list per polynomial of one summand list per
+    degree; a new key goes last."""
+    for key, polys in parts.items():
+        slots = sums.setdefault(key, [[] for _ in polys])
+        for slot, poly in zip(slots, polys):
+            slot.extend([] for _ in range(len(poly) - len(slot)))
+            for k, x in enumerate(poly):
+                if x[0]:
+                    slot[k].append(_mul(c, x))
+
+
+def _pair(x) -> tuple:
+    return (x.numerator, x.denominator) if type(x) is _MPQ else (x.numer, x.denom)
+
+
+def _neg(x: tuple) -> tuple:
+    return (-x[0], x[1])
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0], x[1] * y[1])
+
+
+def _scaled(x: tuple, m: int) -> tuple:
+    return x if m == 1 else (x[0] * m, x[1])
+
+
+def _sum(values: list) -> tuple:
+    """The sum, cross-multiplied only where denominators differ; zero is
+    ``(0, 1)``."""
+    num, den = 0, 1
+    for n, d in values:
+        if not n:
+            continue
+        if not num:
+            num, den = n, d
+        elif d == den:
+            num = num + n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _div(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[1], x[1] * y[0])
+
+
+def _summed(sums: dict) -> dict:
+    """Each summand list of ``sums`` (see :func:`_add_summands`) summed."""
+    return {key: tuple([_sum(terms) for terms in slot] for slot in slots) for key, slots in sums.items()}
+
+
+def _reduce(x: tuple, domain):
+    """The unreduced pair ``x`` as a reduced element of ``domain``."""
+    if not x[0]:
+        return domain.zero
+    return QQ.new(*x) if domain is QQ else domain.field.new(*x)

@@ -64,9 +64,13 @@ def to_domain(value: "ParamExpr", domain):
     f = value.elem
     if domain is QQ:
         return f
+    field = domain.field
     if type(f) is not FracElement:
-        return domain.field.ground_new(f)
-    return _lift(f, domain.field)
+        # a reduced rational with a positive denominator is already in the
+        # field's normal form
+        ring = field.ring
+        return field.raw_new(ring.ground_new(f.numerator), ring.ground_new(f.denominator))
+    return _lift(f, field)
 
 
 def _unify(a, b):
@@ -568,7 +572,10 @@ def _ep_value(f: ExpPolynomial, n: int, value, two):
         raise ValueError("sequence index must be >= 0")
     if n < len(f.prefix):
         return value(f.prefix[n])
-    parts = [t.poly.evaluate(n, value) * value(t.base) ** n for t in f.terms]
+    parts = []
+    for t in f.terms:
+        poly, base = t.poly.evaluate(n, value), value(t.base)
+        parts.append(poly * base ** n if n else poly)
     for qt in f.quad_terms:
         s = _lucas_values(value(qt.beta), value(qt.gamma), n + 1, two)
         parts += [

@@ -878,6 +878,32 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        [],
+        ["simulate", "random_walk_1d.prob", "--monomial", "x", "--n", "3", "--param", "p=1/3"],
+        ["simulate", "random_walk_1d.prob", "--monomial", "x", "--n", "3", "--param", "p=1/3",
+         "--fd", "p"],
+        ["analyze", "random_walk_1d.prob", "--target", "x**2", "--wrt", "p"],
+    ],
+    ids=["import", "simulate-exact", "simulate-fd-exact", "analyze"],
+)
+def test_cli_loads_numpy_only_to_sample(command):
+    # numpy is sampling's alone: importing the CLI, exact simulation and
+    # analysis leave it unloaded
+    args = [str(CORPUS / a) if a.endswith(".prob") else a for a in command]
+    code = (
+        "import sys, probsens.cli\n"
+        f"if {args!r}:\n"
+        f"    probsens.cli.main({args!r}, standalone_mode=False)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # corpus round trip
 # ---------------------------------------------------------------------------

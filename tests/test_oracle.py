@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens.oracle as oracle
+import probsens.sampling as sampling
 from probsens.errors import OracleError
 from probsens.normalize import normalize
 from probsens.oracle import (
@@ -313,7 +314,7 @@ def _ref_bexpr_vec(b, states, sigma):
 
 def _ref_rhs_vec(rhs, site, states, sigma, seed, iteration, trials):
     if isinstance(rhs, DistDraw):
-        gen = oracle._site_generator(seed, site, iteration)
+        gen = sampling._site_generator(seed, site, iteration)
         exact = [a.eval_fraction(sigma) for a in rhs.args]
         args = [float(a) for a in exact]
         if rhs.kind == "Normal":
@@ -331,7 +332,7 @@ def _ref_rhs_vec(rhs, site, states, sigma, seed, iteration, trials):
         return np.minimum(np.floor(a + u * (b - a + 1)), b)
     if rhs.is_deterministic:
         return _ref_poly_vec(rhs.choices[0][0], states, sigma)
-    u = oracle._site_generator(seed, site, iteration).random(trials)
+    u = sampling._site_generator(seed, site, iteration).random(trials)
     cum = np.cumsum(
         [float(oracle.checked_probability(p.eval_fraction(sigma), "choice")) for _, p in rhs.choices]
     )
@@ -342,7 +343,7 @@ def _ref_rhs_vec(rhs, site, states, sigma, seed, iteration, trials):
 
 def _ref_sampled_values(program, monomial, n, trials, seed, sigma):
     names, init, body = oracle._statements(program)
-    sites = oracle._number_sites(init + body)
+    sites = sampling._number_sites(init + body)
     states = {v: np.zeros(trials) for v in names}
 
     def exec_statements(stmts, mask, iteration):
@@ -409,7 +410,7 @@ def _assert_enumeration_matches(program, monomial, n, sigma, budget=oracle.DEFAU
 
 def _assert_sampling_matches(program, monomial, n, sigma, trials=64, seed=5):
     want = _outcome(lambda: _ref_sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
-    got = _outcome(lambda: oracle._sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
+    got = _outcome(lambda: sampling._sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
     assert got == want
 
 

@@ -373,7 +373,7 @@ def test_forced_rotation_renders_conjugate_pairs_exactly():
 
 
 # ---------------------------------------------------------------------------
-# Verification of every solved block
+# The check of every solved block: residual identity and value at n0
 # ---------------------------------------------------------------------------
 
 
@@ -382,76 +382,153 @@ def _nilpotent_pair():
     return {"u": [(pe(1), "v")], "v": []}, {"u": pe(5), "v": pe(7)}
 
 
-@pytest.mark.parametrize("system", [_forced_rotation, _nilpotent_pair], ids=["rotation", "nilpotent"])
+def _forced_one_symbol():
+    """u(n+1) = a*u(n) + 1: the forcing base 1 differs from u's own a."""
+    eqs = {"u": [(expr("a"), "u"), (pe(1), "one")], "one": [(pe(1), "one")]}
+    return eqs, {"u": pe(2), "one": pe(1)}
+
+
+def _resonant_one_symbol():
+    """u(n+1) = u(n) + c*n + c: the forcing base is u's own 1, twice over."""
+    eqs = {
+        "u": [(pe(1), "u"), (expr("c"), "k"), (expr("c"), "one")],
+        "k": [(pe(1), "k"), (pe(1), "one")],
+        "one": [(pe(1), "one")],
+    }
+    return eqs, {"u": expr("u0"), "k": pe(0), "one": pe(1)}
+
+
+def _zero_forced_one_symbol():
+    """u(n+1) = 2*v(n) with v geometric: u's own coefficient is 0."""
+    eqs = {"u": [(pe(2), "v")], "v": [(expr("a"), "v")]}
+    return eqs, {"u": pe(5), "v": pe(1)}
+
+
+def _rotation_forced_one_symbol():
+    """w(n+1) = a*w(n) + x(n), with x in the rotation x' = x - y,
+    y' = x + y (characteristic polynomial x**2 - 2*x + 2)."""
+    eqs = {
+        "w": [(expr("a"), "w"), (pe(1), "x")],
+        "x": [(pe(1), "x"), (pe(-1), "y")],
+        "y": [(pe(1), "x"), (pe(1), "y")],
+    }
+    return eqs, {"w": pe(0), "x": pe(1), "y": pe(0)}
+
+
+CHECKED_SYSTEMS = {
+    "rotation": _forced_rotation,
+    "nilpotent": _nilpotent_pair,
+    "forced": _forced_one_symbol,
+    "resonant": _resonant_one_symbol,
+    "zero-forced": _zero_forced_one_symbol,
+    "rotation-forced": _rotation_forced_one_symbol,
+}
+
+#: The block each system is named after; its first symbol's closed form is
+#: the one the tests spoil.
+TARGETS = {"rotation": ("u", "v"), "rotation-forced": ("w",)}
+
+
+def _spoil_before_the_check(monkeypatch, target, spoil) -> None:
+    """Replace the closed form of ``target`` by ``spoil`` of it just before
+    its block is checked, on either solving path."""
+    original = solver._check_block
+
+    def spoiled(block, n0, matrix, forcing, closed, iterator):
+        if target in block:
+            closed = {**closed, target: spoil(closed[target])}
+        return original(block, n0, matrix, forcing, closed, iterator)
+
+    monkeypatch.setattr(solver, "_check_block", spoiled)
+
+
+def _with_spurious_term(closed):
+    extra = ExpTerm(CounterPoly.const(1), pe(3))  # no system has the base 3
+    return ExpPolynomial(closed.prefix, (*closed.terms, extra), closed.quad_terms)
+
+
+def _with_own_power_added(closed):
+    first, *rest = closed.terms
+    poly = first.poly + CounterPoly.const(1)
+    return ExpPolynomial(closed.prefix, (ExpTerm(poly, first.base), *rest), closed.quad_terms)
+
+
+@pytest.mark.parametrize("system", CHECKED_SYSTEMS, ids=CHECKED_SYSTEMS.keys())
 def test_a_wrong_closed_form_fails_verification(monkeypatch, system):
-    original = solver._assemble
-
-    def spurious(*args):
-        closed = original(*args)
-        extra = ExpTerm(CounterPoly.const(1), pe(3))
-        return ExpPolynomial(closed.prefix, (*closed.terms, extra), closed.quad_terms)
-
-    monkeypatch.setattr(solver, "_assemble", spurious)
-    with pytest.raises(SeedSystemError, match="fails verification at n = "):
-        solve_system(*system())
+    block = TARGETS.get(system, ("u",))
+    _spoil_before_the_check(monkeypatch, block[0], _with_spurious_term)
+    with pytest.raises(SeedSystemError, match="fails verification: it does not satisfy") as exc:
+        solve_system(*CHECKED_SYSTEMS[system]())
+    # in a block of two, the other symbol's recurrence reads the spoilt one
+    assert any(str(exc.value).startswith(f"closed form for {s!r} ") for s in block)
 
 
-def _record_seed_windows(monkeypatch) -> dict:
-    """Map each solved symbol to the ``(n0, order)`` of its block's seed
-    window, as the solver hands them to its seed solve."""
-    original = solver._solve_seed_system
+@pytest.mark.parametrize("system", ["forced", "resonant"])
+def test_a_wrong_multiple_of_the_own_power_fails_at_n0(monkeypatch, system):
+    # K*a**n solves the homogeneous recurrence, so adding a**n to u's own
+    # term leaves the residual zero; only the value at n0 catches it.
+    _spoil_before_the_check(monkeypatch, "u", _with_own_power_added)
+    with pytest.raises(SeedSystemError, match="closed form for 'u' fails verification at n = 0"):
+        solve_system(*CHECKED_SYSTEMS[system]())
+
+
+def _record_checks(monkeypatch) -> dict:
+    """Map each solved symbol to the n0 of its block, as the solver hands it
+    to the check."""
+    original = solver._check_block
     windows: dict = {}
 
-    def recording(seed_matrix, symbols, iterator, n0, order):
-        windows.update((s, (n0, order)) for s in symbols)
-        return original(seed_matrix, symbols, iterator, n0, order)
+    def recording(block, n0, *args):
+        windows.update((s, n0) for s in block)
+        return original(block, n0, *args)
 
-    monkeypatch.setattr(solver, "_solve_seed_system", recording)
+    monkeypatch.setattr(solver, "_check_block", recording)
     return windows
 
 
-@pytest.mark.parametrize("system", [_forced_rotation, _nilpotent_pair], ids=["rotation", "nilpotent"])
+@pytest.mark.parametrize("system", CHECKED_SYSTEMS.values(), ids=CHECKED_SYSTEMS.keys())
 def test_every_symbol_is_verified_after_its_seed_window(monkeypatch, system):
-    original = solver.ep_value_symbolic
+    # one residual check and one value at n0 per symbol, on either path
+    original_value, original_residual = solver.ep_value_symbolic, solver._residual
     indices = []
+    residuals = []
 
     def counting(f, n):
         indices.append(n)
-        return original(f, n)
+        return original_value(f, n)
+
+    def recording(s, *args):
+        residuals.append(s)
+        return original_residual(s, *args)
 
     monkeypatch.setattr(solver, "ep_value_symbolic", counting)
-    windows = _record_seed_windows(monkeypatch)
+    monkeypatch.setattr(solver, "_residual", recording)
+    windows = _record_checks(monkeypatch)
     eqs, init = system()
     solve_system(eqs, init)
-    assert len(indices) == solver.VERIFICATION_POINTS * len(eqs)
+    assert sorted(residuals) == sorted(eqs)
     assert windows.keys() == eqs.keys()
-    want = [
-        n0 + order + k
-        for n0, order in windows.values()
-        for k in range(solver.VERIFICATION_POINTS)
-    ]
-    assert sorted(indices) == sorted(want)
+    assert sorted(indices) == sorted(windows.values())
 
 
 def test_nilpotent_blocks_are_prefixes_with_empty_seed_windows(monkeypatch):
-    windows = _record_seed_windows(monkeypatch)
+    windows = _record_checks(monkeypatch)
     eqs, init = _nilpotent_pair()
     solved = solve_system(eqs, init)
     assert solved["v"] == ExpPolynomial(prefix=(pe(7),))
     assert solved["u"] == ExpPolynomial(prefix=(pe(5), pe(7)))
-    assert windows == {"v": (1, 0), "u": (2, 0)}
+    assert windows == {"v": 1, "u": 2}
 
 
 # ---------------------------------------------------------------------------
-# One-symbol blocks: x - a needs no determinant and no factoring
+# One-symbol blocks: solved directly, the same as by the seed path
 # ---------------------------------------------------------------------------
 
 
-def _general_factors(s, eqs, domain):
-    """The factors of a one-symbol block the way every larger block gets
-    them: its characteristic polynomial, factored, then classified."""
-    chi = solver._charpoly([s], eqs, domain)
-    return solver._classify_factors(factor_charpoly(chi, domain), domain)
+def _by_seeds(s, a, forcing, start, iterator):
+    """A one-symbol block solved the way every larger block is: factored
+    characteristic polynomial and seed system."""
+    return solver._solve_by_seeds([s], {s: {s: a}}, {s: forcing}, start, iterator)
 
 
 _SCALE = st.sampled_from(["1", "a", "b", "1/(1 + a)", "a/(a + b)", "a*b - 1/2"])
@@ -467,41 +544,59 @@ _COEFFICIENT = st.builds(
 @given(
     self_terms=st.lists(_COEFFICIENT, max_size=3),
     cancel=st.booleans(),
-    forcing=st.sampled_from(["none", "same", "other"]),
+    forcing=st.sampled_from(["none", "same", "other", "pair"]),
+    late=st.booleans(),
     start=_COEFFICIENT,
 )
-def test_one_symbol_shortcut_matches_the_general_path(self_terms, cancel, forcing, start):
-    # u(n+1) = (sum of self_terms) * u(n) + v(n), with v geometric: its
-    # ratio is u's own self-coefficient a ("same", which merges into an
-    # n*a**n term), another value, or v is absent.
+def test_one_symbol_shortcut_matches_the_general_path(self_terms, cancel, forcing, late, start):
+    # u(n+1) = (sum of self_terms) * u(n) + v(n).  v is geometric with
+    # ratio u's own self-coefficient a ("same", which merges into an
+    # n*a**n term) or another value, or is the rotation x' = x - y,
+    # y' = x + y ("pair"), or is absent.  With ``late``, v is also forced by
+    # a nilpotent w, so v and u start after a prefix.
     if cancel and self_terms:
         self_terms = [*self_terms, -sum(self_terms[1:], self_terms[0])]  # a == 0
     a = sum(self_terms, pe(0))
-    ratio = {"same": a, "other": a + 2}.get(forcing)
     eqs = {"u": [(c, "u") for c in self_terms]}
     init = {"u": start}
-    if ratio is not None:
+    if forcing == "pair":
+        eqs["v"] = [(pe(1), "v"), (pe(-1), "y")]
+        eqs["y"] = [(pe(1), "v"), (pe(1), "y")]
+        init["y"] = pe(0)
+    elif forcing != "none":
+        eqs["v"] = [({"same": a, "other": a + 2}[forcing], "v")]
+    if "v" in eqs:
         eqs["u"].append((pe(1), "v"))
-        eqs["v"] = [(ratio, "v")]
         init["v"] = pe(1)
-    domain = ForwardIterator(eqs, init).domain
+        if late:
+            eqs["v"].append((pe(3), "w"))
+            eqs["w"] = []
+            init["w"] = pe(2)
 
-    got = solver._one_symbol_factors("u", eqs, domain)
-    want = _general_factors("u", eqs, domain)
-    assert got == want
-    assert [str(lam) for lam in got[1]] == [str(lam) for lam in want[1]]
-    assert got == ((1, {}, {}) if a.is_zero else (0, {a: 1}, {}))
+    seeded = []
+    original = solver._solve_seed_system
 
-    shortcut = solve_system(eqs, init)
-    with mock.patch.object(solver, "_one_symbol_factors", _general_factors):
-        general = solve_system(eqs, init)
+    def recording(seed_matrix, symbols, *args):
+        seeded.extend(symbols)
+        return original(seed_matrix, symbols, *args)
+
+    with mock.patch.object(solver, "_solve_seed_system", recording):
+        shortcut = solve_system(eqs, init)
+        assert "u" not in seeded
+        with mock.patch.object(solver, "_solve_one_symbol", _by_seeds):
+            general = solve_system(eqs, init)
+        assert "u" in seeded
     assert shortcut == general
     assert {s: render_exp_polynomial(f) for s, f in shortcut.items()} == {
         s: render_exp_polynomial(f) for s, f in general.items()
     }
-    if forcing == "same" and not a.is_zero:
+    if "v" in eqs and late:
+        assert shortcut["u"].start >= 1
+    if forcing == "same" and not a.is_zero and not late:
         (term,) = shortcut["u"].terms
         assert term.base == a and term.poly.degree == 1  # (c0 + c1*n) * a**n
+    if forcing == "pair":
+        assert shortcut["u"].quad_terms
 
 
 def _bimodal_sensitivity_system():
