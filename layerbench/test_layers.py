@@ -20,6 +20,7 @@ from sympy.core.cache import clear_cache
 
 import probsens.solver as solver
 from probsens.dependency import variable_supports
+from probsens.errors import EquationCapError
 from probsens.moments import MomentContext
 from probsens.normalize import normalize
 from probsens.oracle import fd_sensitivity, moment_exact, sample_moment
@@ -214,6 +215,44 @@ def test_recurrence_total_sq(benchmark, k):
     # E[total**2] after a pass needs every c_i and every c_i*c_j (i < j),
     # plus the constant.
     assert len(rec.terms) == k * (k + 1) // 2 + 1
+
+
+@pytest.mark.parametrize("k", [6, 9, 13, 20])
+def test_sensitivity_system_total_sq(benchmark, k):
+    """d/dp E[total**2] of the k-coin program, assembled and rendered from a
+    fresh context as ``dump-recurrences --wrt p`` does, with value sets
+    computed in the setup."""
+    program, mono = _coin_program(k), parse_monomial("total**2")
+
+    def setup():
+        clear_cache()
+        return (MomentContext(program),), {}
+
+    def work(ctx):
+        system = sensitivity_system(ctx, mono, "p")
+        return system, system.render()
+
+    system, text = benchmark.pedantic(work, setup=setup, rounds=ROUNDS)
+    assert system.size == k * (k + 1) + 1
+    assert len(text.splitlines()) == system.size
+
+
+def test_moment_closure_reaches_the_cap(benchmark):
+    """non_admissible_4 z, whose moments do not close: y = y**2 + x*f asks
+    for E[y**2k] one k at a time, until the cap of 100 equations."""
+    program, mono = _program("non_admissible_4.prob"), parse_monomial("z")
+
+    def setup():
+        clear_cache()
+        return (MomentContext(program),), {}
+
+    def work(ctx):
+        with pytest.raises(EquationCapError) as exc:
+            moment_closure(ctx, mono, cap=100)
+        return exc.value
+
+    error = benchmark.pedantic(work, setup=setup, rounds=ROUNDS)
+    assert (error.cap, error.count) == (100, 101)
 
 
 BIT = frozenset({Fraction(0), Fraction(1)})

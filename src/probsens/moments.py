@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add, itemgetter
 from typing import Iterable, Optional
 
 from .dependency import (
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .normalize import normalize
 from .parser import parse
-from .symbolic import ParamExpr, pe
+from .symbolic import ParamExpr, _add, _mul, pe
 from .syntax import (
     BExpr,
     BTrue,
@@ -87,10 +88,33 @@ def dist_moment(kind: str, args: tuple[ParamExpr, ...], k: int) -> ParamExpr:
     raise ValueError(f"unknown distribution {kind!r}")
 
 
+#: Sorts after every exponent in a monomial's key: an absent variable.
+_ABSENT = float("inf")
+
+
+#: The coefficient 1, as the field element the context computes with.
+_ONE = ParamExpr.one().elem
+
+
+def _accumulate(acc: dict, key, c) -> None:
+    prev = acc.get(key)
+    acc[key] = c if prev is None else _add(prev, c)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {t: c for t, c in terms.items() if c}
+
+
 class MomentContext:
     """Shared caches for deriving recurrences of one normalized program,
     including its dependency graph and its classification per parameter, so
-    one analysis classifies the program once."""
+    one analysis classifies the program once.
+
+    Inside the context a polynomial is a dict from exponent tuples, one slot
+    per variable in sorted name order, to coefficients, so a product of
+    monomials is a sum of tuples.  The public methods take and return
+    ``PolyExpr`` and ``VarMonomial`` values and convert once at the boundary.
+    """
 
     def __init__(self, program: NormalizedProgram):
         self.program = program
@@ -98,13 +122,39 @@ class MomentContext:
         self._graph: Optional[DependencyGraph] = None
         self._classifications: dict[str, Classification] = {}
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
-        self._power_reps: dict[tuple[str, int], Optional[PolyExpr]] = {}
         self._truth: dict[BExpr, PolyExpr] = {}
-        self._power_values: dict[tuple[int, int], PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
         self._coeffs: dict[object, ParamExpr] = {}
         self._derivatives: dict[tuple[object, str], ParamExpr] = {}
+        names = set(program.all_variables)
+        for _, rhs in program.init:
+            names |= rhs.variables()
+        for ga in program.body:
+            names |= ga.rhs.variables() | bexpr_vars(ga.guard)
+        self._set_order(names)
+
+    def _set_order(self, names: Iterable[str]) -> None:
+        """Lay exponent tuples out over ``names``, sorted; every cache of
+        tuples starts empty."""
+        self._order = tuple(sorted(names))
+        self._slot = {v: i for i, v in enumerate(self._order)}
+        self._one = (0,) * len(self._order)
+        self._caps = [
+            (i, len(s)) for i, v in enumerate(self._order) if (s := self.supports.get(v))
+        ]
+        self._tuples: dict[VarMonomial, tuple] = {}
+        self._monomials: dict[tuple, tuple[tuple, VarMonomial]] = {}
+        self._power_reps: dict[tuple[int, int], list] = {}
+        self._truth_terms: dict[BExpr, dict] = {}
+        self._powers: dict[tuple[int, int], list[dict]] = {}
+        self._power_values: dict[tuple[int, int], dict] = {}
+        self._replacements: dict[tuple[int, int], dict] = {}
+
+    def _admit(self, names: Iterable[str]) -> None:
+        """Make room for variables the program does not mention."""
+        if not self._slot.keys() >= set(names):
+            self._set_order({*self._order, *names})
 
     # -- dependency facts ---------------------------------------------------
 
@@ -122,6 +172,40 @@ class MomentContext:
             self._classifications[param] = cls
         return cls
 
+    # -- exponent tuples ------------------------------------------------------
+
+    def _tuple(self, mono: VarMonomial) -> tuple:
+        t = self._tuples.get(mono)
+        if t is None:
+            exps = list(self._one)
+            for v, e in mono.powers:
+                exps[self._slot[v]] = e
+            t = self._tuples[mono] = tuple(exps)
+        return t
+
+    def _terms(self, poly: PolyExpr) -> dict:
+        return {self._tuple(m): c.elem for m, c in poly.terms}
+
+    def _monomial(self, t: tuple) -> tuple[tuple, VarMonomial]:
+        """The monomial of ``t`` and its sort key.  The key orders as
+        ``VarMonomial.deglex_key`` does: degree first, then the variables
+        in name order, where a smaller exponent comes first and an absent
+        variable last (``a, b, a*b, a**2, b**2``)."""
+        hit = self._monomials.get(t)
+        if hit is None:
+            names = self._order
+            mono = VarMonomial(tuple((names[i], e) for i, e in enumerate(t) if e))
+            key = (sum(t), tuple(e or _ABSENT for e in t))
+            hit = self._monomials[t] = (key, mono)
+            self._tuples.setdefault(mono, t)
+        return hit
+
+    def _poly(self, terms: dict, intern: bool = False) -> PolyExpr:
+        rows = [(*self._monomial(t), c) for t, c in terms.items()]
+        rows.sort(key=itemgetter(0))
+        wrap = (lambda c: self.intern(ParamExpr(c))) if intern else ParamExpr
+        return PolyExpr(tuple((mono, wrap(c)) for _, mono, c in rows))
+
     # -- canonicalization over finite value sets ----------------------------
 
     def _lagrange_basis(self, v: str, point: Fraction) -> PolyExpr:
@@ -132,48 +216,50 @@ class MomentContext:
             self._basis[key] = cached
         return cached
 
-    def _power_rep(self, v: str, e: int) -> Optional[PolyExpr]:
-        """Polynomial of degree < |values(v)| equal to v**e on the value set."""
-        s = self.supports.get(v)
-        if s is None or not s or e < len(s):
-            return None
-        key = (v, e)
+    def _power_rep(self, i: int, e: int) -> list:
+        """The terms ``(j, c)`` of the polynomial of degree < |values| in
+        slot ``i``'s variable that equals its ``e``-th power on its values."""
+        key = (i, e)
         cached = self._power_reps.get(key)
         if cached is None:
-            cached = PolyExpr.make(
-                term
-                for point in sorted(s)
-                for term in self._lagrange_basis(v, point).scale(pe(point**e)).terms
-            )
-            self._power_reps[key] = cached
+            v = self._order[i]
+            acc: dict = {}
+            for point in sorted(self.supports[v]):
+                scale = pe(point**e).elem
+                for m, c in self._lagrange_basis(v, point).terms:
+                    _accumulate(acc, m.degree, _mul(c.elem, scale))
+            cached = self._power_reps[key] = list(_nonzero(acc).items())
         return cached
 
-    def reduce(self, poly: PolyExpr, canonical: Iterable = ()) -> PolyExpr:
-        """Rewrite every over-high variable power to its canonical form.
-
-        The ``canonical`` terms are known to need no rewriting; they are
-        added to the result as they are."""
-        work = list(poly.terms)
-        out = list(canonical)
+    def _reduce(self, terms: dict, out: dict) -> dict:
+        """Add ``terms`` to ``out`` with every over-high variable power
+        rewritten to its canonical form; ``out`` needs no rewriting."""
+        caps = self._caps
+        work = list(terms.items())
         while work:
-            mono, coeff = work.pop()
-            for v, e in mono.powers:
-                rep = self._power_rep(v, e)
-                if rep is not None:
-                    _, rest = mono.split(v)
-                    work.extend((m * rest, c * coeff) for m, c in rep.terms)
+            t, c = work.pop()
+            for i, size in caps:
+                if t[i] >= size:
+                    head, tail = t[:i], t[i + 1:]
+                    work.extend(
+                        ((*head, j, *tail), _mul(c, r)) for j, r in self._power_rep(i, t[i])
+                    )
                     break
             else:
-                out.append((mono, coeff))
-        return PolyExpr.make(out)
+                _accumulate(out, t, c)
+        return _nonzero(out)
 
-    def truth_polynomial(self, guard: BExpr) -> PolyExpr:
-        """Exact 0/1-valued polynomial for a condition over finite variables."""
-        if isinstance(guard, BTrue):
-            return PolyExpr.const(Fraction(1))
-        cached = self._truth.get(guard)
+    def reduce(self, poly: PolyExpr) -> PolyExpr:
+        """Rewrite every over-high variable power to its canonical form."""
+        self._admit(poly.variables())
+        return self._poly(self._reduce(self._terms(poly), {}))
+
+    def _truth_of(self, guard: BExpr) -> dict:
+        cached = self._truth_terms.get(guard)
         if cached is not None:
             return cached
+        if isinstance(guard, BTrue):
+            return {self._one: _ONE}
         params = bexpr_params(guard)
         if params:
             raise GuardNotSupportedError(
@@ -193,69 +279,117 @@ class MomentContext:
                     f"condition over {names} spans {points} value combinations"
                 )
             sets.append(sorted(s))
-        terms = []
+        acc: dict = {}
         for combo in product(*sets):
             if bexpr_eval(guard, dict(zip(names, combo))):
-                piece = PolyExpr.const(Fraction(1))
+                piece = {self._one: _ONE}
                 for v, point in zip(names, combo):
-                    piece = piece * self._lagrange_basis(v, point)
-                terms.extend(piece.terms)
-        poly = self.reduce(PolyExpr.make(terms))
-        self._truth[guard] = poly
-        return poly
+                    piece = self._product(piece, self._terms(self._lagrange_basis(v, point)))
+                for t, c in piece.items():
+                    _accumulate(acc, t, c)
+        cached = self._truth_terms[guard] = self._reduce(_nonzero(acc), {})
+        return cached
+
+    def truth_polynomial(self, guard: BExpr) -> PolyExpr:
+        """Exact 0/1-valued polynomial for a condition over finite variables."""
+        cached = self._truth.get(guard)
+        if cached is None:
+            cached = self._truth[guard] = self._poly(self._truth_of(guard))
+        return cached
 
     # -- one-step substitution ----------------------------------------------
 
-    def _power_value(self, rhs, k: int) -> PolyExpr:
-        """E[(assigned value)**k] as a polynomial in the pre-assignment state.
+    @staticmethod
+    def _product(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                _accumulate(out, tuple(map(add, ta, tb)), _mul(ca, cb))
+        return _nonzero(out)
 
-        Memoized by the identity of ``rhs``, which the program keeps alive."""
+    def _power_value(self, rhs, k: int) -> dict:
+        """E[(assigned value)**k] in the pre-assignment state.
+
+        Memoized by the identity of ``rhs``, which the program keeps alive.
+        Each choice's ``poly**k`` is its ``poly**(k-1)`` times ``poly``."""
         key = (id(rhs), k)
         cached = self._power_values.get(key)
         if cached is not None:
             return cached
         if isinstance(rhs, DistDraw):
-            cached = PolyExpr.monomial(VarMonomial.one(), dist_moment(rhs.kind, rhs.args, k))
+            cached = _nonzero({self._one: dist_moment(rhs.kind, rhs.args, k).elem})
         else:
-            cached = PolyExpr.make(
-                term for poly, prob in rhs.choices for term in (poly**k).scale(prob).terms
-            )
+            cached = {}
+            for j, (poly, prob) in enumerate(rhs.choices):
+                powers = self._powers.get((id(rhs), j))
+                if powers is None:
+                    powers = self._powers[id(rhs), j] = [{self._one: _ONE}]
+                if len(powers) <= k:
+                    base = self._terms(poly)
+                    while len(powers) <= k:
+                        powers.append(self._product(powers[-1], base))
+                for t, c in powers[k].items():
+                    _accumulate(cached, t, _mul(c, prob.elem))
+            cached = _nonzero(cached)
         self._power_values[key] = cached
         return cached
 
-    def _replacement(self, ga, k: int) -> PolyExpr:
-        """E[target**k] after the guarded assignment ``ga``."""
+    def _replacement(self, index: int, k: int) -> dict:
+        """E[target**k] after the guarded assignment ``body[index]``."""
+        key = (index, k)
+        cached = self._replacements.get(key)
+        if cached is not None:
+            return cached
+        ga = self.program.body[index]
+        value = self._power_value(ga.rhs, k)
         if isinstance(ga.guard, BTrue):
-            return self._power_value(ga.rhs, k)
-        truth = self.truth_polynomial(ga.guard)
-        kept = PolyExpr.var(ga.else_source) ** k
-        return truth * self._power_value(ga.rhs, k) + (PolyExpr.const(Fraction(1)) - truth) * kept
+            cached = value
+        else:
+            truth = self._truth_of(ga.guard)
+            kept = list(self._one)
+            kept[self._slot[ga.else_source]] = k
+            untrue = {self._one: _ONE}
+            for t, c in truth.items():
+                _accumulate(untrue, t, -c)
+            cached = self._product(truth, value)
+            for t, c in self._product(_nonzero(untrue), {tuple(kept): _ONE}).items():
+                _accumulate(cached, t, c)
+            cached = _nonzero(cached)
+        self._replacements[key] = cached
+        return cached
 
-    def _substitute(self, poly: PolyExpr, ga) -> PolyExpr:
-        """``poly``, already reduced, with the target of ``ga`` replaced;
-        only the replaced terms need reducing again."""
-        kept, new = [], []
-        repls: dict[int, PolyExpr] = {}
-        for mono, coeff in poly.terms:
-            k, rest = mono.split(ga.target)
-            if k == 0:
-                kept.append((mono, coeff))
+    @staticmethod
+    def _split(terms: dict, i: int, value_of) -> tuple[dict, dict]:
+        """The terms free of slot ``i``, and the sum of the others with
+        slot ``i``'s power k replaced by the terms ``value_of(k)``."""
+        kept, new = {}, {}
+        for t, c in terms.items():
+            k = t[i]
+            if not k:
+                kept[t] = c
                 continue
-            repl = repls.get(k)
-            if repl is None:
-                repl = repls[k] = self._replacement(ga, k)
-            new.extend((rest * m, coeff * c) for m, c in repl.terms)
-        return self.reduce(PolyExpr.make(new), kept)
+            rest = t[:i] + (0,) + t[i + 1:]
+            for m, r in value_of(k).items():
+                _accumulate(new, tuple(map(add, rest, m)), _mul(c, r))
+        return kept, _nonzero(new)
+
+    def _substitute(self, terms: dict, index: int) -> dict:
+        """``terms``, already reduced, with the target of ``body[index]``
+        replaced; only the replaced terms need reducing again."""
+        i = self._slot[self.program.body[index].target]
+        kept, new = self._split(terms, i, lambda k: self._replacement(index, k))
+        return self._reduce(new, kept)
 
     def recurrence(self, monomial: VarMonomial) -> PolyExpr:
         """E[monomial] after one body pass, linear in pre-pass expectations."""
         cached = self._recurrences.get(monomial)
         if cached is not None:
             return cached
-        poly = self.reduce(PolyExpr.monomial(monomial))
-        for ga in reversed(self.program.body):
-            poly = self._substitute(poly, ga)
-        poly = PolyExpr(tuple((m, self.intern(c)) for m, c in poly.terms))
+        self._admit(monomial.variables())
+        terms = self._reduce({self._tuple(monomial): _ONE}, {})
+        for index in reversed(range(len(self.program.body))):
+            terms = self._substitute(terms, index)
+        poly = self._poly(terms, intern=True)
         self._recurrences[monomial] = poly
         return poly
 
@@ -284,20 +418,17 @@ class MomentContext:
         cached = self._initials.get(monomial)
         if cached is not None:
             return cached
-        poly = PolyExpr.monomial(monomial)
+        self._admit(monomial.variables())
+        terms = {self._tuple(monomial): _ONE}
         for v, rhs in reversed(self.program.init):
-            out = []
-            for mono, coeff in poly.terms:
-                k, rest = mono.split(v)
-                if k == 0:
-                    out.append((mono, coeff))
-                else:
-                    out.extend((rest * m, coeff * c) for m, c in self._power_value(rhs, k).terms)
-            poly = PolyExpr.make(out)
-        if not poly.is_constant:
-            missing = sorted(poly.variables())
-            raise UninitializedVariableError(tuple(missing))
-        value = poly.constant_value()
+            terms, new = self._split(terms, self._slot[v], lambda k: self._power_value(rhs, k))
+            for t, c in new.items():
+                _accumulate(terms, t, c)
+            terms = _nonzero(terms)
+        missing = {self._order[i] for t in terms for i, e in enumerate(t) if e}
+        if missing:
+            raise UninitializedVariableError(tuple(sorted(missing)))
+        value = ParamExpr(terms.get(self._one, 0))
         self._initials[monomial] = value
         return value
 

@@ -704,10 +704,14 @@ def _scaled(x: tuple, m: int) -> tuple:
 
 
 def _sum(values: list) -> tuple:
-    """The sum, cross-multiplied only where denominators differ; zero is
-    ``(0, 1)``."""
+    """The sum, unreduced; zero is ``(0, 1)``.  While the denominators
+    agree the numerators are added in one pass.  From the first one that
+    differs, the numerators over each distinct denominator are added first.
+    Then each distinct denominator is multiplied in once, or not at all
+    when it divides the denominator so far or is divided by it, so a sum
+    over D and D**2 stays over D**2."""
     num, den = 0, 1
-    for n, d in values:
+    for i, (n, d) in enumerate(values):
         if not n:
             continue
         if not num:
@@ -715,8 +719,41 @@ def _sum(values: list) -> tuple:
         elif d == den:
             num = num + n
         else:
+            return _sum_by_denominator(values[i:], num, den)
+    return num, den
+
+
+def _sum_by_denominator(values: list, num, den) -> tuple:
+    by_den = {den: num}
+    for n, d in values:
+        if n:
+            by_den[d] = by_den.get(d, 0) + n
+    num, den = 0, 1
+    for d, n in by_den.items():
+        if not n:
+            continue
+        if not num:
+            num, den = n, d
+            continue
+        q = _quotient(den, d)
+        if q is not None:
+            num = num + n * q
+            continue
+        q = _quotient(d, den)
+        if q is not None:
+            num, den = num * q + n, d
+        else:
             num, den = num * d + n * den, den * d
     return num, den
+
+
+def _quotient(a, b):
+    """``a / b`` when the polynomial ``b`` divides ``a`` exactly, else None;
+    integers, the denominators over QQ, are always cross-multiplied."""
+    if not (hasattr(a, "ring") and hasattr(b, "ring")) or len(b) > len(a):
+        return None
+    q, r = a.div(b)
+    return None if r else q
 
 
 def _div(x: tuple, y: tuple) -> tuple:

@@ -90,6 +90,61 @@ def _lift(f, field):
     return field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
 
 
+# A sum or product where nothing can cancel skips sympy's ``cancel``: a
+# reduced fraction with a positive leading coefficient in its denominator is
+# unique, so the pair built here is the one ``cancel`` gives.  Nothing cancels
+# when both denominators are 1, or when one operand is an integer c and the
+# other is N/D: c + N/D keeps D, since gcd(N + c*D, D) = gcd(N, D) = 1, and
+# c * N/D can only lose g = gcd(c, content(D)), an integer.
+
+
+def _is_one(poly) -> bool:
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+
+
+def _add(a, b):
+    """``a + b`` for two field elements, in the field over both."""
+    a, b = _unify(a, b)
+    if type(a) is FracElement:
+        if type(b) is FracElement:
+            if _is_one(a.denom) and _is_one(b.denom):
+                return a.field.raw_new(a.numer + b.numer, a.denom)
+        elif b.denominator == 1:
+            return a.field.raw_new(a.numer + a.denom.mul_ground(b.numerator), a.denom)
+    elif type(b) is FracElement and a.denominator == 1:
+        return b.field.raw_new(b.numer + b.denom.mul_ground(a.numerator), b.denom)
+    return a + b
+
+
+def _sub(a, b):
+    return _add(a, -b)
+
+
+def _mul(a, b):
+    a, b = _unify(a, b)
+    if type(a) is FracElement:
+        if type(b) is FracElement:
+            if _is_one(a.denom) and _is_one(b.denom):
+                return a.field.raw_new(a.numer * b.numer, a.denom)
+        elif b.denominator == 1:
+            return _scale(a, b.numerator)
+    elif type(b) is FracElement and a.denominator == 1:
+        return _scale(b, a.numerator)
+    return a * b
+
+
+def _scale(f, c: int):
+    """``c * f`` for an integer ``c``."""
+    if c == 1:
+        return f
+    if not c:
+        return QQ(0)
+    g = gcd(c, f.denom.content())
+    if g == 1:
+        return f.field.raw_new(f.numer.mul_ground(c), f.denom)
+    return f.field.raw_new(f.numer.mul_ground(c // g), f.denom.quo_ground(g))
+
+
 def _element(value):
     """The exact field element for a non-``ParamExpr`` operand."""
     t = type(value)
@@ -265,22 +320,18 @@ class ParamExpr:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other) -> "ParamExpr":
-        a, b = _unify(self.elem, _operand(other))
-        return ParamExpr(a + b)
+        return ParamExpr(_add(self.elem, _operand(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ParamExpr":
-        a, b = _unify(self.elem, _operand(other))
-        return ParamExpr(a - b)
+        return ParamExpr(_sub(self.elem, _operand(other)))
 
     def __rsub__(self, other) -> "ParamExpr":
-        a, b = _unify(_operand(other), self.elem)
-        return ParamExpr(a - b)
+        return ParamExpr(_sub(_operand(other), self.elem))
 
     def __mul__(self, other) -> "ParamExpr":
-        a, b = _unify(self.elem, _operand(other))
-        return ParamExpr(a * b)
+        return ParamExpr(_mul(self.elem, _operand(other)))
 
     __rmul__ = __mul__
 
@@ -316,7 +367,8 @@ class ParamExpr:
 
     @property
     def is_one(self) -> bool:
-        return type(self.elem) is _MPQ and self.elem == 1
+        f = self.elem
+        return type(f) is _MPQ and f.numerator == 1 and f.denominator == 1
 
     @property
     def is_rational(self) -> bool:

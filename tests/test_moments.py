@@ -468,15 +468,64 @@ def _folded_recurrence(np_, monomial):
     return poly
 
 
+def _folded_initial(np_, monomial):
+    """Reference: E[monomial] before the first iteration, by ``PolyExpr``
+    arithmetic."""
+    poly = PolyExpr.monomial(monomial)
+    for v, rhs in reversed(np_.init):
+        out = PolyExpr.zero()
+        for mono, coeff in poly.terms:
+            k, rest = mono.split(v)
+            if k == 0:
+                out = out + PolyExpr.monomial(mono, coeff)
+                continue
+            value = PolyExpr.zero()
+            for choice, prob in rhs.choices:
+                value = value + (choice**k).scale(prob)
+            out = out + PolyExpr.monomial(rest, coeff) * value
+        poly = out
+    return poly.constant_value()
+
+
 @given(random_programs(), st.sampled_from(["a", "b", "c", "a*b", "c**2", "a*b*c"]))
 @settings(max_examples=40, deadline=None)
 def test_recurrence_matches_folded_reference_on_random_programs(src, target):
     np_ = normalize(parse(src))
+    ctx = MomentContext(np_)
     try:
-        rec = MomentContext(np_).recurrence(pm(target))
+        rec = ctx.recurrence(pm(target))
     except NonFiniteGuardError:
         return  # branching over an unbounded variable is out of scope
-    assert rec == _folded_recurrence(np_, pm(target))
+    want = _folded_recurrence(np_, pm(target))
+    assert rec == want
+    assert [m for m, _ in rec.terms] == [m for m, _ in want.terms]
+    assert str(rec) == str(want)
+    for mono, _ in rec.terms:
+        assert ctx.initial(mono) == _folded_initial(np_, mono)
+
+
+def test_recurrence_terms_are_in_deglex_order():
+    # degree first, then by name, a smaller exponent first and an absent
+    # variable last: neither plain nor negated exponent tuples give this
+    ctx = ctx_of(
+        "a = 1\nb = 2\nt = 0\nwhile true:\n"
+        "    t = b**2 + a**2 + b + a*b + a\n    a = a + 1\n    b = b + 1\nend\n"
+    )
+    rec = ctx.recurrence(pm("t"))
+    assert [str(m) for m, _ in rec.terms] == ["a", "b", "a*b", "a**2", "b**2"]
+    assert [m.deglex_key for m, _ in rec.terms] == sorted(m.deglex_key for m, _ in rec.terms)
+    assert str(rec) == "b**2 + a**2 + a*b + b + a"
+
+
+def test_monomials_over_variables_the_program_does_not_mention():
+    ctx = ctx_of(BRANCHY_COUNTER)
+    before = ctx.recurrence(pm("cnt**2"))
+    assert ctx.recurrence(pm("w*cnt")) == PolyExpr.monomial(pm("w")) * ctx.recurrence(pm("cnt"))
+    with pytest.raises(UninitializedVariableError):
+        ctx.initial(pm("w"))
+    fresh = ctx_of(BRANCHY_COUNTER)
+    assert ctx.recurrence(pm("cnt**2")) is before
+    assert ctx.recurrence(pm("z")) == fresh.recurrence(pm("z"))
 
 
 @pytest.mark.parametrize(

@@ -415,6 +415,22 @@ def _rotation_forced_one_symbol():
     return eqs, {"w": pe(0), "x": pe(1), "y": pe(0)}
 
 
+def _chained_rotations():
+    """w(n+1) = w(n)/2 + x3(n), forced through three chained rotations by
+    (a, b): x_d(n+1) = a*x_d(n) - b*y_d(n) + x_(d-1)(n),
+    y_d(n+1) = b*x_d(n) + a*y_d(n), with x0 constant.  The pair term has
+    multiplicity 3 in x3, so w's residual sums fractions over several
+    denominators, each smaller one a factor of a larger one."""
+    a, b = expr("a"), expr("b")
+    eqs = {"x0": [(pe(1), "x0")], "w": [(pe(Fraction(1, 2)), "w"), (pe(1), "x3")]}
+    init = {"x0": pe(1), "w": pe(0)}
+    for d in (1, 2, 3):
+        eqs[f"x{d}"] = [(a, f"x{d}"), (-b, f"y{d}"), (pe(1), f"x{d - 1}")]
+        eqs[f"y{d}"] = [(b, f"x{d}"), (a, f"y{d}")]
+        init[f"x{d}"], init[f"y{d}"] = pe(1), pe(0)
+    return eqs, init
+
+
 CHECKED_SYSTEMS = {
     "rotation": _forced_rotation,
     "nilpotent": _nilpotent_pair,
@@ -422,11 +438,12 @@ CHECKED_SYSTEMS = {
     "resonant": _resonant_one_symbol,
     "zero-forced": _zero_forced_one_symbol,
     "rotation-forced": _rotation_forced_one_symbol,
+    "chained-rotations": _chained_rotations,
 }
 
 #: The block each system is named after; its first symbol's closed form is
 #: the one the tests spoil.
-TARGETS = {"rotation": ("u", "v"), "rotation-forced": ("w",)}
+TARGETS = {"rotation": ("u", "v"), "rotation-forced": ("w",), "chained-rotations": ("w",)}
 
 
 def _spoil_before_the_check(monkeypatch, target, spoil) -> None:
@@ -678,3 +695,41 @@ def test_forward_iteration_matches_reduced_iteration(coefficients, initials):
             check(row[s], rows[n][s])
             check(iterator.value(s, n), rows[n][s])
     assert iterator.rows(30) == rows
+
+
+# ---------------------------------------------------------------------------
+# Unreduced sums over several denominators
+# ---------------------------------------------------------------------------
+
+_DENOMINATORS = ["1", "2", "1 + a", "2 + 2*a", "(1 + a)**2", "(1 + a)*(a - b)", "(1 + a)**2*(a - b)", "b"]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(["1", "a", "b", "a*b - 1"]), st.sampled_from(_DENOMINATORS)),
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_unreduced_sums_match_field_sums(summands):
+    field = param_domain(("a", "b")).field
+    values = [
+        (k * field.from_expr(sp.sympify(num)).numer, field.from_expr(sp.sympify(den)).numer)
+        for k, num, den in summands
+    ]
+    num, den = solver._sum(values)
+    want = sum((field(n) / field(d) for n, d in values), field.zero)
+    assert field(num) / field(den) == want
+    if len({d for n, d in values if n}) <= 1:
+        # one denominator: summed in one pass, never cross-multiplied
+        assert den == next((d for n, d in values if n), 1)
+
+
+def test_chained_rotations_match_iteration():
+    eqs, init = _chained_rotations()
+    solved = solve_system(eqs, init)
+    point = {"a": Fraction(2, 7), "b": Fraction(3, 11)}
+    rows = ForwardIterator(eqs, init, point).rows(10)
+    for s in eqs:
+        for n in range(11):
+            assert ep_eval(solved[s], point, n) == rows[n][s], (s, n)

@@ -1,15 +1,20 @@
 """Tests for exact parameter expressions and exponential-polynomial closed forms."""
 
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
+import probsens.symbolic as symbolic
 from probsens.errors import SingularParameterError
 from probsens.normalize import normalize
 from probsens.parser import parse, parse_monomial
@@ -249,6 +254,96 @@ def test_singular_point_and_missing_parameter():
         (f * ParamExpr("q")).eval_fraction({"q": Fraction(1)})
     with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): p, q$"):
         (P * ParamExpr("q") + 1).eval_fraction({})
+
+
+# ---------------------------------------------------------------------------
+# Sums and products that skip sympy's cancellation
+# ---------------------------------------------------------------------------
+
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@st.composite
+def gcd_free_operands(draw):
+    """A polynomial with integer coefficients over {p}, {p, q} or {a, p},
+    an integer, a rational, or a fraction whose denominator may carry an
+    integer content (p/2, (p + 1)/(2*q + 2))."""
+    names = draw(st.sampled_from([("p",), ("p", "q"), ("a", "p")]))
+    gens = [ParamExpr(n) for n in names]
+
+    def polynomial():
+        acc = ParamExpr(0)
+        for _ in range(draw(st.integers(0, 3))):
+            term = ParamExpr(draw(st.integers(-4, 4)))
+            for g in gens:
+                term = term * g ** draw(st.integers(0, 2))
+            acc = acc + term
+        return acc
+
+    kind = draw(st.sampled_from(["polynomial", "integer", "rational", "fraction"]))
+    if kind == "integer":
+        return ParamExpr(draw(st.integers(-6, 6)))
+    if kind == "rational":
+        return ParamExpr(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6))))
+    if kind == "fraction":
+        den = polynomial() * draw(st.integers(1, 6))
+        return polynomial() / (den if not den.is_zero else ParamExpr(draw(st.integers(2, 6))))
+    return polynomial()
+
+
+def _has_denominator_one(v: ParamExpr) -> bool:
+    f = v.elem
+    return f.denominator == 1 if type(f) is not FracElement else f.denom == 1
+
+
+def _is_integer(v: ParamExpr) -> bool:
+    return v.is_rational and v.as_fraction().denominator == 1
+
+
+def _pair(v: ParamExpr):
+    f = v.elem
+    return (f.field, f.numer, f.denom) if type(f) is FracElement else (None, f, None)
+
+
+def _sympy_result(x: ParamExpr, y: ParamExpr, op) -> ParamExpr:
+    """``op`` on the unified field elements, as sympy computes and cancels it."""
+    return ParamExpr(op(*symbolic._unify(x.elem, y.elem)))
+
+
+@given(gcd_free_operands(), gcd_free_operands(), st.sampled_from(sorted(OPERATIONS)))
+@settings(max_examples=300, deadline=None)
+def test_gcd_free_results_match_sympy(x, y, name):
+    op = OPERATIONS[name]
+    want = _sympy_result(x, y, op)
+    gcd_free = (_has_denominator_one(x) and _has_denominator_one(y)) or _is_integer(x) or _is_integer(y)
+    if gcd_free:
+        with mock.patch.object(PolyElement, "cancel", side_effect=AssertionError("cancelled")):
+            got = op(x, y)
+    else:
+        got = op(x, y)
+    assert _pair(got) == _pair(want)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        ((1 - P) + P, ParamExpr(1)),
+        (P - P, ParamExpr(0)),
+        ((P + Q) * 0, ParamExpr(0)),
+        ((P - 1) * (P + 1) - P**2, ParamExpr(-1)),
+        (2 * (P / 2), P),
+        (3 * ((P + 1) / (2 * Q + 2)), (3 * P + 3) / (2 * Q + 2)),
+        (4 * ((P + 1) / (2 * Q + 2)), (2 * P + 2) / (Q + 1)),
+        (-1 - 1 / P, (-P - 1) / P),
+    ],
+)
+def test_gcd_free_results_are_reduced(value, want):
+    assert _pair(value) == _pair(want)
+    assert str(value) == str(value.e)
+    if not value.free_params():
+        assert type(value.elem) is not FracElement
 
 
 # ---------------------------------------------------------------------------
