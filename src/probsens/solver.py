@@ -31,24 +31,21 @@ linearly independent, the two together prove the closed form for all
 n ≥ n0.  The forcing, the coefficients of a one-symbol block's terms and
 the residual are sums of fractions kept unreduced as (numerator,
 denominator) pairs: such a coefficient is cancelled once, and the residual
-never.  Forward iteration, over one common denominator, is needed only for
+never.  Forward iteration, one reduced step at a time, is needed only for
 the prefixes, the values at n0 and the seed windows.
+
+Only blocks of two or more symbols use sympy (its dense polynomial
+factoring and its matrices over the parameter field), imported on the
+first such block; their entries cross to sympy and back only inside
+:func:`_solve_by_seeds` and the helpers it calls.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, reduce
 from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
-
-import sympy as sp
-from sympy import QQ
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-from sympy.utilities.iterables import strongly_connected_components
 
 from .errors import SeedSystemError, UnsupportedFactorError
 from .symbolic import (
@@ -58,10 +55,15 @@ from .symbolic import (
     ParamExpr,
     QuadTerm,
     _lucas_values,
-    common_domain,
+    common_gens,
     ep_value_symbolic,
+    exact_quotient,
+    from_numer_denom,
+    from_sympy,
+    numer_denom,
     pe,
-    to_domain,
+    sympy_domain,
+    to_sympy,
 )
 
 __all__ = [
@@ -70,10 +72,8 @@ __all__ = [
     "solve_system",
 ]
 
-_MPQ = type(QQ(0))
-
-#: The variable in which a factor of a characteristic polynomial is printed.
-_X = sp.Symbol("x")
+_ZERO = ParamExpr.zero()
+_TWO = pe(2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,35 +92,42 @@ def factor_charpoly(coeffs: Sequence, domain) -> list[tuple[list, int]]:
     then by the sympy sort key of the factor in ``x``, which fixes the order
     of the closed-form terms.
     """
+    import sympy as sp
+    from sympy.polys.factortools import dup_factor_list
+
     out = [(f, m) for f, m in dup_factor_list(coeffs, domain)[1] if len(f) > 1]
     if len(out) > 1:
         out.sort(key=lambda fm: (len(fm[0]), sp.default_sort_key(_as_expr(fm[0], domain))))
     return out
 
 
-def _as_expr(f: Sequence, domain) -> sp.Expr:
-    """The dense polynomial ``f`` over ``domain`` as a sympy expression in x."""
+def _as_expr(f: Sequence, domain):
+    """The dense polynomial ``f`` over ``domain`` as a sympy expression in x,
+    the variable a factor is printed in."""
+    import sympy as sp
+
+    x = sp.Symbol("x")
     deg = len(f) - 1
-    return sp.Add(*(domain.to_sympy(c) * _X ** (deg - i) for i, c in enumerate(f)))
+    return sp.Add(*(domain.to_sympy(c) * x ** (deg - i) for i, c in enumerate(f)))
 
 
-def _classify_factors(factors: Sequence[tuple[list, int]], domain):
+def _classify_factors(factors: Sequence[tuple[list, int]], domain, gens: tuple):
     """Split factors into zero roots, eigenvalues and irreducible quadratics
-    (as x**2 - beta*x - gamma), read off their coefficients in ``domain``.
-    Eigenvalues and quadratics map to their multiplicities, in the order of
-    ``factors``.  A factor of degree 3 or more raises
-    ``UnsupportedFactorError``."""
+    (as x**2 - beta*x - gamma), read off their coefficients in ``domain``,
+    which is ``sympy_domain(gens)``.  Eigenvalues and quadratics map to their
+    multiplicities, in the order of ``factors``.  A factor of degree 3 or
+    more raises ``UnsupportedFactorError``."""
     zero_mult = 0
     linear: dict[ParamExpr, int] = {}
     quads: dict[tuple[ParamExpr, ParamExpr], int] = {}
     for f, mult in factors:
         if len(f) == 2:
             if f[1]:
-                _accumulate(linear, ParamExpr(-f[1] / f[0]), mult)
+                _accumulate(linear, from_sympy(-f[1] / f[0], domain, gens), mult)
             else:
                 zero_mult += mult
         elif len(f) == 3:
-            key = (ParamExpr(-f[1] / f[0]), ParamExpr(-f[2] / f[0]))
+            key = (from_sympy(-f[1] / f[0], domain, gens), from_sympy(-f[2] / f[0], domain, gens))
             _accumulate(quads, key, mult)
         else:
             raise UnsupportedFactorError(str(_as_expr(f, domain)))
@@ -140,128 +147,92 @@ def _accumulate(entries: dict, key, mult: int, combine=operator.add) -> None:
 
 def _sccs(eqs: Mapping) -> list[list]:
     """Strongly connected components of the system's dependency graph,
-    dependencies before dependents.  Each lists its members in the reverse
-    of the order a depth-first search from the first symbol of ``eqs``
-    reaches them; a block's forcing eigenvalues are collected in that order."""
-    edges = [(s, t) for s, terms in eqs.items() for _, t in terms]
-    return [comp[::-1] for comp in strongly_connected_components((list(eqs), edges))]
+    dependencies before dependents, by Tarjan's algorithm without recursion.
+    Each lists its members in the reverse of the order a depth-first search
+    from the first symbol of ``eqs`` reaches them; a block's forcing
+    eigenvalues are collected in that order."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    work: list = []  # (node, its successors not yet visited)
+    out: list[list] = []
+
+    def visit(node) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter([t for _, t in eqs[node]])))
+
+    for root in eqs:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in index:
+                    visit(nxt)
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
 
 
 class ForwardIterator:
     """Exact forward iteration of a closed system, memoized row by row.
 
     ``equations`` maps each symbol to its ``(coefficient, symbol)`` terms and
-    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  Values are
-    handed out in ``domain``, the parameter field of the whole system (``raw``),
-    or as ``ParamExpr`` (``value``, ``row``), but iterated over one common
-    denominator: with ``D`` the lcm of the coefficients' denominators and
-    ``E`` the lcm of the initial values', the value at n is
-    ``U(n) / (E * D**n)``, where the numerators follow
-    ``U_s(n+1) = sum((c.numer * D / c.denom) * U_t(n))`` in the ring of
-    ``domain`` (``ZZ[params]``, or ``ZZ`` when there are no parameters) and
-    no step cancels.  A value is cancelled once, when it is first handed out.
-    A value at n = 0 is the initial value itself, and the numerators are set
-    up on the first step past it.  With ``values``, every coefficient and
-    initial value is evaluated once at those rational parameter values and
-    the rows hold ``Fraction``s.
+    ``initials`` gives every value at n = 0, all as ``ParamExpr``.  Each step
+    is reduced field arithmetic, and the rows hold ``ParamExpr``s; ``gens``
+    are the parameters of the whole system, over which the solver works.
+    With ``values``, every coefficient and initial value is evaluated once
+    at those rational parameter values and the rows hold ``Fraction``s.
     """
 
     def __init__(self, equations, initials, values: Mapping[str, Fraction] | None = None):
-        symbols = list(equations)
-        self._equations = equations
         if values is None:
-            coefficients = [c for terms in equations.values() for c, _ in terms]
-            starts = [pe(initials[s]) for s in symbols]
-            self.domain = common_domain([*coefficients, *starts])
-            self._starts = dict(zip(symbols, starts))
-            self._reduced: dict = {}
-            self._rows: list[dict] = []
-            self._num: list[dict] = []  # set up by the first step
+            convert = pe
         else:
-            self.domain = None
-            self._zero = Fraction(0)
-            coefficients = [c.eval_fraction(values) for terms in equations.values() for c, _ in terms]
-            starts = [initials[s].eval_fraction(values) for s in symbols]
-            self._set_up(coefficients, starts)
+            def convert(c):
+                return pe(c).eval_fraction(values)
 
-    def _set_up(self, coefficients: list, starts: list) -> None:
-        scaled = iter(coefficients)
-        self._eq = {s: tuple((next(scaled), t) for _, t in terms) for s, terms in self._equations.items()}
-        self._num = [dict(zip(self._equations, starts))]
+        self._eq = {s: tuple((convert(c), t) for c, t in terms) for s, terms in equations.items()}
+        self._rows = [{s: convert(initials[s]) for s in equations}]
+        self._zero = convert(ParamExpr.zero())
+        coefficients = [c for terms in self._eq.values() for c, _ in terms]
+        self.gens = common_gens([*coefficients, *self._rows[0].values()]) if values is None else None
 
-    def _advance(self, n: int) -> None:
-        if not self._num:
-            # over common denominators; a caller that reads only values at
-            # n = 0 never pays for the lcms
-            domain = self.domain
-            coefficients = [c for terms in self._equations.values() for c, _ in terms]
-            coefficients, self._step = _over_common_denominator(coefficients, domain)
-            starts, start_den = _over_common_denominator(list(self._starts.values()), domain)
-            self._zero = _ring(domain).zero
-            self._denominators = [start_den]
-            self._set_up(coefficients, starts)
-        while len(self._num) <= n:
-            prev = self._num[-1]
+    def row(self, n: int) -> dict:
+        rows = self._rows
+        while len(rows) <= n:
+            prev = rows[-1]
             nxt = {}
             for s, terms in self._eq.items():
                 acc = self._zero
                 for c, t in terms:
                     acc = acc + c * prev[t]
                 nxt[s] = acc
-            self._num.append(nxt)
-
-    def raw(self, sym, n: int):
-        """The value at ``n`` as an element of ``domain`` (or a Fraction)."""
-        if self.domain is None:
-            self._advance(n)
-            return self._num[n][sym]
-        out = self._reduced.get((sym, n))
-        if out is None:
-            if n == 0:
-                out = to_domain(self._starts[sym], self.domain)
-            else:
-                self._advance(n)
-                dens = self._denominators
-                while len(dens) <= n:
-                    dens.append(dens[-1] * self._step)
-                out = _reduce((self._num[n][sym], dens[n]), self.domain)
-            self._reduced[sym, n] = out
-        return out
-
-    def row(self, n: int) -> dict:
-        if self.domain is None:
-            self._advance(n)
-            return self._num[n]
-        while len(self._rows) <= n:
-            k = len(self._rows)
-            self._rows.append({s: ParamExpr(self.raw(s, k)) for s in self._equations})
-        return self._rows[n]
+            rows.append(nxt)
+        return rows[n]
 
     def rows(self, steps: int) -> list[dict]:
         """Rows 0..steps."""
         return [self.row(n) for n in range(steps + 1)]
 
     def value(self, sym, n: int):
-        v = self.raw(sym, n)
-        return v if self.domain is None else ParamExpr(v)
-
-
-@cache
-def _ring(domain):
-    """The ring of numerators of ``domain``, built once: sympy builds a new
-    one on every ``get_ring`` call."""
-    return domain.get_ring()
-
-
-def _over_common_denominator(values: Sequence[ParamExpr], domain) -> tuple[list, object]:
-    """``values`` as numerators over their least common denominator L, all
-    in the ring of ``domain``: returns the numerators and L."""
-    ring = _ring(domain)
-    fractions = [to_domain(v, domain) for v in values]
-    dens = {domain.denom(f) for f in fractions}
-    lcm = reduce(ring.lcm, dens, ring.one)
-    scale = {den: ring.exquo(lcm, den) for den in dens}
-    return [domain.numer(f) * scale[domain.denom(f)] for f in fractions], lcm
+        return self.row(n)[sym]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +274,10 @@ def solve_system(
 def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
     """Solve and check one block, and add its closed forms to ``solved`` and
     their expansions (see :func:`_expand`) to ``expanded``."""
-    domain = iterator.domain
-    matrix, forcing, start = _block_parts(block, eqs, solved, expanded, domain)
+    matrix, forcing, start = _block_parts(block, eqs, solved, expanded, iterator.gens)
     if len(block) == 1:
         (s,) = block
-        closed, n0 = _solve_one_symbol(s, matrix[s].get(s, domain.zero), forcing[s], start, iterator)
+        closed, n0 = _solve_one_symbol(s, matrix[s].get(s, _ZERO), forcing[s], start, iterator)
     else:
         closed, n0 = _solve_by_seeds(block, matrix, forcing, start, iterator)
     expanded.update(_check_block(block, n0, matrix, forcing, closed, iterator))
@@ -317,24 +287,26 @@ def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
 # Inside the solver an exponential polynomial is a dict from each base b to
 # ``(P,)``, its term P(n)*b**n, and from each pair (beta, gamma) to
 # ``(p, q)``, its term p(n)*s(n) + q(n)*s(n+1); P, p and q are dense lists
-# of coefficients, lowest degree first, with p and q of one length: field
-# elements, or unreduced pairs (see :func:`_sum`).  Keys keep the order in
-# which they are met, which is the order of the closed-form terms.
+# of coefficients, lowest degree first, with p and q of one length:
+# ``ParamExpr``s, or unreduced pairs (see :func:`_sum`).  Keys keep the
+# order in which they are met, which is the order of the closed-form terms.
+# ``gens`` are the parameters of the whole system, over which every pair's
+# polynomials are written.
 
 
-def _expand(f: ExpPolynomial, domain) -> dict:
+def _expand(f: ExpPolynomial, gens: tuple) -> dict:
     """The exponential-polynomial part of ``f``, its prefix left out, with
-    coefficients as unreduced pairs over the ring of ``domain``."""
-    parts: dict = {t.base: (_pairs(t.poly, domain),) for t in f.terms}
+    coefficients as unreduced pairs over ``gens``."""
+    parts: dict = {t.base: (_pairs(t.poly, gens),) for t in f.terms}
     for qt in f.quad_terms:
-        p, q = _pairs(qt.p, domain), _pairs(qt.q, domain)
+        p, q = _pairs(qt.p, gens), _pairs(qt.q, gens)
         length = max(len(p), len(q))
         parts[(qt.beta, qt.gamma)] = tuple(c + [(0, 1)] * (length - len(c)) for c in (p, q))
     return parts
 
 
-def _pairs(poly: CounterPoly, domain) -> list:
-    return [_pair(to_domain(c, domain)) for c in poly.coeffs]
+def _pairs(poly: CounterPoly, gens: tuple) -> list:
+    return [_pair(c, gens) for c in poly.coeffs]
 
 
 def _closed_form(prefix, parts: dict) -> ExpPolynomial:
@@ -354,8 +326,8 @@ def _closed_form(prefix, parts: dict) -> ExpPolynomial:
     return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
 
 
-def _block_parts(block, eqs, solved, expanded, domain):
-    """What the rest of the system contributes to a block, in ``domain``.
+def _block_parts(block, eqs, solved, expanded, gens: tuple):
+    """What the rest of the system contributes to a block.
 
     Returns the block's own coefficient matrix A (``{s: {t: A_st}}``), each
     symbol's forcing g_s(n), the sum of ``c * T(n)`` over its terms on solved
@@ -373,11 +345,10 @@ def _block_parts(block, eqs, solved, expanded, domain):
         sums: dict = {}
         for c, t in eqs[s]:
             if t in bset:
-                c = to_domain(c, domain)
                 row[t] = row[t] + c if t in row else c
             elif not c.is_zero:
                 start = max(start, solved[t].start)
-                _add_summands(sums, expanded[t], _pair(to_domain(c, domain)))
+                _add_summands(sums, expanded[t], _pair(c, gens))
         forcing[s] = _summed(sums)
     return matrix, forcing, start
 
@@ -396,43 +367,41 @@ def _solve_one_symbol(s, a, forcing: dict, start: int, iterator):
     general solution adds K*a**n, fixed by the iterated value at n0.  When
     a is 0 there is no K, and the same formulas hold one step later.
     """
-    domain = iterator.domain
-    own = ParamExpr(a)
-    parts: dict = {own: ([domain.zero],)} if a else {}
+    gens = iterator.gens
+    parts: dict = {a: ([_ZERO],)} if not a.is_zero else {}
     for key, polys in forcing.items():
         if len(polys) == 2:
-            parts[key] = _particular_pair(*polys, key, a, domain)
+            parts[key] = _particular_pair(*polys, key, a, gens)
             continue
-        b = to_domain(key, domain)
-        parts[own if b == a else key] = (_particular_coefficients(polys[0], b, a, domain),)
-    n0 = start if a else start + 1
-    if a:
+        parts[a if key == a else key] = (_particular_coefficients(polys[0], key, a, gens),)
+    n0 = start + a.is_zero
+    if not a.is_zero:
         # K*a**n0 + (the particular terms at n0) = s(n0)
-        a_num, a_den = _pair(a)
-        rest = _sum([_pair(iterator.raw(s, n0)), _neg(_value_at(parts, n0, domain))])
-        parts[own][0][0] = _reduce(_div(rest, (a_num**n0, a_den**n0)), domain)
+        a_num, a_den = _pair(a, gens)
+        rest = _sum([_pair(iterator.value(s, n0), gens), _neg(_value_at(parts, n0, gens))])
+        parts[a][0][0] = _reduce(_div(rest, (a_num**n0, a_den**n0)), gens)
     prefix = tuple(iterator.value(s, k) for k in range(n0))
     return {s: _closed_form(prefix, parts)}, n0
 
 
-def _particular_coefficients(poly: list, b, a, domain) -> list:
+def _particular_coefficients(poly: list, b, a, gens: tuple) -> list:
     """Q with b*Q(n+1) - a*Q(n) = P(n), from the top coefficient down.  The
     n**k coefficient reads (b - a)*q_k + b*sum(C(j, k)*q_j for j > k) = p_k.
     When b = a the first term vanishes: the equation fixes q_(k+1) instead,
     Q is one degree above P, and q_0 is 0.  ``poly`` holds unreduced pairs;
     each coefficient of Q is cancelled once."""
     resonant = b == a
-    out: list = [domain.zero] * (len(poly) + resonant)
-    b = _pair(b)
-    diff = _sum([b, _neg(_pair(a))])
+    out: list = [_ZERO] * (len(poly) + resonant)
+    b = _pair(b, gens)
+    diff = _sum([b, _neg(_pair(a, gens))])
     for k in range(len(poly) - 1, -1, -1):
         j = k + resonant  # the coefficient the n**k equation fixes
-        rest = _sum([poly[k], _neg(_mul(b, _binomial_tail(out, k, j + 1)))])
-        out[j] = _reduce(_div(rest, _scaled(b, k + 1) if resonant else diff), domain)
+        rest = _sum([poly[k], _neg(_mul(b, _binomial_tail(out, k, j + 1, gens)))])
+        out[j] = _reduce(_div(rest, _scaled(b, k + 1) if resonant else diff), gens)
     return out
 
 
-def _particular_pair(p: list, q: list, pair, a, domain) -> tuple[list, list]:
+def _particular_pair(p: list, q: list, pair, a, gens: tuple) -> tuple[list, list]:
     """(u, v) with u(n)*s(n) + v(n)*s(n+1) the particular term of the pair
     term p(n)*s(n) + q(n)*s(n+1), where ``pair`` is (beta, gamma) and
     s(n+2) = beta*s(n+1) + gamma*s(n).  Matching s(n) and s(n+1) gives, per
@@ -446,67 +415,75 @@ def _particular_pair(p: list, q: list, pair, a, domain) -> tuple[list, list]:
     x**2 - beta*x - gamma at a, never zero: the quadratic is irreducible.
     The pairs' coefficients grow fast with the degree, so this solve runs
     in reduced field arithmetic."""
-    beta, gamma = (to_domain(x, domain) for x in pair)
+    beta, gamma = pair
     size = len(p)
     u: list = [None] * size
     v: list = [None] * size
     shifted = beta - a
     det = -a * shifted - gamma
     for k in range(size - 1, -1, -1):
-        tail_u, tail_v = (_reduce(_binomial_tail(c, k, k + 1), domain) for c in (u, v))
-        r1 = _reduce(p[k], domain) - gamma * tail_v
-        r2 = _reduce(q[k], domain) - tail_u - beta * tail_v
+        tail_u, tail_v = (_reduce(_binomial_tail(c, k, k + 1, gens), gens) for c in (u, v))
+        r1 = _reduce(p[k], gens) - gamma * tail_v
+        r2 = _reduce(q[k], gens) - tail_u - beta * tail_v
         u[k] = (r1 * shifted - gamma * r2) / det
         v[k] = (-a * r2 - r1) / det
     return u, v
 
 
-def _binomial_tail(coeffs: list, k: int, first: int) -> tuple:
+def _binomial_tail(coeffs: list, k: int, first: int, gens: tuple) -> tuple:
     """sum(C(j, k) * coeffs[j] for j >= first), unreduced."""
-    return _sum([_scaled(_pair(coeffs[j]), comb(j, k)) for j in range(first, len(coeffs))])
+    return _sum([_scaled(_pair(coeffs[j], gens), comb(j, k)) for j in range(first, len(coeffs))])
 
 
-def _value_at(parts: dict, n: int, domain) -> tuple:
+def _value_at(parts: dict, n: int, gens: tuple) -> tuple:
     """The value at ``n`` of an exponential polynomial, unreduced."""
     values = []
     for key, polys in parts.items():
         if len(polys) == 1:
-            b_num, b_den = _pair(to_domain(key, domain))
-            values.append(_mul(_horner(polys[0], n), (b_num**n, b_den**n)))
+            b_num, b_den = _pair(key, gens)
+            values.append(_mul(_horner(polys[0], n, gens), (b_num**n, b_den**n)))
         else:
-            beta, gamma = (to_domain(x, domain) for x in key)
-            s = _lucas_values(beta, gamma, n + 1, domain.convert(2))
-            values += [_mul(_horner(c, n), _pair(s[n + k])) for k, c in enumerate(polys)]
+            s = _lucas_values(*key, n + 1, _TWO)
+            values += [_mul(_horner(c, n, gens), _pair(s[n + k], gens)) for k, c in enumerate(polys)]
     return _sum(values)
 
 
-def _horner(poly: list, n: int) -> tuple:
+def _horner(poly: list, n: int, gens: tuple) -> tuple:
     """P(n), unreduced."""
     acc = (0, 1)
     for c in reversed(poly):
-        acc = _sum([_scaled(acc, n), _pair(c)])
+        acc = _sum([_scaled(acc, n), _pair(c, gens)])
     return acc
 
 
 # ---------------------------------------------------------------------------
-# Blocks of two or more symbols: factors and the seed system
+# Blocks of two or more symbols: factors and the seed system, in sympy
 # ---------------------------------------------------------------------------
 
 
-def _charpoly(block, matrix, domain) -> list:
+def _charpoly(block, matrix, domain, gens: tuple) -> list:
     """det(x*I - A) of the block's own coefficient matrix A, as a dense list
-    over ``domain`` with the leading coefficient first."""
+    over ``domain`` (``sympy_domain(gens)``) with the leading coefficient
+    first."""
+    from sympy.polys.matrices import DomainMatrix
+
     m = len(block)
-    rows = [[matrix[s].get(t, domain.zero) for t in block] for s in block]
+    rows = [[to_sympy(matrix[s].get(t, _ZERO), domain, gens) for t in block] for s in block]
     return DomainMatrix(rows, (m, m), domain).charpoly()
 
 
 def _solve_by_seeds(block, matrix, forcing, start, iterator):
     """Closed forms for a block from its factored characteristic polynomial
-    and a seed system; returns them with the block's n0."""
-    domain = iterator.domain
-    chi = _charpoly(block, matrix, domain)
-    zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain)
+    and a seed system; returns them with the block's n0.  Everything from
+    the characteristic polynomial to the seed solution is a sympy domain
+    element; the eigenvalues and the solved coefficients come back as
+    ``ParamExpr``s."""
+    from sympy.polys.matrices import DomainMatrix
+
+    gens = iterator.gens
+    domain = sympy_domain(gens)
+    chi = _charpoly(block, matrix, domain, gens)
+    zero_mult, linear, quads = _classify_factors(factor_charpoly(chi, domain), domain, gens)
 
     # The forcing's bases join the annihilator, each with the largest
     # multiplicity any symbol's forcing needs; a zero eigenvalue delays the
@@ -531,12 +508,12 @@ def _solve_by_seeds(block, matrix, forcing, start, iterator):
     columns: list[tuple] = []
     powers: dict = {}
     for lam, mult in linear.items():
-        powers[lam] = to_domain(lam, domain)
+        powers[lam] = to_sympy(lam, domain, gens)
         for j in range(mult):
             columns.append(("lin", lam, j))
     for (beta, gamma), mult in quads.items():
         powers[(beta, gamma)] = _lucas_values(
-            to_domain(beta, domain), to_domain(gamma, domain), n0 + order, domain.convert(2)
+            to_sympy(beta, domain, gens), to_sympy(gamma, domain, gens), n0 + order, domain.convert(2)
         )
         for j in range(mult):
             columns.append(("quad_s", (beta, gamma), j))
@@ -561,7 +538,7 @@ def _solve_by_seeds(block, matrix, forcing, start, iterator):
     for j, s in enumerate(symbols):
         # The coefficients are laid out as the columns are: ``mult`` per
         # eigenvalue, then ``2 * mult`` per pair, alternating s and s1.
-        coeffs = iter(row[j] for row in solution)
+        coeffs = iter(from_sympy(row[j], domain, gens) for row in solution)
         parts: dict = {lam: ([next(coeffs) for _ in range(mult)],) for lam, mult in linear.items()}
         for key, mult in quads.items():
             window = [next(coeffs) for _ in range(2 * mult)]
@@ -578,9 +555,12 @@ def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
     and elimination runs in that field, so every intermediate entry is a
     reduced fraction.  Returns the solution rows, one column per symbol.
     """
-    domain = iterator.domain
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    domain, gens = seed_matrix.domain, iterator.gens
     rhs = DomainMatrix(
-        [[iterator.raw(s, n0 + i) for s in symbols] for i in range(order)],
+        [[to_sympy(iterator.value(s, n0 + i), domain, gens) for s in symbols] for i in range(order)],
         (order, len(symbols)),
         domain,
     )
@@ -609,10 +589,10 @@ def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     starts the induction.  Values before n0 are the prefix, read off the
     iteration.
     """
-    domain = iterator.domain
-    expanded = {t: _expand(closed[t], domain) for t in block}
+    gens = iterator.gens
+    expanded = {t: _expand(closed[t], gens) for t in block}
     for s in block:
-        residual = _residual(s, matrix[s], expanded, forcing[s], domain)
+        residual = _residual(s, matrix[s], expanded, forcing[s], gens)
         if any(num for slots in residual.values() for slot in slots for num, _ in slot):
             raise SeedSystemError(
                 f"closed form for {s!r} fails verification: it does not satisfy its recurrence"
@@ -622,21 +602,21 @@ def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     return expanded
 
 
-def _residual(s, row, expanded, forcing, domain) -> dict:
+def _residual(s, row, expanded, forcing, gens: tuple) -> dict:
     """S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), with every coefficient an
     unreduced pair, zero exactly when its numerator is: the check cancels
     nothing.  ``row`` maps each block symbol t to A_st, ``expanded`` holds
     the block's closed forms and ``forcing`` is g_s."""
     sums: dict = {}
-    _add_summands(sums, _step(expanded[s], _pair(row.get(s, domain.zero)), domain), (1, 1))
+    _add_summands(sums, _step(expanded[s], _pair(row.get(s, _ZERO), gens), gens), (1, 1))
     for t, c in row.items():
         if t != s:
-            _add_summands(sums, expanded[t], _neg(_pair(c)))
+            _add_summands(sums, expanded[t], _neg(_pair(c, gens)))
     _add_summands(sums, forcing, (-1, 1))
     return _summed(sums)
 
 
-def _step(parts: dict, a: tuple, domain) -> dict:
+def _step(parts: dict, a: tuple, gens: tuple) -> dict:
     """S(n+1) - a*S(n) for the expansion ``parts`` of S(n).  A term
     Q(n)*b**n becomes ((b - a)*Q(n) + b*(Q(n+1) - Q(n)))*b**n, which is one
     product per coefficient when Q is constant.  A pair term
@@ -648,11 +628,11 @@ def _step(parts: dict, a: tuple, domain) -> dict:
     for key, polys in parts.items():
         if len(polys) == 1:
             (q,) = polys
-            b = _pair(to_domain(key, domain))
+            b = _pair(key, gens)
             b_a = _sum([b, minus_a])
             out[key] = ([_sum([_mul(b_a, x), _mul(b, d)]) for x, d in zip(q, _binomial_sums(q, 1))],)
             continue
-        beta, gamma = (_pair(to_domain(x, domain)) for x in key)
+        beta, gamma = (_pair(x, gens) for x in key)
         u, v = polys
         u1, v1 = _binomial_sums(u, 0), _binomial_sums(v, 0)
         out[key] = (
@@ -670,8 +650,12 @@ def _binomial_sums(poly: list, offset: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Unreduced fractions: (numerator, denominator) pairs over a field's ring
+# Unreduced fractions: (numerator, denominator) pairs of polynomials
 # ---------------------------------------------------------------------------
+
+# A pair's parts are polynomials over the system's ``gens`` (constants over
+# no generators when the system has no parameters).  The int pairs (0, 1),
+# (1, 1) and (-1, 1) appear only as a zero to skip or as a unit factor.
 
 
 def _add_summands(sums: dict, parts: dict, c) -> None:
@@ -687,8 +671,8 @@ def _add_summands(sums: dict, parts: dict, c) -> None:
                     slot[k].append(_mul(c, x))
 
 
-def _pair(x) -> tuple:
-    return (x.numerator, x.denominator) if type(x) is _MPQ else (x.numer, x.denom)
+def _pair(x: ParamExpr, gens: tuple) -> tuple:
+    return numer_denom(x, gens)
 
 
 def _neg(x: tuple) -> tuple:
@@ -727,7 +711,8 @@ def _sum_by_denominator(values: list, num, den) -> tuple:
     by_den = {den: num}
     for n, d in values:
         if n:
-            by_den[d] = by_den.get(d, 0) + n
+            prev = by_den.get(d)
+            by_den[d] = n if prev is None else prev + n
     num, den = 0, 1
     for d, n in by_den.items():
         if not n:
@@ -735,25 +720,16 @@ def _sum_by_denominator(values: list, num, den) -> tuple:
         if not num:
             num, den = n, d
             continue
-        q = _quotient(den, d)
+        q = exact_quotient(den, d)
         if q is not None:
             num = num + n * q
             continue
-        q = _quotient(d, den)
+        q = exact_quotient(d, den)
         if q is not None:
             num, den = num * q + n, d
         else:
             num, den = num * d + n * den, den * d
     return num, den
-
-
-def _quotient(a, b):
-    """``a / b`` when the polynomial ``b`` divides ``a`` exactly, else None;
-    integers, the denominators over QQ, are always cross-multiplied."""
-    if not (hasattr(a, "ring") and hasattr(b, "ring")) or len(b) > len(a):
-        return None
-    q, r = a.div(b)
-    return None if r else q
 
 
 def _div(x: tuple, y: tuple) -> tuple:
@@ -765,8 +741,6 @@ def _summed(sums: dict) -> dict:
     return {key: tuple([_sum(terms) for terms in slot] for slot in slots) for key, slots in sums.items()}
 
 
-def _reduce(x: tuple, domain):
-    """The unreduced pair ``x`` as a reduced element of ``domain``."""
-    if not x[0]:
-        return domain.zero
-    return QQ.new(*x) if domain is QQ else domain.field.new(*x)
+def _reduce(x: tuple, gens: tuple) -> ParamExpr:
+    """The unreduced pair ``x`` as a reduced ``ParamExpr``."""
+    return from_numer_denom(*x, gens) if x[0] else _ZERO

@@ -2,191 +2,124 @@
 exponential polynomials in the loop counter.
 
 ``ParamExpr`` holds an element of Q(params), the field of rational functions
-of the parameters, as a reduced fraction of integer polynomials from
-``sympy.polys`` (a plain ``QQ`` element when the value is constant), so every
-operation is field arithmetic and equality is exact.  Closed forms of moment
-sequences are ``ExpPolynomial`` values: an explicit transient prefix plus a
-sum of ``P(n) * base**n`` terms, where conjugate algebraic base pairs are
-represented jointly by ``QuadTerm`` (coefficients stay rational).
+of the parameters, as a reduced fraction of integer polynomials
+(``polys.Frac``), or as a plain ``Fraction`` when the value is constant, so
+every operation is field arithmetic and equality is exact.  Closed forms of
+moment sequences are ``ExpPolynomial`` values: an explicit transient prefix
+plus a sum of ``P(n) * base**n`` terms, where conjugate algebraic base pairs
+are represented jointly by ``QuadTerm`` (coefficients stay rational).
+
+sympy is imported only on demand: by ``ParamExpr.e``, by a ``ParamExpr``
+built from a sympy expression, and by the conversions that the solver's
+blocks of two or more symbols use (:func:`sympy_domain`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-import sympy as sp
-from sympy import QQ, ZZ
-from sympy.polys.fields import FracElement
-from sympy.polys.polyutils import _sort_gens
-
+from . import polys
 from .errors import SingularParameterError
+from .polys import Frac, Poly, gens_of
 
-_MPQ = type(QQ(0))
-
-# One field per set of parameter names, with generators in sympy's own
-# order, so a reduced fraction carries its sign where ``sp.cancel`` puts it
-# (the denominator's leading term in that order is positive).
-_DOMAINS: dict[frozenset, object] = {frozenset(): QQ}
-_NAMES: dict[object, tuple[str, ...]] = {}
-
-
-def param_domain(names: Iterable[str]):
-    """Q(names) as a sympy domain, or ``QQ`` when there are no names.
-
-    The field is ``ZZ.frac_field``: numerators and denominators live in
-    ZZ[names], so cancelling a fraction needs no conversion between QQ and
-    ZZ coefficients, which ``QQ.frac_field`` does on every operation.
-    """
-    key = frozenset(names)
-    domain = _DOMAINS.get(key)
-    if domain is None:
-        gens = _sort_gens([sp.Symbol(n) for n in key])
-        domain = ZZ.frac_field(*gens)
-        _DOMAINS[key] = domain
-        _NAMES[domain.field] = tuple(g.name for g in gens)
-    return domain
+# Field operations on bare elements (``Fraction`` or ``Frac``), for callers
+# that skip the ``ParamExpr`` wrapper in their inner loops.
+_add = polys.add
+_sub = polys.sub
+_mul = polys.mul
 
 
-def common_domain(values: Iterable["ParamExpr"]):
-    """The smallest parameter field holding every one of ``values``."""
+def common_gens(values: Iterable["ParamExpr"]) -> tuple:
+    """The generators of the smallest parameter field holding ``values``."""
     names: set[str] = set()
     for v in values:
-        if type(v.elem) is FracElement:
-            names.update(_NAMES[v.elem.field])
-    return param_domain(names)
+        if type(v.elem) is Frac:
+            names.update(v.elem.gens)
+    return gens_of(names)
 
 
-def to_domain(value: "ParamExpr", domain):
-    """``value`` as an element of ``domain``, which must contain it."""
-    f = value.elem
-    if domain is QQ:
-        return f
-    field = domain.field
-    if type(f) is not FracElement:
-        # a reduced rational with a positive denominator is already in the
-        # field's normal form
-        ring = field.ring
-        return field.raw_new(ring.ground_new(f.numerator), ring.ground_new(f.denominator))
-    return _lift(f, field)
+def numer_denom(value: "ParamExpr", gens: tuple) -> tuple[Poly, Poly]:
+    """The reduced numerator and denominator of ``value`` as polynomials
+    over ``gens``, which must hold its parameters."""
+    return polys.numer_denom(value.elem, gens)
 
 
-def _unify(a, b):
-    """``a`` and ``b`` as elements of one field (constants fit any field)."""
-    if type(a) is not FracElement or type(b) is not FracElement or a.field is b.field:
-        return a, b
-    field = param_domain(_NAMES[a.field] + _NAMES[b.field]).field
-    return _lift(a, field), _lift(b, field)
+def from_numer_denom(num: Poly, den: Poly, gens: tuple) -> "ParamExpr":
+    """``num / den`` (``den`` nonzero) as a reduced ``ParamExpr``."""
+    return ParamExpr(polys.cancel(num, den, gens))
 
 
-def _lift(f, field):
-    if f.field is field:
-        return f
-    # Adding generators keeps a reduced fraction reduced and its sign
-    # normalization unchanged, so no new cancellation is needed.
-    ring = field.ring
-    return field.raw_new(f.numer.set_ring(ring), f.denom.set_ring(ring))
+def exact_quotient(a: Poly, b: Poly):
+    """``a / b`` when the polynomial ``b`` divides ``a`` exactly, else None."""
+    return polys.divide(a, b) if len(b) <= len(a) else None
 
 
-# A sum or product where nothing can cancel skips sympy's ``cancel``: a
-# reduced fraction with a positive leading coefficient in its denominator is
-# unique, so the pair built here is the one ``cancel`` gives.  Nothing cancels
-# when both denominators are 1, or when one operand is an integer c and the
-# other is N/D: c + N/D keeps D, since gcd(N + c*D, D) = gcd(N, D) = 1, and
-# c * N/D can only lose g = gcd(c, content(D)), an integer.
+# -- the sympy boundary -------------------------------------------------------
 
 
-def _is_one(poly) -> bool:
-    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+def sympy_domain(gens: tuple):
+    """Q(gens) as a sympy domain with the generators in the same order
+    (``QQ`` when there are none).  Imports sympy."""
+    import sympy as sp
+
+    return sp.ZZ.frac_field(*map(sp.Symbol, gens)) if gens else sp.QQ
 
 
-def _add(a, b):
-    """``a + b`` for two field elements, in the field over both."""
-    a, b = _unify(a, b)
-    if type(a) is FracElement:
-        if type(b) is FracElement:
-            if _is_one(a.denom) and _is_one(b.denom):
-                return a.field.raw_new(a.numer + b.numer, a.denom)
-        elif b.denominator == 1:
-            return a.field.raw_new(a.numer + a.denom.mul_ground(b.numerator), a.denom)
-    elif type(b) is FracElement and a.denominator == 1:
-        return b.field.raw_new(b.numer + b.denom.mul_ground(a.numerator), b.denom)
-    return a + b
+def to_sympy(value: "ParamExpr", domain, gens: tuple):
+    """``value`` as an element of ``sympy_domain(gens)``: both sides keep
+    the same normal form, so nothing is cancelled."""
+    if not gens:
+        f = value.elem
+        return domain(f.numerator, f.denominator)
+    ring = domain.field.ring
+    num, den = numer_denom(value, gens)
+    return domain.field.raw_new(ring.from_dict(dict(num)), ring.from_dict(dict(den)))
 
 
-def _sub(a, b):
-    return _add(a, -b)
+def from_sympy(x, domain, gens: tuple) -> "ParamExpr":
+    """An element of ``sympy_domain(gens)`` as a ``ParamExpr``."""
+    if not gens:
+        return ParamExpr(Fraction(int(x.numerator), int(x.denominator)))
+    num, den = (Poly({m: int(c) for m, c in p.items()}) for p in (x.numer, x.denom))
+    return from_numer_denom(num, den, gens)
 
 
-def _mul(a, b):
-    a, b = _unify(a, b)
-    if type(a) is FracElement:
-        if type(b) is FracElement:
-            if _is_one(a.denom) and _is_one(b.denom):
-                return a.field.raw_new(a.numer * b.numer, a.denom)
-        elif b.denominator == 1:
-            return _scale(a, b.numerator)
-    elif type(b) is FracElement and a.denominator == 1:
-        return _scale(b, a.numerator)
-    return a * b
-
-
-def _scale(f, c: int):
-    """``c * f`` for an integer ``c``."""
-    if c == 1:
-        return f
-    if not c:
-        return QQ(0)
-    g = gcd(c, f.denom.content())
-    if g == 1:
-        return f.field.raw_new(f.numer.mul_ground(c), f.denom)
-    return f.field.raw_new(f.numer.mul_ground(c // g), f.denom.quo_ground(g))
+def _from_expr(value):
+    """The field element of a sympy expression."""
+    if value.is_Rational:
+        return Fraction(int(value.p), int(value.q))
+    gens = gens_of(s.name for s in value.free_symbols)
+    domain = sympy_domain(gens)
+    return from_sympy(domain.field.from_expr(value), domain, gens).elem
 
 
 def _element(value):
     """The exact field element for a non-``ParamExpr`` operand."""
     t = type(value)
-    if t is FracElement or t is _MPQ:
+    if t is Frac or t is Fraction:
         return value
+    if t is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise TypeError("boolean is not a parameter expression")
-    if isinstance(value, int):
-        return QQ(value)
-    if isinstance(value, Fraction):
-        return QQ(value.numerator, value.denominator)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, str):
-        return param_domain((value,)).field.gens[0]
-    if isinstance(value, sp.Expr):
-        if value.is_Rational:
-            return QQ(int(value.p), int(value.q))
-        field = param_domain([s.name for s in value.free_symbols]).field
-        f = field.from_expr(value)
-        return field.new(f.numer, f.denom)  # from_expr may leave a sign unnormalized
+        return polys.variable(value)
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass Fraction or int")
+    sympy = sys.modules.get("sympy")  # a sympy expression implies sympy is loaded
+    if sympy is not None and isinstance(value, sympy.Expr):
+        return _from_expr(value)
     raise TypeError(f"cannot build a parameter expression from {value!r}")
 
 
-def _named_terms(poly, names) -> frozenset:
-    return frozenset(
-        (tuple((names[i], k) for i, k in enumerate(monom) if k), coeff)
-        for monom, coeff in poly.items()
-    )
-
-
-def _key(f):
-    """The value independent of its field: a constant, or the named
-    numerator and denominator terms of the reduced fraction."""
-    if type(f) is _MPQ:
-        return f
-    names = _NAMES[f.field]
-    return (_named_terms(f.numer, names), _named_terms(f.denom, names))
-
-
-def _used(poly, names) -> list[str]:
-    return [names[i] for i, d in enumerate(poly.degrees()) if d > 0]
+def _used(poly: Poly, names) -> list[str]:
+    return [n for i, n in enumerate(names) if any(m[i] for m in poly)]
 
 
 def _require(poly, names, values) -> None:
@@ -195,19 +128,8 @@ def _require(poly, names, values) -> None:
         raise ValueError(f"unassigned parameter(s): {', '.join(missing)}")
 
 
-def _eval_poly(poly, point) -> Fraction:
-    acc = Fraction(0)
-    for monom, coeff in poly.items():
-        term = Fraction(int(coeff))
-        for v, k in zip(point, monom):
-            if k:
-                term *= v ** k
-        acc += term
-    return acc
-
-
-# Printing builds the text sympy's ``StrPrinter`` gives for ``f.as_expr()``
-# from the terms of the reduced numerator and denominator, with integer and
+# Printing builds the text sympy's ``StrPrinter`` gives for ``v.e`` from the
+# terms of the reduced numerator and denominator, with integer and
 # exponent-tuple work only; ``ParamExpr.e`` is the sympy view it must match.
 
 
@@ -217,8 +139,7 @@ def _terms(poly, names, den: int = 1) -> list:
     strings, which need not be the field's generator order."""
     order = sorted(range(len(names)), key=names.__getitem__)
     rows = []
-    for monom, coeff in poly.terms():
-        c = int(coeff)
+    for monom, c in poly.items():
         g = gcd(c, den)
         key = tuple(monom[i] for i in order)
         powers = [names[i] if monom[i] == 1 else f"{names[i]}**{monom[i]}" for i in order if monom[i]]
@@ -259,16 +180,15 @@ def _poly_text(poly, names, den: int = 1) -> str:
 
 
 def _text(f) -> str:
-    """``str(f.as_expr())`` for a field element ``f``, as sympy prints it.
-    The fraction is reduced, so a monomial over a monomial has coprime
-    coefficients."""
-    if type(f) is _MPQ:
-        return _product(int(f.numerator), int(f.denominator), [], [])
-    names = _NAMES[f.field]
-    if f.denom.is_ground:
+    """The text sympy prints for the field element ``f``.  The fraction is
+    reduced, so a monomial over a monomial has coprime coefficients."""
+    if type(f) is Fraction:
+        return _product(f.numerator, f.denominator, [], [])
+    names = f.gens
+    if len(f.den) == 1 and not any(next(iter(f.den))):
         # sympy spreads a rational factor over a sum: (p + 1)/2 is p/2 + 1/2
-        return _poly_text(f.numer, names, int(f.denom.LC))
-    top, bottom = _terms(f.numer, names), _terms(f.denom, names)
+        return _poly_text(f.num, names, next(iter(f.den.values())))
+    top, bottom = _terms(f.num, names), _terms(f.den, names)
     if len(bottom) > 1:
         below = f"({_sum(bottom)})"
         if len(top) > 1:
@@ -288,22 +208,19 @@ def _text(f) -> str:
 class ParamExpr:
     """An exact rational function of the symbolic parameters.
 
-    ``elem`` is an element of the field from :func:`param_domain` over the
-    parameters it was built from, or of ``QQ`` when the value is constant.
-    Operands from different fields meet in the field over the union of their
-    parameter names.  ``==`` and ``hash`` are exact and independent of the
-    field.  ``str`` prints from the terms of the fraction, once per object;
-    ``e`` is a sympy view built on demand, the reference that printing is
-    tested against.
+    ``elem`` is a reduced ``polys.Frac`` over the parameters it was built
+    from, or a ``Fraction`` when the value is constant.  Operands over
+    different parameters meet over the union of their parameter names.
+    ``==`` and ``hash`` are exact and independent of the parameters a value
+    is held over.  ``str`` prints from the terms of the fraction, once per
+    object; ``e`` is a sympy view built on demand, the reference that
+    printing is tested against.
     """
 
     __slots__ = ("elem", "_hash", "_text")
 
-    def __init__(self, value: Union[int, Fraction, str, sp.Expr, "ParamExpr"]):
-        f = value.elem if isinstance(value, ParamExpr) else _element(value)
-        if type(f) is FracElement and f.numer.is_ground and f.denom.is_ground:
-            f = QQ(f.numer.LC, f.denom.LC)
-        self.elem = f
+    def __init__(self, value: Union[int, Fraction, str, "ParamExpr"]):
+        self.elem = value.elem if isinstance(value, ParamExpr) else _element(value)
         self._hash = None
         self._text = None
 
@@ -336,16 +253,10 @@ class ParamExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ParamExpr":
-        a, b = _unify(self.elem, _operand(other))
-        if not b:
-            raise ZeroDivisionError("division by an identically zero expression")
-        return ParamExpr(a / b)
+        return ParamExpr(_div(self.elem, _operand(other)))
 
     def __rtruediv__(self, other) -> "ParamExpr":
-        a, b = _unify(_operand(other), self.elem)
-        if not b:
-            raise ZeroDivisionError("division by an identically zero expression")
-        return ParamExpr(a / b)
+        return ParamExpr(_div(_operand(other), self.elem))
 
     def __pow__(self, k: int) -> "ParamExpr":
         if not isinstance(k, int):
@@ -353,11 +264,11 @@ class ParamExpr:
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("zero raised to a negative power")
-            return (1 / self) ** -k  # 1/x puts the sign into the numerator
-        return ParamExpr(self.elem ** k)
+            return ParamExpr(polys.power(polys.inverse(self.elem), -k))
+        return ParamExpr(polys.power(self.elem, k))
 
     def __neg__(self) -> "ParamExpr":
-        return ParamExpr(-self.elem)
+        return ParamExpr(polys.neg(self.elem))
 
     # -- predicates & queries ---------------------------------------------------
 
@@ -368,38 +279,44 @@ class ParamExpr:
     @property
     def is_one(self) -> bool:
         f = self.elem
-        return type(f) is _MPQ and f.numerator == 1 and f.denominator == 1
+        return type(f) is Fraction and f == 1
 
     @property
     def is_rational(self) -> bool:
-        return type(self.elem) is _MPQ
+        return type(self.elem) is Fraction
 
     @property
-    def e(self) -> sp.Expr:
-        """The value as a sympy expression, in ``sp.cancel`` form."""
+    def e(self):
+        """The value as a sympy expression, in ``sp.cancel`` form, built from
+        the numerator and denominator terms.  Imports sympy."""
+        import sympy as sp
+
         f = self.elem
-        if type(f) is _MPQ:
-            return sp.Rational(int(f.numerator), int(f.denominator))
-        return f.as_expr()
+        if type(f) is Fraction:
+            return sp.Rational(f.numerator, f.denominator)
+        symbols = [sp.Symbol(n) for n in f.gens]
+
+        def as_expr(poly):
+            return sp.Add(*(
+                sp.Mul(sp.Integer(c), *(s**k for s, k in zip(symbols, m) if k)) for m, c in poly.items()
+            ))
+
+        return as_expr(f.num) / as_expr(f.den)
 
     def free_params(self) -> frozenset[str]:
         f = self.elem
-        if type(f) is _MPQ:
+        if type(f) is Fraction:
             return frozenset()
-        names = _NAMES[f.field]
-        return frozenset(_used(f.numer, names) + _used(f.denom, names))
+        return frozenset(_used(f.num, f.gens) + _used(f.den, f.gens))
 
     def diff(self, param: str) -> "ParamExpr":
-        f = self.elem
-        if type(f) is _MPQ or param not in _NAMES[f.field]:
-            return ParamExpr.zero()
-        return ParamExpr(f.diff(f.field.gens[_NAMES[f.field].index(param)]))
+        return ParamExpr(polys.derivative(self.elem, param))
 
     def as_fraction(self) -> Fraction:
         f = self.elem
-        if type(f) is not _MPQ:
+        if type(f) is not Fraction:
             raise ValueError(f"{self} is not a plain rational number")
-        return Fraction(int(f.numerator), int(f.denominator))
+        return f
 
     def eval_fraction(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate exactly at rational parameter values.
@@ -407,16 +324,17 @@ class ParamExpr:
         Raises ``SingularParameterError`` if the denominator vanishes there.
         """
         f = self.elem
-        if type(f) is _MPQ:
-            return Fraction(int(f.numerator), int(f.denominator))
-        names = _NAMES[f.field]
+        if type(f) is Fraction:
+            return f
+        names = f.gens
         point = [values.get(n) for n in names]
-        _require(f.denom, names, values)
-        den = _eval_poly(f.denom, point)
-        if den == 0:
-            raise SingularParameterError(_poly_text(f.denom, names))
-        _require(f.numer, names, values)
-        return _eval_poly(f.numer, point) / den
+        _require(f.den, names, values)
+        den_num, den_den = polys.evaluate(f.den, point)
+        if not den_num:
+            raise SingularParameterError(_poly_text(f.den, names))
+        _require(f.num, names, values)
+        num, num_den = polys.evaluate(f.num, point)
+        return Fraction(num * den_den, num_den * den_num)
 
     # -- dunder plumbing --------------------------------------------------------
 
@@ -427,17 +345,12 @@ class ParamExpr:
             b = _element(other)
         else:
             return NotImplemented
-        a = self.elem
-        if type(a) is not type(b):
-            return False
-        if type(a) is _MPQ or a.field is b.field:
-            return a == b
-        return _key(a) == _key(b)
+        return self.elem == b
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(_key(self.elem))
+            h = self._hash = hash(self.elem)
         return h
 
     def __str__(self) -> str:
@@ -448,6 +361,12 @@ class ParamExpr:
 
     def __repr__(self) -> str:
         return f"ParamExpr({self})"
+
+
+def _div(a, b):
+    if not b:
+        raise ZeroDivisionError("division by an identically zero expression")
+    return polys.div(a, b)
 
 
 def _operand(value):

@@ -904,6 +904,93 @@ def test_cli_loads_numpy_only_to_sample(command):
     assert proc.stderr.strip() == "False"
 
 
+_NO_SYMPY = """
+import json, sys
+from pathlib import Path
+import probsens.cli
+from probsens.normalize import normalize
+from probsens.parser import parse
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+
+def run(args):
+    try:
+        probsens.cli.main(args, standalone_mode=False)
+    except SystemExit:  # error rows exit with their codes
+        pass
+    return loaded()
+
+corpus = Path(sys.argv[1])
+found = {"import": loaded()}
+simulated = set()
+for row in json.loads((corpus / "manifest.json").read_text())["rows"]:
+    path = str(corpus / row["program"])
+    target, wrt = row["target"], row["wrt"]
+    label = f"{row['program']} {target} {wrt} {row['method']}"
+    found[f"classify {label}"] = run(["classify", path, "--wrt", wrt])
+    found[f"dump-recurrences {label}"] = run(["dump-recurrences", path, "--target", target, "--wrt", wrt])
+    if row["program"] not in simulated:  # exact enumeration, once per program
+        simulated.add(row["program"])
+        params = sorted(normalize(parse(Path(path).read_text())).params)
+        binding = ["--param", ",".join(f"{p}=1/5" for p in params)] if params else []
+        found[f"simulate {label}"] = run(["simulate", path, "--monomial", target, "--n", "1", *binding])
+    found[f"analyze {label}"] = run(["analyze", path, "--target", target, "--wrt", wrt, "--method", row["method"]])
+print(json.dumps(found))
+"""
+
+
+def test_cli_commands_load_no_sympy():
+    # Parameter fractions, solving of one-symbol blocks, printing and
+    # evaluation need no sympy: importing the CLI and classify,
+    # dump-recurrences, exact simulate and analyze on every manifest row
+    # leave it unloaded.  No manifest system has a block of two symbols.
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY, str(CORPUS)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert len(found) > 4 * 17
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+_ROTATION = """\
+# A rotation taken with probability p: E[x] and E[y] form one block of two.
+x = 1
+y = 0
+while true:
+    c = 1 {p} 0
+    if c == 1:
+        x, y = x - y, x + y
+    end
+end
+"""
+
+
+def test_a_block_of_two_symbols_loads_sympy(tmp_path):
+    # The characteristic polynomial of a block of two or more symbols is
+    # factored by sympy, imported on that block; the closed form is the one
+    # the sympy-backed field gave.
+    program = tmp_path / "rotation.prob"
+    program.write_text(_ROTATION)
+    code = (
+        "import sys, probsens.cli\n"
+        "print('sympy' in sys.modules, file=sys.stderr)\n"
+        f"probsens.cli.main(['analyze', {str(program)!r}, '--target', 'x', '--wrt', 'p',"
+        " '--format', 'json'], standalone_mode=False)\n"
+        "print('sympy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "True"]
+    report = json.loads(proc.stdout)
+    assert report["closed_form_text"] == (
+        "(((p**2 - 1)/(2*p**3 + 2*p))*n)*s[n] + ((1/(2*p**3 + 2*p))*n)*s[n+1] "
+        "where s[k+1] = 2*s[k] + (-p**2 - 1)*s[k-1], s[0] = 2, s[1] = 2"
+    )
+    assert len(report["equations"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # corpus round trip
 # ---------------------------------------------------------------------------

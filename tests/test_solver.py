@@ -29,10 +29,14 @@ from probsens.symbolic import (
     ep_eval,
     ep_value_symbolic,
     exp_polynomial_to_json,
-    param_domain,
+    from_numer_denom,
+    from_sympy,
+    numer_denom,
     pe,
     render_exp_polynomial,
+    sympy_domain,
 )
+from probsens.polys import gens_of
 
 CORPUS = Path(solver.__file__).parent / "benchmarks"
 
@@ -63,14 +67,15 @@ def iterate(equations, initials, steps):
 
 
 def test_factor_distinct_linear():
-    domain = param_domain(["d", "vp"])
+    gens = gens_of(["d", "vp"])
+    domain = sympy_domain(gens)
     d, vp = domain.field.gens
     lam = d - d * vp
     # (x - 1) * (x - lam), leading coefficient first
     factors = factor_charpoly([domain.one, -(1 + lam), lam], domain)
     assert len(factors) == 2
     assert all(m == 1 and len(f) == 2 for f, m in factors)
-    roots = [ParamExpr(-f[1] / f[0]) for f, _ in factors]
+    roots = [from_sympy(-f[1] / f[0], domain, gens) for f, _ in factors]
     assert any(r == pe(1) for r in roots)
     assert any(r == pe("d") - pe("d") * pe("vp") for r in roots)
     # x**2 - 3*x + 2 over the rationals
@@ -169,6 +174,21 @@ def test_blocks_come_dependencies_first():
         "d": [],
     }
     assert solver._sccs(eqs) == [["d"], ["c", "b"], ["a"]]
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda size: st.lists(st.lists(st.integers(0, size - 1), max_size=4), min_size=size, max_size=size)
+))
+@settings(max_examples=300, deadline=None)
+def test_blocks_match_sympys_components(successors):
+    # same blocks, same block order and same member order as sympy's
+    # Tarjan, which the solver used before it had its own
+    from sympy.utilities.iterables import strongly_connected_components
+
+    eqs = {f"s{i}": [(pe(1), f"s{j}") for j in succ] for i, succ in enumerate(successors)}
+    edges = [(s, t) for s, terms in eqs.items() for _, t in terms]
+    want = [comp[::-1] for comp in strongly_connected_components((list(eqs), edges))]
+    assert solver._sccs(eqs) == want
 
 
 def test_closed_forms_of_a_forced_chain_match_iteration():
@@ -679,7 +699,7 @@ def test_forward_iteration_matches_reduced_iteration(coefficients, initials):
     }
     init = dict(zip(eqs, (expr(v) for v in initials)))
     iterator = ForwardIterator(eqs, init)
-    assert (iterator.domain is QQ) == (coefficients[0] == "3/4" and coefficients[1] == "-5/6")
+    assert (iterator.gens == ()) == (coefficients[0] == "3/4" and coefficients[1] == "-5/6")
     rows = iterate(eqs, init, 30)
 
     def check(got, want):
@@ -712,14 +732,14 @@ _DENOMINATORS = ["1", "2", "1 + a", "2 + 2*a", "(1 + a)**2", "(1 + a)*(a - b)", 
 )
 @settings(max_examples=100, deadline=None)
 def test_unreduced_sums_match_field_sums(summands):
-    field = param_domain(("a", "b")).field
+    gens = gens_of(("a", "b"))
     values = [
-        (k * field.from_expr(sp.sympify(num)).numer, field.from_expr(sp.sympify(den)).numer)
+        (k * numer_denom(expr(num), gens)[0], numer_denom(expr(den), gens)[0])
         for k, num, den in summands
     ]
     num, den = solver._sum(values)
-    want = sum((field(n) / field(d) for n, d in values), field.zero)
-    assert field(num) / field(den) == want
+    want = sum((from_numer_denom(n, d, gens) for n, d in values), pe(0))
+    assert (from_numer_denom(num, den, gens) if num else pe(0)) == want
     if len({d for n, d in values if n}) <= 1:
         # one denominator: summed in one pass, never cross-multiplied
         assert den == next((d for n, d in values if n), 1)

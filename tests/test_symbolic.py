@@ -11,9 +11,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
 
+import probsens.polys as polys
 import probsens.symbolic as symbolic
 from probsens.errors import SingularParameterError
 from probsens.normalize import normalize
@@ -257,7 +256,7 @@ def test_singular_point_and_missing_parameter():
 
 
 # ---------------------------------------------------------------------------
-# Sums and products that skip sympy's cancellation
+# Sums and products that need no polynomial gcd
 # ---------------------------------------------------------------------------
 
 OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -293,37 +292,44 @@ def gcd_free_operands(draw):
 
 def _has_denominator_one(v: ParamExpr) -> bool:
     f = v.elem
-    return f.denominator == 1 if type(f) is not FracElement else f.denom == 1
-
-
-def _is_integer(v: ParamExpr) -> bool:
-    return v.is_rational and v.as_fraction().denominator == 1
+    return f.denominator == 1 if type(f) is not polys.Frac else polys._is_one(f.den)
 
 
 def _pair(v: ParamExpr):
     f = v.elem
-    return (f.field, f.numer, f.denom) if type(f) is FracElement else (None, f, None)
+    return (f.gens, dict(f.num), dict(f.den)) if type(f) is polys.Frac else (None, f, None)
 
 
-def _sympy_result(x: ParamExpr, y: ParamExpr, op) -> ParamExpr:
-    """``op`` on the unified field elements, as sympy computes and cancels it."""
-    return ParamExpr(op(*symbolic._unify(x.elem, y.elem)))
+def _sympy_result(x: ParamExpr, y: ParamExpr, op):
+    """``op`` on sympy's field elements over both operands' parameters, as
+    sympy computes and cancels it, in the form of ``_pair``."""
+    gens = symbolic.common_gens([x, y])
+    domain = symbolic.sympy_domain(gens)
+    f = op(symbolic.to_sympy(x, domain, gens), symbolic.to_sympy(y, domain, gens))
+    if not gens:
+        return None, Fraction(int(f.numerator), int(f.denominator)), None
+    if f.numer.is_ground and f.denom.is_ground:
+        return None, Fraction(int(f.numer.LC), int(f.denom.LC)), None
+    return gens, *({m: int(c) for m, c in p.items()} for p in (f.numer, f.denom))
 
 
 @given(gcd_free_operands(), gcd_free_operands(), st.sampled_from(sorted(OPERATIONS)))
 @settings(max_examples=300, deadline=None)
 def test_gcd_free_results_match_sympy(x, y, name):
+    # Nothing but integers can cancel when both denominators are 1 or one
+    # operand is a constant, so no polynomial gcd runs.
     op = OPERATIONS[name]
-    want = _sympy_result(x, y, op)
-    gcd_free = (_has_denominator_one(x) and _has_denominator_one(y)) or _is_integer(x) or _is_integer(y)
+    gcd_free = (_has_denominator_one(x) and _has_denominator_one(y)) or x.is_rational or y.is_rational
     if gcd_free:
-        with mock.patch.object(PolyElement, "cancel", side_effect=AssertionError("cancelled")):
+        with mock.patch.object(polys, "cofactors", side_effect=AssertionError("cancelled")):
             got = op(x, y)
     else:
         got = op(x, y)
-    assert _pair(got) == _pair(want)
+    gens, num, den = _sympy_result(x, y, op)
+    want = ParamExpr(num) if gens is None else ParamExpr(polys.Frac(polys.Poly(num), polys.Poly(den), gens))
+    assert _pair(got) == (gens, num, den)
     assert got == want and hash(got) == hash(want)
-    assert str(got) == str(want)
+    assert str(got) == str(want) == str(got.e)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +349,7 @@ def test_gcd_free_results_are_reduced(value, want):
     assert _pair(value) == _pair(want)
     assert str(value) == str(value.e)
     if not value.free_params():
-        assert type(value.elem) is not FracElement
+        assert type(value.elem) is not polys.Frac
 
 
 # ---------------------------------------------------------------------------
