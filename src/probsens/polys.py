@@ -527,14 +527,20 @@ def _mul_ground(f: Frac, q: Fraction):
 def add(a, b):
     """``a + b``.  For a/b + c/d with g = gcd(b, d), the sum is
     (a*(d/g) + c*(b/g)) / (b*d/g), and only a factor of g can cancel
-    (Henrici's method)."""
+    (Henrici's method); when b = d, g is b itself and needs no gcd."""
     if type(a) is Fraction:
         return a + b if type(b) is Fraction else _add_ground(b, a)
     if type(b) is Fraction:
         return _add_ground(a, b)
     an, ad, bn, bd, gens = _unify(a, b)
-    if _is_one(ad) and _is_one(bd):
-        return _make(an + bn, ad, gens)
+    if ad == bd:
+        t = an + bn
+        if _is_one(ad):
+            return _make(t, ad, gens)
+        if not t:
+            return Fraction(0)
+        _, t, den = cofactors(t, ad)
+        return _make(t, den, gens)
     g, ad1, bd1 = cofactors(ad, bd)
     if _is_one(g):
         return _make(an * bd + bn * ad, ad * bd, gens)

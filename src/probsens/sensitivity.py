@@ -38,14 +38,7 @@ from .symbolic import (
     ep_scale,
     ep_zero,
 )
-from .syntax import (
-    BTrue,
-    Categorical,
-    GuardedAssignment,
-    NormalizedProgram,
-    PolyExpr,
-    VarMonomial,
-)
+from .syntax import PolyExpr, VarMonomial
 
 __all__ = [
     "Recurrence",
@@ -56,7 +49,6 @@ __all__ = [
     "parameter_sensitivity",
     "sensitivity_recurrence",
     "sensitivity_system",
-    "with_power_variable",
 ]
 
 
@@ -462,38 +454,3 @@ def parameter_sensitivity(
         closed_form=closed,
         classification=cls,
     )
-
-
-# ---------------------------------------------------------------------------
-# Higher moments of a single variable via a fresh tracking variable
-# ---------------------------------------------------------------------------
-
-
-def with_power_variable(
-    program: NormalizedProgram, var: str, power: int
-) -> tuple[NormalizedProgram, str]:
-    """Extend the loop with a fresh variable assigned ``var**power`` at the end
-    of every iteration (and of the initialization), so the k-th moment of
-    ``var`` becomes the first moment of the new variable."""
-    if var not in program.variables:
-        raise ValueError(f"unknown variable {var!r}")
-    if power < 1:
-        raise ValueError("power must be positive")
-    base = f"{var}_pow{power}"
-    name = base
-    suffix = 2
-    taken = set(program.all_variables) | set(program.params)
-    while name in taken:
-        name = f"{base}_{suffix}"
-        suffix += 1
-    rhs = Categorical.sure(PolyExpr.monomial(VarMonomial.var(var, power)))
-    extended = NormalizedProgram(
-        params=program.params,
-        init=program.init + ((name, rhs),),
-        body=program.body + (GuardedAssignment(name, rhs, BTrue(), None),),
-        variables=tuple(sorted((*program.variables, name))),
-        temporaries=program.temporaries,
-        temp_origin=program.temp_origin,
-        name=program.name,
-    )
-    return extended, name

@@ -28,11 +28,11 @@ Every block's closed forms are checked by one rule.  The residual
 S(n+1) − A·S(n) − g(n) must be zero term by term, and S(n0) must equal the
 iterated value.  Since the functions nʲbⁿ with distinct nonzero b are
 linearly independent, the two together prove the closed form for all
-n ≥ n0.  The forcing, the coefficients of a one-symbol block's terms and
-the residual are sums of fractions kept unreduced as (numerator,
-denominator) pairs: such a coefficient is cancelled once, and the residual
-never.  Forward iteration, one reduced step at a time, is needed only for
-the prefixes, the values at n0 and the seed windows.
+n ≥ n0.  The residual is computed in the field like everything else, each
+coefficient a reduced fraction compared with zero, and the value at n0
+comes from the one evaluator of closed forms.  Forward iteration, one
+reduced step at a time, is needed only for the prefixes, the values at n0
+and the seed windows.
 
 Only blocks of two or more symbols use sympy (its dense polynomial
 factoring and its matrices over the parameter field), imported on the
@@ -54,13 +54,11 @@ from .symbolic import (
     ExpTerm,
     ParamExpr,
     QuadTerm,
+    _ep_value,
     _lucas_values,
     common_gens,
     ep_value_symbolic,
-    exact_quotient,
-    from_numer_denom,
     from_sympy,
-    numer_denom,
     pe,
     sympy_domain,
     to_sympy,
@@ -73,6 +71,7 @@ __all__ = [
 ]
 
 _ZERO = ParamExpr.zero()
+_MINUS_ONE = pe(-1)
 _TWO = pe(2)
 
 
@@ -274,7 +273,7 @@ def solve_system(
 def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
     """Solve and check one block, and add its closed forms to ``solved`` and
     their expansions (see :func:`_expand`) to ``expanded``."""
-    matrix, forcing, start = _block_parts(block, eqs, solved, expanded, iterator.gens)
+    matrix, forcing, start = _block_parts(block, eqs, solved, expanded)
     if len(block) == 1:
         (s,) = block
         closed, n0 = _solve_one_symbol(s, matrix[s].get(s, _ZERO), forcing[s], start, iterator)
@@ -286,27 +285,33 @@ def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
 
 # Inside the solver an exponential polynomial is a dict from each base b to
 # ``(P,)``, its term P(n)*b**n, and from each pair (beta, gamma) to
-# ``(p, q)``, its term p(n)*s(n) + q(n)*s(n+1); P, p and q are dense lists
-# of coefficients, lowest degree first, with p and q of one length:
-# ``ParamExpr``s, or unreduced pairs (see :func:`_sum`).  Keys keep the
-# order in which they are met, which is the order of the closed-form terms.
-# ``gens`` are the parameters of the whole system, over which every pair's
-# polynomials are written.
+# ``(p, q)``, its term p(n)*s(n) + q(n)*s(n+1); P, p and q are lists of
+# ``ParamExpr`` coefficients, lowest degree first, with p and q of one
+# length.  Keys keep the order in which they are met, which is the order of
+# the closed-form terms.
 
 
-def _expand(f: ExpPolynomial, gens: tuple) -> dict:
-    """The exponential-polynomial part of ``f``, its prefix left out, with
-    coefficients as unreduced pairs over ``gens``."""
-    parts: dict = {t.base: (_pairs(t.poly, gens),) for t in f.terms}
+def _expand(f: ExpPolynomial) -> dict:
+    """The exponential-polynomial part of ``f``, its prefix left out."""
+    parts: dict = {t.base: (list(t.poly.coeffs),) for t in f.terms}
     for qt in f.quad_terms:
-        p, q = _pairs(qt.p, gens), _pairs(qt.q, gens)
+        p, q = qt.p.coeffs, qt.q.coeffs
         length = max(len(p), len(q))
-        parts[(qt.beta, qt.gamma)] = tuple(c + [(0, 1)] * (length - len(c)) for c in (p, q))
+        parts[(qt.beta, qt.gamma)] = tuple([*c, *[_ZERO] * (length - len(c))] for c in (p, q))
     return parts
 
 
-def _pairs(poly: CounterPoly, gens: tuple) -> list:
-    return [_pair(c, gens) for c in poly.coeffs]
+def _add_scaled(sums: dict, parts: dict, c: ParamExpr) -> None:
+    """Add ``c`` times the expansion ``parts`` to ``sums``, in place; a new
+    key goes last, and a polynomial is padded with zeros to the longer of
+    the two."""
+    for key, polys in parts.items():
+        slots = sums.setdefault(key, tuple([] for _ in polys))
+        for slot, poly in zip(slots, polys):
+            slot.extend([_ZERO] * (len(poly) - len(slot)))
+            for k, x in enumerate(poly):
+                if not x.is_zero:
+                    slot[k] = slot[k] + c * x
 
 
 def _closed_form(prefix, parts: dict) -> ExpPolynomial:
@@ -326,15 +331,14 @@ def _closed_form(prefix, parts: dict) -> ExpPolynomial:
     return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
 
 
-def _block_parts(block, eqs, solved, expanded, gens: tuple):
+def _block_parts(block, eqs, solved, expanded):
     """What the rest of the system contributes to a block.
 
     Returns the block's own coefficient matrix A (``{s: {t: A_st}}``), each
     symbol's forcing g_s(n), the sum of ``c * T(n)`` over its terms on solved
     symbols, and the first index from which all of those are in closed form.
-    The forcing's coefficients are unreduced pairs (see :func:`_sum`): each
-    is cancelled once, inside the coefficient solved from it.  A base whose
-    contributions cancel keeps its place with a zero polynomial.
+    A base whose contributions cancel keeps its place with zero
+    coefficients.
     """
     bset = set(block)
     matrix: dict = {}
@@ -342,14 +346,13 @@ def _block_parts(block, eqs, solved, expanded, gens: tuple):
     start = 0
     for s in block:
         row = matrix[s] = {}
-        sums: dict = {}
+        sums = forcing[s] = {}
         for c, t in eqs[s]:
             if t in bset:
                 row[t] = row[t] + c if t in row else c
             elif not c.is_zero:
                 start = max(start, solved[t].start)
-                _add_summands(sums, expanded[t], _pair(c, gens))
-        forcing[s] = _summed(sums)
+                _add_scaled(sums, expanded[t], c)
     return matrix, forcing, start
 
 
@@ -367,41 +370,37 @@ def _solve_one_symbol(s, a, forcing: dict, start: int, iterator):
     general solution adds K*a**n, fixed by the iterated value at n0.  When
     a is 0 there is no K, and the same formulas hold one step later.
     """
-    gens = iterator.gens
     parts: dict = {a: ([_ZERO],)} if not a.is_zero else {}
     for key, polys in forcing.items():
         if len(polys) == 2:
-            parts[key] = _particular_pair(*polys, key, a, gens)
+            parts[key] = _particular_pair(*polys, key, a)
             continue
-        parts[a if key == a else key] = (_particular_coefficients(polys[0], key, a, gens),)
+        parts[a if key == a else key] = (_particular_coefficients(polys[0], key, a),)
     n0 = start + a.is_zero
     if not a.is_zero:
         # K*a**n0 + (the particular terms at n0) = s(n0)
-        a_num, a_den = _pair(a, gens)
-        rest = _sum([_pair(iterator.value(s, n0), gens), _neg(_value_at(parts, n0, gens))])
-        parts[a][0][0] = _reduce(_div(rest, (a_num**n0, a_den**n0)), gens)
+        particular = _ep_value(_closed_form((), parts), n0, pe, _TWO)
+        parts[a][0][0] = (iterator.value(s, n0) - particular) / a**n0
     prefix = tuple(iterator.value(s, k) for k in range(n0))
     return {s: _closed_form(prefix, parts)}, n0
 
 
-def _particular_coefficients(poly: list, b, a, gens: tuple) -> list:
+def _particular_coefficients(poly: list, b, a) -> list:
     """Q with b*Q(n+1) - a*Q(n) = P(n), from the top coefficient down.  The
     n**k coefficient reads (b - a)*q_k + b*sum(C(j, k)*q_j for j > k) = p_k.
     When b = a the first term vanishes: the equation fixes q_(k+1) instead,
-    Q is one degree above P, and q_0 is 0.  ``poly`` holds unreduced pairs;
-    each coefficient of Q is cancelled once."""
+    Q is one degree above P, and q_0 is 0."""
     resonant = b == a
     out: list = [_ZERO] * (len(poly) + resonant)
-    b = _pair(b, gens)
-    diff = _sum([b, _neg(_pair(a, gens))])
+    diff = b - a
     for k in range(len(poly) - 1, -1, -1):
         j = k + resonant  # the coefficient the n**k equation fixes
-        rest = _sum([poly[k], _neg(_mul(b, _binomial_tail(out, k, j + 1, gens)))])
-        out[j] = _reduce(_div(rest, _scaled(b, k + 1) if resonant else diff), gens)
+        rest = poly[k] - b * _binomial_tail(out, k, j + 1)
+        out[j] = rest / (b * (k + 1) if resonant else diff)
     return out
 
 
-def _particular_pair(p: list, q: list, pair, a, gens: tuple) -> tuple[list, list]:
+def _particular_pair(p: list, q: list, pair, a) -> tuple[list, list]:
     """(u, v) with u(n)*s(n) + v(n)*s(n+1) the particular term of the pair
     term p(n)*s(n) + q(n)*s(n+1), where ``pair`` is (beta, gamma) and
     s(n+2) = beta*s(n+1) + gamma*s(n).  Matching s(n) and s(n+1) gives, per
@@ -412,9 +411,7 @@ def _particular_pair(p: list, q: list, pair, a, gens: tuple) -> tuple[list, list
 
     with U_k and V_k the sums over higher degrees j of C(j, k)*u_j and
     C(j, k)*v_j.  The determinant is minus the pair's quadratic
-    x**2 - beta*x - gamma at a, never zero: the quadratic is irreducible.
-    The pairs' coefficients grow fast with the degree, so this solve runs
-    in reduced field arithmetic."""
+    x**2 - beta*x - gamma at a, never zero: the quadratic is irreducible."""
     beta, gamma = pair
     size = len(p)
     u: list = [None] * size
@@ -422,38 +419,17 @@ def _particular_pair(p: list, q: list, pair, a, gens: tuple) -> tuple[list, list
     shifted = beta - a
     det = -a * shifted - gamma
     for k in range(size - 1, -1, -1):
-        tail_u, tail_v = (_reduce(_binomial_tail(c, k, k + 1, gens), gens) for c in (u, v))
-        r1 = _reduce(p[k], gens) - gamma * tail_v
-        r2 = _reduce(q[k], gens) - tail_u - beta * tail_v
+        tail_u, tail_v = (_binomial_tail(c, k, k + 1) for c in (u, v))
+        r1 = p[k] - gamma * tail_v
+        r2 = q[k] - tail_u - beta * tail_v
         u[k] = (r1 * shifted - gamma * r2) / det
         v[k] = (-a * r2 - r1) / det
     return u, v
 
 
-def _binomial_tail(coeffs: list, k: int, first: int, gens: tuple) -> tuple:
-    """sum(C(j, k) * coeffs[j] for j >= first), unreduced."""
-    return _sum([_scaled(_pair(coeffs[j], gens), comb(j, k)) for j in range(first, len(coeffs))])
-
-
-def _value_at(parts: dict, n: int, gens: tuple) -> tuple:
-    """The value at ``n`` of an exponential polynomial, unreduced."""
-    values = []
-    for key, polys in parts.items():
-        if len(polys) == 1:
-            b_num, b_den = _pair(key, gens)
-            values.append(_mul(_horner(polys[0], n, gens), (b_num**n, b_den**n)))
-        else:
-            s = _lucas_values(*key, n + 1, _TWO)
-            values += [_mul(_horner(c, n, gens), _pair(s[n + k], gens)) for k, c in enumerate(polys)]
-    return _sum(values)
-
-
-def _horner(poly: list, n: int, gens: tuple) -> tuple:
-    """P(n), unreduced."""
-    acc = (0, 1)
-    for c in reversed(poly):
-        acc = _sum([_scaled(acc, n), _pair(c, gens)])
-    return acc
+def _binomial_tail(coeffs: list, k: int, first: int) -> ParamExpr:
+    """sum(C(j, k) * coeffs[j] for j >= first)."""
+    return sum((coeffs[j] * comb(j, k) for j in range(first, len(coeffs))), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +565,10 @@ def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     starts the induction.  Values before n0 are the prefix, read off the
     iteration.
     """
-    gens = iterator.gens
-    expanded = {t: _expand(closed[t], gens) for t in block}
+    expanded = {t: _expand(closed[t]) for t in block}
     for s in block:
-        residual = _residual(s, matrix[s], expanded, forcing[s], gens)
-        if any(num for slots in residual.values() for slot in slots for num, _ in slot):
+        residual = _residual(s, matrix[s], expanded, forcing[s])
+        if any(not x.is_zero for polys in residual.values() for poly in polys for x in poly):
             raise SeedSystemError(
                 f"closed form for {s!r} fails verification: it does not satisfy its recurrence"
             )
@@ -602,21 +577,19 @@ def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     return expanded
 
 
-def _residual(s, row, expanded, forcing, gens: tuple) -> dict:
-    """S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), with every coefficient an
-    unreduced pair, zero exactly when its numerator is: the check cancels
-    nothing.  ``row`` maps each block symbol t to A_st, ``expanded`` holds
+def _residual(s, row, expanded, forcing) -> dict:
+    """S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), every coefficient reduced in
+    the field.  ``row`` maps each block symbol t to A_st, ``expanded`` holds
     the block's closed forms and ``forcing`` is g_s."""
-    sums: dict = {}
-    _add_summands(sums, _step(expanded[s], _pair(row.get(s, _ZERO), gens), gens), (1, 1))
+    sums = _step(expanded[s], row.get(s, _ZERO))
     for t, c in row.items():
         if t != s:
-            _add_summands(sums, expanded[t], _neg(_pair(c, gens)))
-    _add_summands(sums, forcing, (-1, 1))
-    return _summed(sums)
+            _add_scaled(sums, expanded[t], -c)
+    _add_scaled(sums, forcing, _MINUS_ONE)
+    return sums
 
 
-def _step(parts: dict, a: tuple, gens: tuple) -> dict:
+def _step(parts: dict, a: ParamExpr) -> dict:
     """S(n+1) - a*S(n) for the expansion ``parts`` of S(n).  A term
     Q(n)*b**n becomes ((b - a)*Q(n) + b*(Q(n+1) - Q(n)))*b**n, which is one
     product per coefficient when Q is constant.  A pair term
@@ -624,123 +597,23 @@ def _step(parts: dict, a: tuple, gens: tuple) -> dict:
     (u(n+1) + beta*v(n+1) - a*v(n))*s(n+1), since
     s(n+2) = beta*s(n+1) + gamma*s(n)."""
     out = {}
-    minus_a = _neg(a)
     for key, polys in parts.items():
         if len(polys) == 1:
             (q,) = polys
-            b = _pair(key, gens)
-            b_a = _sum([b, minus_a])
-            out[key] = ([_sum([_mul(b_a, x), _mul(b, d)]) for x, d in zip(q, _binomial_sums(q, 1))],)
+            b_a = key - a
+            out[key] = ([b_a * x + key * d for x, d in zip(q, _binomial_sums(q, 1))],)
             continue
-        beta, gamma = (_pair(x, gens) for x in key)
+        beta, gamma = key
         u, v = polys
         u1, v1 = _binomial_sums(u, 0), _binomial_sums(v, 0)
         out[key] = (
-            [_sum([_mul(gamma, y1), _mul(minus_a, x)]) for x, y1 in zip(u, v1)],
-            [_sum([x1, _mul(beta, y1), _mul(minus_a, y)]) for x1, y1, y in zip(u1, v1, v)],
+            [gamma * y1 - a * x for x, y1 in zip(u, v1)],
+            [x1 + beta * y1 - a * y for x1, y1, y in zip(u1, v1, v)],
         )
     return out
 
 
 def _binomial_sums(poly: list, offset: int) -> list:
-    """sum(C(j, k) * p_j for j >= k + offset) for each k, unreduced: the
-    coefficients of P(n+1) for offset 0, of P(n+1) - P(n) for offset 1."""
-    size = len(poly)
-    return [_sum([_scaled(poly[j], comb(j, k)) for j in range(k + offset, size)]) for k in range(size)]
-
-
-# ---------------------------------------------------------------------------
-# Unreduced fractions: (numerator, denominator) pairs of polynomials
-# ---------------------------------------------------------------------------
-
-# A pair's parts are polynomials over the system's ``gens`` (constants over
-# no generators when the system has no parameters).  The int pairs (0, 1),
-# (1, 1) and (-1, 1) appear only as a zero to skip or as a unit factor.
-
-
-def _add_summands(sums: dict, parts: dict, c) -> None:
-    """Add ``c * x`` for every coefficient x of ``parts`` to ``sums``, which
-    maps each key to one list per polynomial of one summand list per
-    degree; a new key goes last."""
-    for key, polys in parts.items():
-        slots = sums.setdefault(key, [[] for _ in polys])
-        for slot, poly in zip(slots, polys):
-            slot.extend([] for _ in range(len(poly) - len(slot)))
-            for k, x in enumerate(poly):
-                if x[0]:
-                    slot[k].append(_mul(c, x))
-
-
-def _pair(x: ParamExpr, gens: tuple) -> tuple:
-    return numer_denom(x, gens)
-
-
-def _neg(x: tuple) -> tuple:
-    return (-x[0], x[1])
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    return (x[0] * y[0], x[1] * y[1])
-
-
-def _scaled(x: tuple, m: int) -> tuple:
-    return x if m == 1 else (x[0] * m, x[1])
-
-
-def _sum(values: list) -> tuple:
-    """The sum, unreduced; zero is ``(0, 1)``.  While the denominators
-    agree the numerators are added in one pass.  From the first one that
-    differs, the numerators over each distinct denominator are added first.
-    Then each distinct denominator is multiplied in once, or not at all
-    when it divides the denominator so far or is divided by it, so a sum
-    over D and D**2 stays over D**2."""
-    num, den = 0, 1
-    for i, (n, d) in enumerate(values):
-        if not n:
-            continue
-        if not num:
-            num, den = n, d
-        elif d == den:
-            num = num + n
-        else:
-            return _sum_by_denominator(values[i:], num, den)
-    return num, den
-
-
-def _sum_by_denominator(values: list, num, den) -> tuple:
-    by_den = {den: num}
-    for n, d in values:
-        if n:
-            prev = by_den.get(d)
-            by_den[d] = n if prev is None else prev + n
-    num, den = 0, 1
-    for d, n in by_den.items():
-        if not n:
-            continue
-        if not num:
-            num, den = n, d
-            continue
-        q = exact_quotient(den, d)
-        if q is not None:
-            num = num + n * q
-            continue
-        q = exact_quotient(d, den)
-        if q is not None:
-            num, den = num * q + n, d
-        else:
-            num, den = num * d + n * den, den * d
-    return num, den
-
-
-def _div(x: tuple, y: tuple) -> tuple:
-    return (x[0] * y[1], x[1] * y[0])
-
-
-def _summed(sums: dict) -> dict:
-    """Each summand list of ``sums`` (see :func:`_add_summands`) summed."""
-    return {key: tuple([_sum(terms) for terms in slot] for slot in slots) for key, slots in sums.items()}
-
-
-def _reduce(x: tuple, gens: tuple) -> ParamExpr:
-    """The unreduced pair ``x`` as a reduced ``ParamExpr``."""
-    return from_numer_denom(*x, gens) if x[0] else _ZERO
+    """sum(C(j, k) * p_j for j >= k + offset) for each k: the coefficients
+    of P(n+1) for offset 0, of P(n+1) - P(n) for offset 1."""
+    return [_binomial_tail(poly, k, k + offset) for k in range(len(poly))]

@@ -42,22 +42,6 @@ def common_gens(values: Iterable["ParamExpr"]) -> tuple:
     return gens_of(names)
 
 
-def numer_denom(value: "ParamExpr", gens: tuple) -> tuple[Poly, Poly]:
-    """The reduced numerator and denominator of ``value`` as polynomials
-    over ``gens``, which must hold its parameters."""
-    return polys.numer_denom(value.elem, gens)
-
-
-def from_numer_denom(num: Poly, den: Poly, gens: tuple) -> "ParamExpr":
-    """``num / den`` (``den`` nonzero) as a reduced ``ParamExpr``."""
-    return ParamExpr(polys.cancel(num, den, gens))
-
-
-def exact_quotient(a: Poly, b: Poly):
-    """``a / b`` when the polynomial ``b`` divides ``a`` exactly, else None."""
-    return polys.divide(a, b) if len(b) <= len(a) else None
-
-
 # -- the sympy boundary -------------------------------------------------------
 
 
@@ -76,7 +60,7 @@ def to_sympy(value: "ParamExpr", domain, gens: tuple):
         f = value.elem
         return domain(f.numerator, f.denominator)
     ring = domain.field.ring
-    num, den = numer_denom(value, gens)
+    num, den = polys.numer_denom(value.elem, gens)
     return domain.field.raw_new(ring.from_dict(dict(num)), ring.from_dict(dict(den)))
 
 
@@ -85,7 +69,7 @@ def from_sympy(x, domain, gens: tuple) -> "ParamExpr":
     if not gens:
         return ParamExpr(Fraction(int(x.numerator), int(x.denominator)))
     num, den = (Poly({m: int(c) for m, c in p.items()}) for p in (x.numer, x.denom))
-    return from_numer_denom(num, den, gens)
+    return ParamExpr(polys.cancel(num, den, gens))
 
 
 def _from_expr(value):

@@ -27,7 +27,6 @@ from probsens.sensitivity import (
     parameter_sensitivity,
     sensitivity_recurrence,
     sensitivity_system,
-    with_power_variable,
 )
 from probsens.symbolic import ParamExpr, ep_eval, pe
 from probsens.syntax import VarMonomial
@@ -386,37 +385,6 @@ def test_solved_sensitivity_matches_finite_differences():
         got = float(ep_eval(res.closed_form, sigma, n))
         ref = float(fd_sensitivity(np_, mono("u"), n, "p", sigma).value)
         assert abs(got - ref) <= 1e-3 * max(1.0, abs(ref)), n
-
-
-# ---------------------------------------------------------------------------
-# Higher moments through a tracking variable
-# ---------------------------------------------------------------------------
-
-
-def test_power_variable_construction():
-    np_ = norm(EPIDEMIC)
-    ext, name = with_power_variable(np_, "infected_prob", 2)
-    assert name == "infected_prob_pow2"
-    assert name in ext.variables
-    assert len(ext.body) == len(np_.body) + 1
-    # collision handling: extending again picks a fresh name
-    ext2, name2 = with_power_variable(ext, "infected_prob", 2)
-    assert name2 != name
-    with pytest.raises(ValueError):
-        with_power_variable(np_, "nonexistent", 2)
-    with pytest.raises(ValueError):
-        with_power_variable(np_, "infected_prob", 0)
-
-
-def test_power_variable_tracks_second_moment():
-    np_ = norm(EPIDEMIC)
-    ext, name = with_power_variable(np_, "infected_prob", 2)
-    via_track = parameter_sensitivity(ext, mono(name), "vax_param", method="sensrec")
-    direct = parameter_sensitivity(np_, mono("infected_prob**2"), "vax_param", method="diff")
-    for n in range(10):
-        assert ep_eval(via_track.closed_form, EPIDEMIC_VALS, n) == ep_eval(
-            direct.closed_form, EPIDEMIC_VALS, n
-        )
 
 
 # ---------------------------------------------------------------------------
