@@ -138,7 +138,8 @@ def test_ep_eval(benchmark, bimodal_system):
 
 def test_verify_closed_forms(benchmark, bimodal_system, monkeypatch):
     """The solver's check of every solved block: the residual
-    S(n+1) - A*S(n) - g(n) as an identity, and the value at n0."""
+    S(n+1) - A*S(n) - g(n) as an identity, and the value at n0.  Each call
+    returns the block's checked closed forms."""
     system, equations = bimodal_system
     check = solver._check_block
     calls = []
@@ -153,8 +154,8 @@ def test_verify_closed_forms(benchmark, bimodal_system, monkeypatch):
     def work():
         return [check(*args) for args in calls]
 
-    expansions = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
-    assert sorted(map(str, (s for e in expansions for s in e))) == sorted(map(str, equations))
+    checked = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
+    assert sorted(map(str, (s for block in checked for s in block))) == sorted(map(str, equations))
     exact = ForwardIterator(equations, system.initials, BIMODAL_POINT).rows(12)
     for block, n0, *_ in calls:
         for s in block:

@@ -23,9 +23,7 @@ from .errors import (
 from .parser import Diagnostic, parse, parse_monomial, validate
 from .symbolic import (
     ExpPolynomial,
-    ExpTerm,
     ParamExpr,
-    QuadTerm,
     ep_add,
     ep_diff,
     ep_eval,
@@ -79,8 +77,6 @@ __all__ = [
     # symbolic closed forms
     "ParamExpr",
     "ExpPolynomial",
-    "ExpTerm",
-    "QuadTerm",
     "ep_add",
     "ep_scale",
     "ep_diff",

@@ -122,7 +122,6 @@ class MomentContext:
         self._graph: Optional[DependencyGraph] = None
         self._classifications: dict[str, Classification] = {}
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
-        self._truth: dict[BExpr, PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
         self._coeffs: dict[object, ParamExpr] = {}
@@ -288,13 +287,6 @@ class MomentContext:
                 for t, c in piece.items():
                     _accumulate(acc, t, c)
         cached = self._truth_terms[guard] = self._reduce(_nonzero(acc), {})
-        return cached
-
-    def truth_polynomial(self, guard: BExpr) -> PolyExpr:
-        """Exact 0/1-valued polynomial for a condition over finite variables."""
-        cached = self._truth.get(guard)
-        if cached is None:
-            cached = self._truth[guard] = self._poly(self._truth_of(guard))
         return cached
 
     # -- one-step substitution ----------------------------------------------

@@ -4,8 +4,10 @@ A closed system ``s(n+1) = A·s(n)`` is condensed into strongly connected
 blocks, solved in dependency order.  The terms of a block's equations on
 symbols of earlier blocks, whose closed forms are known, add up to one
 forcing exponential polynomial g_s(n) per symbol, valid from the latest
-start of its inputs.  Everything is exact arithmetic in one field:
-Q(params), the rational functions of the system's parameters.
+start of its inputs.  The forcings, the residuals and the closed forms are
+all held in the term map of :class:`~probsens.symbolic.ExpPolynomial`.
+Everything is exact arithmetic in one field: Q(params), the rational
+functions of the system's parameters.
 
 A block of one symbol, s(n+1) = a·s(n) + g(n), is solved by undetermined
 coefficients (Kauers and Paule, *The Concrete Tetrahedron*, on C-finite
@@ -49,14 +51,12 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import SeedSystemError, UnsupportedFactorError
 from .symbolic import (
-    CounterPoly,
-    ExpPolynomial,
-    ExpTerm,
     ParamExpr,
-    QuadTerm,
     _ep_value,
     _lucas_values,
+    accumulate_terms,
     common_gens,
+    ep_make,
     ep_value_symbolic,
     from_sympy,
     pe,
@@ -249,7 +249,7 @@ def solve_system(
     ``(coefficient, symbol)`` meaning ``s(n+1) = sum(c_i * t_i(n))`` — and
     ``initials`` gives every symbol's value at n = 0.  Coefficients must be
     constant in n (parameters are fine).  Returns a map from symbol to
-    :class:`ExpPolynomial`.
+    :class:`~probsens.symbolic.ExpPolynomial`.
     """
     eqs: dict = {
         s: tuple((pe(c), t) for c, t in terms) for s, terms in equations.items()
@@ -264,81 +264,30 @@ def solve_system(
 
     iterator = ForwardIterator(eqs, initials)
     solved: dict = {}
-    expanded: dict = {}
     for block in _sccs(eqs):
-        _solve_block(block, eqs, iterator, solved, expanded)
+        _solve_block(block, eqs, iterator, solved)
     return solved
 
 
-def _solve_block(block, eqs, iterator, solved: dict, expanded: dict) -> None:
-    """Solve and check one block, and add its closed forms to ``solved`` and
-    their expansions (see :func:`_expand`) to ``expanded``."""
-    matrix, forcing, start = _block_parts(block, eqs, solved, expanded)
+def _solve_block(block, eqs, iterator, solved: dict) -> None:
+    """Solve and check one block, and add its closed forms to ``solved``."""
+    matrix, forcing, start = _block_parts(block, eqs, solved)
     if len(block) == 1:
         (s,) = block
         closed, n0 = _solve_one_symbol(s, matrix[s].get(s, _ZERO), forcing[s], start, iterator)
     else:
         closed, n0 = _solve_by_seeds(block, matrix, forcing, start, iterator)
-    expanded.update(_check_block(block, n0, matrix, forcing, closed, iterator))
-    solved.update(closed)
+    solved.update(_check_block(block, n0, matrix, forcing, closed, iterator))
 
 
-# Inside the solver an exponential polynomial is a dict from each base b to
-# ``(P,)``, its term P(n)*b**n, and from each pair (beta, gamma) to
-# ``(p, q)``, its term p(n)*s(n) + q(n)*s(n+1); P, p and q are lists of
-# ``ParamExpr`` coefficients, lowest degree first, with p and q of one
-# length.  Keys keep the order in which they are met, which is the order of
-# the closed-form terms.
-
-
-def _expand(f: ExpPolynomial) -> dict:
-    """The exponential-polynomial part of ``f``, its prefix left out."""
-    parts: dict = {t.base: (list(t.poly.coeffs),) for t in f.terms}
-    for qt in f.quad_terms:
-        p, q = qt.p.coeffs, qt.q.coeffs
-        length = max(len(p), len(q))
-        parts[(qt.beta, qt.gamma)] = tuple([*c, *[_ZERO] * (length - len(c))] for c in (p, q))
-    return parts
-
-
-def _add_scaled(sums: dict, parts: dict, c: ParamExpr) -> None:
-    """Add ``c`` times the expansion ``parts`` to ``sums``, in place; a new
-    key goes last, and a polynomial is padded with zeros to the longer of
-    the two."""
-    for key, polys in parts.items():
-        slots = sums.setdefault(key, tuple([] for _ in polys))
-        for slot, poly in zip(slots, polys):
-            slot.extend([_ZERO] * (len(poly) - len(slot)))
-            for k, x in enumerate(poly):
-                if not x.is_zero:
-                    slot[k] = slot[k] + c * x
-
-
-def _closed_form(prefix, parts: dict) -> ExpPolynomial:
-    """The closed form with the given prefix and exponential-polynomial
-    part, its zero terms dropped.  Both solving paths build their results
-    here."""
-    terms = []
-    quad_terms = []
-    for key, polys in parts.items():
-        polys = [CounterPoly.make(c) for c in polys]
-        if all(poly.is_zero for poly in polys):
-            continue
-        if len(polys) == 1:
-            terms.append(ExpTerm(polys[0], key))
-        else:
-            quad_terms.append(QuadTerm(*polys, *key))
-    return ExpPolynomial(prefix=prefix, terms=tuple(terms), quad_terms=tuple(quad_terms))
-
-
-def _block_parts(block, eqs, solved, expanded):
+def _block_parts(block, eqs, solved):
     """What the rest of the system contributes to a block.
 
     Returns the block's own coefficient matrix A (``{s: {t: A_st}}``), each
-    symbol's forcing g_s(n), the sum of ``c * T(n)`` over its terms on solved
-    symbols, and the first index from which all of those are in closed form.
-    A base whose contributions cancel keeps its place with zero
-    coefficients.
+    symbol's forcing g_s(n), the terms of the sum of ``c * T(n)`` over its
+    terms on solved symbols, and the first index from which all of those are
+    in closed form.  A base whose contributions cancel keeps its place with
+    zero coefficients.
     """
     bset = set(block)
     matrix: dict = {}
@@ -352,7 +301,7 @@ def _block_parts(block, eqs, solved, expanded):
                 row[t] = row[t] + c if t in row else c
             elif not c.is_zero:
                 start = max(start, solved[t].start)
-                _add_scaled(sums, expanded[t], c)
+                accumulate_terms(sums, solved[t].terms, c)
     return matrix, forcing, start
 
 
@@ -375,14 +324,14 @@ def _solve_one_symbol(s, a, forcing: dict, start: int, iterator):
         if len(polys) == 2:
             parts[key] = _particular_pair(*polys, key, a)
             continue
-        parts[a if key == a else key] = (_particular_coefficients(polys[0], key, a),)
+        parts[key] = (_particular_coefficients(polys[0], key, a),)
     n0 = start + a.is_zero
     if not a.is_zero:
         # K*a**n0 + (the particular terms at n0) = s(n0)
-        particular = _ep_value(_closed_form((), parts), n0, pe, _TWO)
+        particular = _ep_value(ep_make((), parts), n0, pe, _TWO)
         parts[a][0][0] = (iterator.value(s, n0) - particular) / a**n0
     prefix = tuple(iterator.value(s, k) for k in range(n0))
-    return {s: _closed_form(prefix, parts)}, n0
+    return {s: ep_make(prefix, parts)}, n0
 
 
 def _particular_coefficients(poly: list, b, a) -> list:
@@ -520,7 +469,7 @@ def _solve_by_seeds(block, matrix, forcing, start, iterator):
             window = [next(coeffs) for _ in range(2 * mult)]
             parts[key] = (window[0::2], window[1::2])
         prefix = tuple(iterator.value(s, k) for k in range(n0))
-        closed[s] = _closed_form(prefix, parts)
+        closed[s] = ep_make(prefix, parts)
     return closed, n0
 
 
@@ -556,7 +505,7 @@ def _solve_seed_system(seed_matrix, symbols, iterator, n0, order) -> list[list]:
 
 def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     """Prove the block's closed forms for every n >= n0, or raise
-    ``SeedSystemError``; returns their expansions.
+    ``SeedSystemError``; returns them.
 
     For each symbol the residual S(n+1) - A*S(n) - g(n) must be the zero
     exponential polynomial, and S(n0) must equal the iterated value.  The
@@ -565,32 +514,30 @@ def _check_block(block, n0, matrix, forcing, closed, iterator) -> dict:
     starts the induction.  Values before n0 are the prefix, read off the
     iteration.
     """
-    expanded = {t: _expand(closed[t]) for t in block}
     for s in block:
-        residual = _residual(s, matrix[s], expanded, forcing[s])
+        residual = _residual(s, matrix[s], closed, forcing[s])
         if any(not x.is_zero for polys in residual.values() for poly in polys for x in poly):
             raise SeedSystemError(
                 f"closed form for {s!r} fails verification: it does not satisfy its recurrence"
             )
         if ep_value_symbolic(closed[s], n0) != iterator.value(s, n0):
             raise SeedSystemError(f"closed form for {s!r} fails verification at n = {n0}")
-    return expanded
+    return closed
 
 
-def _residual(s, row, expanded, forcing) -> dict:
-    """S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), every coefficient reduced in
-    the field.  ``row`` maps each block symbol t to A_st, ``expanded`` holds
-    the block's closed forms and ``forcing`` is g_s."""
-    sums = _step(expanded[s], row.get(s, _ZERO))
+def _residual(s, row, closed, forcing) -> dict:
+    """The terms of S_s(n+1) - sum(A_st * S_t(n)) - g_s(n), every coefficient
+    reduced in the field.  ``row`` maps each block symbol t to A_st,
+    ``closed`` holds the block's closed forms and ``forcing`` is g_s."""
+    sums = _step(closed[s].terms, row.get(s, _ZERO))
     for t, c in row.items():
         if t != s:
-            _add_scaled(sums, expanded[t], -c)
-    _add_scaled(sums, forcing, _MINUS_ONE)
-    return sums
+            accumulate_terms(sums, closed[t].terms, -c)
+    return accumulate_terms(sums, forcing, _MINUS_ONE)
 
 
 def _step(parts: dict, a: ParamExpr) -> dict:
-    """S(n+1) - a*S(n) for the expansion ``parts`` of S(n).  A term
+    """S(n+1) - a*S(n) for the terms ``parts`` of S(n).  A term
     Q(n)*b**n becomes ((b - a)*Q(n) + b*(Q(n+1) - Q(n)))*b**n, which is one
     product per coefficient when Q is constant.  A pair term
     u(n)*s(n) + v(n)*s(n+1) becomes (gamma*v(n+1) - a*u(n))*s(n) +
@@ -604,7 +551,8 @@ def _step(parts: dict, a: ParamExpr) -> dict:
             out[key] = ([b_a * x + key * d for x, d in zip(q, _binomial_sums(q, 1))],)
             continue
         beta, gamma = key
-        u, v = polys
+        width = max(map(len, polys))
+        u, v = ([*c, *[_ZERO] * (width - len(c))] for c in polys)
         u1, v1 = _binomial_sums(u, 0), _binomial_sums(v, 0)
         out[key] = (
             [gamma * y1 - a * x for x, y1 in zip(u, v1)],

@@ -6,8 +6,10 @@ of the parameters, as a reduced fraction of integer polynomials
 (``polys.Frac``), or as a plain ``Fraction`` when the value is constant, so
 every operation is field arithmetic and equality is exact.  Closed forms of
 moment sequences are ``ExpPolynomial`` values: an explicit transient prefix
-plus a sum of ``P(n) * base**n`` terms, where conjugate algebraic base pairs
-are represented jointly by ``QuadTerm`` (coefficients stay rational).
+plus a sum of ``P(n) * base**n`` terms and of joint terms for conjugate root
+pairs, held in one term map whose layout ``ExpPolynomial`` documents.  The
+solver builds and sums closed forms in that same map, and the ``ep_*``
+algebra, the printer and the evaluator read it.
 
 sympy is imported only on demand: by ``ParamExpr.e``, by a ``ParamExpr``
 built from a sympy expression, and by the conversions that the solver's
@@ -17,7 +19,7 @@ blocks of two or more symbols use (:func:`sympy_domain`).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
@@ -368,126 +370,35 @@ def pe(value) -> ParamExpr:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in the loop counter
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CounterPoly:
-    """Polynomial in the loop counter n with ParamExpr coefficients.
-
-    ``coeffs[i]`` multiplies ``n**i``; trailing zero coefficients are stripped,
-    so the zero polynomial has an empty tuple.
-    """
-
-    coeffs: tuple[ParamExpr, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable) -> "CounterPoly":
-        cs = [pe(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return CounterPoly(tuple(cs))
-
-    @staticmethod
-    def const(c) -> "CounterPoly":
-        return CounterPoly.make([c])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __add__(self, other: "CounterPoly") -> "CounterPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else ParamExpr.zero()
-            b = other.coeffs[i] if i < len(other.coeffs) else ParamExpr.zero()
-            out.append(a + b)
-        return CounterPoly.make(out)
-
-    def scale(self, c) -> "CounterPoly":
-        c = pe(c)
-        if c.is_zero:
-            return CounterPoly(())
-        return CounterPoly.make([a * c for a in self.coeffs])
-
-    def shift_up(self) -> "CounterPoly":
-        """Multiply by n."""
-        if self.is_zero:
-            return self
-        return CounterPoly.make([ParamExpr.zero(), *self.coeffs])
-
-    def diff_param(self, param: str) -> "CounterPoly":
-        return CounterPoly.make([c.diff(param) for c in self.coeffs])
-
-    def evaluate(self, n: int, value=pe):
-        """The value at ``n`` by Horner's rule, in the ring that ``value``
-        maps each coefficient into (``ParamExpr`` by default).  Coefficients
-        are mapped lowest first, and a constant costs no ring operation."""
-        mapped = [value(c) for c in self.coeffs] or [value(ParamExpr.zero())]
-        acc = mapped.pop()
-        while mapped:
-            acc = acc * n + mapped.pop()
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                np_ = "n" if i == 1 else f"n**{i}"
-                parts.append(np_ if c.is_one else f"({cs})*{np_}")
-        return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # Exponential polynomials
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExpTerm:
-    """``poly(n) * base**n`` with a nonzero base in the parameter field."""
-
-    poly: CounterPoly
-    base: ParamExpr
-
-
-@dataclass(frozen=True)
-class QuadTerm:
-    """Joint contribution of a conjugate root pair of x**2 - beta*x - gamma.
-
-    Represents ``p(n)*s(n) + q(n)*s(n+1)`` where ``s`` is the root power sum:
-    s(0) = 2, s(1) = beta, s(k+1) = beta*s(k) + gamma*s(k-1).  All values are
-    rational in the parameters even though the individual roots are not.
-    """
-
-    p: CounterPoly
-    q: CounterPoly
-    beta: ParamExpr
-    gamma: ParamExpr
-
-
-@dataclass(frozen=True)
 class ExpPolynomial:
     """Closed form of a sequence: explicit prefix values for n < len(prefix),
-    and a sum of exponential-polynomial terms valid from n = len(prefix) on.
+    and a sum of terms valid from n = len(prefix) on.
+
+    ``terms`` is a dict, the one layout of a closed form's terms:
+
+    - a base b, a nonzero ``ParamExpr``, maps to ``(P,)``, the term
+      P(n)*b**n;
+    - a pair (beta, gamma) maps to ``(p, q)``, the joint term
+      p(n)*s(n) + q(n)*s(n+1) of the conjugate roots of
+      x**2 - beta*x - gamma, where s is their power sum: s(0) = 2,
+      s(1) = beta, s(k+1) = beta*s(k) + gamma*s(k-1).  Its values are
+      rational in the parameters even though the roots are not.
+
+    A polynomial in n is a tuple of ``ParamExpr`` coefficients, lowest degree
+    first, with no trailing zero, so the zero polynomial is ``()``; no term
+    is zero.  Bases come before pairs, each in the order they were met,
+    which is the order the terms print in.  :func:`ep_make` builds every
+    closed form, the solver's included; while the solver and
+    :func:`accumulate_terms` sum terms, they hold polynomials as lists.
     """
 
     prefix: tuple[ParamExpr, ...] = ()
-    terms: tuple[ExpTerm, ...] = ()
-    quad_terms: tuple[QuadTerm, ...] = ()
+    terms: dict = field(default_factory=dict)
 
     @property
     def start(self) -> int:
@@ -495,18 +406,70 @@ class ExpPolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return (
-            not self.terms
-            and not self.quad_terms
-            and all(v.is_zero for v in self.prefix)
-        )
+        return not self.terms and all(v.is_zero for v in self.prefix)
 
     def __str__(self) -> str:
         return render_exp_polynomial(self)
 
 
+def _trim(poly) -> tuple:
+    end = len(poly)
+    while end and poly[end - 1].is_zero:
+        end -= 1
+    return tuple(poly[:end])
+
+
+def ep_make(prefix: Iterable, terms: Mapping) -> ExpPolynomial:
+    """The closed form with the given prefix and terms, in the layout of
+    ``ExpPolynomial.terms`` with any sequences as polynomials: trailing zero
+    coefficients trimmed, zero terms dropped, bases before pairs."""
+    bases: dict = {}
+    pairs: dict = {}
+    for key, polys in terms.items():
+        trimmed = tuple(map(_trim, polys))
+        if any(trimmed):
+            (bases if len(trimmed) == 1 else pairs)[key] = trimmed
+    return ExpPolynomial(tuple(prefix), {**bases, **pairs})
+
+
 def ep_zero() -> ExpPolynomial:
     return ExpPolynomial()
+
+
+def _axpy(acc: list, c: ParamExpr, poly, shift: int = 0) -> None:
+    """``acc += c * n**shift * poly`` in place, for polynomials in n as
+    coefficient lists, lowest degree first; ``acc`` grows as needed."""
+    acc.extend([_PE_ZERO] * (len(poly) + shift - len(acc)))
+    for k, x in enumerate(poly, shift):
+        if not x.is_zero:
+            acc[k] = acc[k] + c * x
+
+
+def accumulate_terms(acc: dict, terms: Mapping, c: ParamExpr) -> dict:
+    """``acc += c * terms`` in place and returns ``acc``, a terms dict whose
+    polynomials are lists.  A new key goes last, and the two polynomials of
+    a pair are padded with zeros to one length."""
+    for key, polys in terms.items():
+        slots = acc.get(key)
+        if slots is None:
+            slots = acc[key] = tuple([] for _ in polys)
+        for slot, poly in zip(slots, polys):
+            _axpy(slot, c, poly)
+        width = max(map(len, slots))
+        for slot in slots:
+            slot.extend([_PE_ZERO] * (width - len(slot)))
+    return acc
+
+
+def _horner(poly, n: int, value):
+    """The value at n of a nonzero polynomial in n, in the ring that
+    ``value`` maps each coefficient into.  Coefficients are mapped lowest
+    first, and a constant costs no ring operation."""
+    mapped = [value(c) for c in poly]
+    acc = mapped.pop()
+    while mapped:
+        acc = acc * n + mapped.pop()
+    return acc
 
 
 def _lucas_values(beta, gamma, upto: int, two) -> list:
@@ -520,23 +483,23 @@ def _lucas_values(beta, gamma, upto: int, two) -> list:
 
 def _ep_value(f: ExpPolynomial, n: int, value, two):
     """The value of ``f`` at index n in the ring that ``value`` maps each
-    coefficient into, with ``two`` that ring's 2.  Coefficients are mapped in
-    the order ``f`` holds them (a quad term's ``beta`` and ``gamma`` first),
-    so the first unassigned or singular one is the one reported."""
+    coefficient into, with ``two`` that ring's 2.  Coefficients are mapped
+    term by term, a base after its polynomial and a pair's beta and gamma
+    before its polynomials, so the first unassigned or singular one is the
+    one reported."""
     if n < 0:
         raise ValueError("sequence index must be >= 0")
     if n < len(f.prefix):
         return value(f.prefix[n])
     parts = []
-    for t in f.terms:
-        poly, base = t.poly.evaluate(n, value), value(t.base)
-        parts.append(poly * base ** n if n else poly)
-    for qt in f.quad_terms:
-        s = _lucas_values(value(qt.beta), value(qt.gamma), n + 1, two)
-        parts += [
-            c.evaluate(n, value) * s[n + k] for k, c in enumerate((qt.p, qt.q)) if not c.is_zero
-        ]
-    return sum(parts[1:], parts[0]) if parts else value(ParamExpr.zero())
+    for key, polys in f.terms.items():
+        if len(polys) == 1:
+            poly, base = _horner(polys[0], n, value), value(key)
+            parts.append(poly * base ** n if n else poly)
+            continue
+        s = _lucas_values(value(key[0]), value(key[1]), n + 1, two)
+        parts += [_horner(c, n, value) * s[n + k] for k, c in enumerate(polys) if c]
+    return sum(parts[1:], parts[0]) if parts else value(_PE_ZERO)
 
 
 def ep_value_symbolic(f: ExpPolynomial, n: int) -> ParamExpr:
@@ -549,48 +512,18 @@ def ep_eval(f: ExpPolynomial, values: Mapping[str, Fraction], n: int) -> Fractio
     return _ep_value(f, n, lambda c: c.eval_fraction(values), Fraction(2))
 
 
-def _merge_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
-    by_base: dict[ParamExpr, CounterPoly] = {}
-    for t in terms:
-        poly = by_base.get(t.base)
-        by_base[t.base] = t.poly if poly is None else poly + t.poly
-    return tuple(ExpTerm(poly, base) for base, poly in by_base.items() if not poly.is_zero)
-
-
-def _merge_quad_terms(terms: Iterable[QuadTerm]) -> tuple[QuadTerm, ...]:
-    by_key: dict[tuple[ParamExpr, ParamExpr], tuple[CounterPoly, CounterPoly]] = {}
-    for t in terms:
-        key = (t.beta, t.gamma)
-        pq = by_key.get(key)
-        by_key[key] = (t.p, t.q) if pq is None else (pq[0] + t.p, pq[1] + t.q)
-    return tuple(
-        QuadTerm(p, q, beta, gamma)
-        for (beta, gamma), (p, q) in by_key.items()
-        if not (p.is_zero and q.is_zero)
-    )
-
-
 def ep_add(f: ExpPolynomial, g: ExpPolynomial) -> ExpPolynomial:
-    n0 = max(len(f.prefix), len(g.prefix))
-    prefix = tuple(
-        ep_value_symbolic(f, n) + ep_value_symbolic(g, n) for n in range(n0)
-    )
-    return ExpPolynomial(
-        prefix=prefix,
-        terms=_merge_terms((*f.terms, *g.terms)),
-        quad_terms=_merge_quad_terms((*f.quad_terms, *g.quad_terms)),
-    )
+    prefix = [ep_value_symbolic(f, n) + ep_value_symbolic(g, n) for n in range(max(f.start, g.start))]
+    terms = accumulate_terms({}, f.terms, _PE_ONE)
+    return ep_make(prefix, accumulate_terms(terms, g.terms, _PE_ONE))
 
 
 def ep_scale(f: ExpPolynomial, c) -> ExpPolynomial:
     c = pe(c)
     if c.is_zero:
         return ExpPolynomial()
-    return ExpPolynomial(
-        prefix=tuple(v * c for v in f.prefix),
-        terms=tuple(ExpTerm(t.poly.scale(c), t.base) for t in f.terms),
-        quad_terms=tuple(QuadTerm(t.p.scale(c), t.q.scale(c), t.beta, t.gamma) for t in f.quad_terms),
-    )
+    terms = {key: tuple([x * c for x in poly] for poly in polys) for key, polys in f.terms.items()}
+    return ep_make([v * c for v in f.prefix], terms)
 
 
 def ep_diff(f: ExpPolynomial, param: str) -> ExpPolynomial:
@@ -605,40 +538,29 @@ def ep_diff(f: ExpPolynomial, param: str) -> ExpPolynomial:
     where disc = beta**2 + 4*gamma; both gamma and disc are nonzero because
     the quadratic is irreducible.
     """
-    prefix = tuple(v.diff(param) for v in f.prefix)
-
-    terms: list[ExpTerm] = []
-    for t in f.terms:
-        db = t.base.diff(param)
-        new_poly = t.poly.diff_param(param)
-        if not db.is_zero:
-            ratio = db / t.base
-            new_poly = new_poly + t.poly.scale(ratio).shift_up()
-        if not new_poly.is_zero:
-            terms.append(ExpTerm(new_poly, t.base))
-
-    quad_terms: list[QuadTerm] = []
-    for t in f.quad_terms:
-        beta, gamma = t.beta, t.gamma
+    terms: dict = {}
+    for key, polys in f.terms.items():
+        new = terms[key] = tuple([c.diff(param) for c in poly] for poly in polys)
+        if len(polys) == 1:
+            db = key.diff(param)
+            if not db.is_zero:
+                _axpy(new[0], db / key, polys[0], 1)
+            continue
+        beta, gamma = key
         dbeta, dgamma = beta.diff(param), gamma.diff(param)
-        p_new = t.p.diff_param(param)
-        q_new = t.q.diff_param(param)
-        if not (dbeta.is_zero and dgamma.is_zero):
-            disc = beta * beta + gamma * 4
-            u = (gamma * dbeta * 2 - beta * dgamma) / (gamma * disc)
-            v = (dgamma * (beta * beta + gamma * 2) - beta * gamma * dbeta) / (gamma * disc)
-            np_ = t.p.shift_up()          # n*P
-            nq_plus_q = t.q.shift_up() + t.q  # (n+1)*Q
-            # d(P*s(n)) -> s(n): n*P*v ; s(n+1): n*P*u
-            # d(Q*s(n+1)) -> s(n): (n+1)*Q*u*gamma ; s(n+1): (n+1)*Q*(v + u*beta)
-            p_new = p_new + np_.scale(v) + nq_plus_q.scale(u * gamma)
-            q_new = q_new + np_.scale(u) + nq_plus_q.scale(v + u * beta)
-        if not (p_new.is_zero and q_new.is_zero):
-            quad_terms.append(QuadTerm(p_new, q_new, beta, gamma))
-
-    return ExpPolynomial(
-        prefix=prefix, terms=_merge_terms(terms), quad_terms=_merge_quad_terms(quad_terms)
-    )
+        if dbeta.is_zero and dgamma.is_zero:
+            continue
+        disc = beta * beta + gamma * 4
+        u = (gamma * dbeta * 2 - beta * dgamma) / (gamma * disc)
+        v = (dgamma * (beta * beta + gamma * 2) - beta * gamma * dbeta) / (gamma * disc)
+        p, q = polys
+        # d(p*s(n)) -> s(n): n*p*v ; s(n+1): n*p*u
+        # d(q*s(n+1)) -> s(n): (n+1)*q*u*gamma ; s(n+1): (n+1)*q*(v + u*beta)
+        for slot, on_p, on_q in ((new[0], v, u * gamma), (new[1], u, v + u * beta)):
+            _axpy(slot, on_p, p, 1)
+            _axpy(slot, on_q, q, 1)
+            _axpy(slot, on_q, q)
+    return ep_make([x.diff(param) for x in f.prefix], terms)
 
 
 # ---------------------------------------------------------------------------
@@ -652,20 +574,35 @@ def _paren(s: str) -> str:
     return s
 
 
+def _counter_text(poly) -> str:
+    """The text of a polynomial in n; ``0`` when it is zero."""
+    parts = []
+    for i, c in enumerate(poly):
+        if c.is_zero:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            power = "n" if i == 1 else f"n**{i}"
+            parts.append(power if c.is_one else f"({c})*{power}")
+    return " + ".join(parts) or "0"
+
+
 def render_exp_polynomial(f: ExpPolynomial) -> str:
     parts = []
-    for t in f.terms:
-        poly = str(t.poly)
-        if t.base.is_one:
-            parts.append(poly if t.poly.degree <= 0 else _paren(poly))
+    for key, polys in f.terms.items():
+        texts = [_counter_text(poly) for poly in polys]
+        if len(polys) == 2:
+            beta, gamma = (str(x) for x in key)
+            parts.append(
+                f"{_paren(texts[0])}*s[n] + {_paren(texts[1])}*s[n+1] "
+                f"where s[k+1] = {_paren(beta)}*s[k] + {_paren(gamma)}*s[k-1], "
+                f"s[0] = 2, s[1] = {beta}"
+            )
+        elif key.is_one:
+            parts.append(texts[0] if len(polys[0]) == 1 else _paren(texts[0]))
         else:
-            parts.append(f"{_paren(poly)}*{_paren(str(t.base))}**n")
-    for qt in f.quad_terms:
-        parts.append(
-            f"{_paren(str(qt.p))}*s[n] + {_paren(str(qt.q))}*s[n+1] "
-            f"where s[k+1] = {_paren(str(qt.beta))}*s[k] + {_paren(str(qt.gamma))}*s[k-1], "
-            f"s[0] = 2, s[1] = {str(qt.beta)}"
-        )
+            parts.append(f"{_paren(texts[0])}*{_paren(str(key))}**n")
     body = " + ".join(parts) if parts else "0"
     if not f.prefix:
         return body
@@ -674,19 +611,11 @@ def render_exp_polynomial(f: ExpPolynomial) -> str:
 
 
 def exp_polynomial_to_json(f: ExpPolynomial) -> dict:
-    return {
-        "prefix": [str(v) for v in f.prefix],
-        "terms": [
-            {"poly": [str(c) for c in t.poly.coeffs], "base": str(t.base)}
-            for t in f.terms
-        ],
-        "quad_terms": [
-            {
-                "p": [str(c) for c in t.p.coeffs],
-                "q": [str(c) for c in t.q.coeffs],
-                "beta": str(t.beta),
-                "gamma": str(t.gamma),
-            }
-            for t in f.quad_terms
-        ],
-    }
+    terms, pairs = [], []
+    for key, polys in f.terms.items():
+        texts = [[str(c) for c in poly] for poly in polys]
+        if len(polys) == 1:
+            terms.append({"poly": texts[0], "base": str(key)})
+        else:
+            pairs.append({"p": texts[0], "q": texts[1], "beta": str(key[0]), "gamma": str(key[1])})
+    return {"prefix": [str(v) for v in f.prefix], "terms": terms, "quad_terms": pairs}

@@ -100,10 +100,9 @@ def _identically_zero(ep) -> bool:
     zero and the tail vanishes on more consecutive indices than the dimension
     of the sequence space its terms span."""
     bound = len(ep.prefix) + 2
-    for t in ep.terms:
-        bound += t.poly.degree + 1
-    for qt in ep.quad_terms:
-        bound += qt.p.degree + qt.q.degree + 4
+    for polys in ep.terms.values():
+        # a base: deg P + 1; a pair: (deg p + 1) + (deg q + 1) + 2
+        bound += sum(map(len, polys)) + 2 * (len(polys) - 1)
     return all(sp.cancel(ep_value_symbolic(ep, n).e) == 0 for n in range(bound))
 
 

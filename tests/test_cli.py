@@ -7,6 +7,7 @@ environment variable, and a round trip over the packaged program corpus.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -866,6 +867,12 @@ def test_console_script_version():
         [sys.executable, "-m", "probsens", "--version"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("name", ["probsens", "probsens.polys", "probsens.sensitivity", "probsens.solver"])
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_cli_import_loads_no_scipy():

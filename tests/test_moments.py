@@ -168,23 +168,30 @@ def test_fresh_draw_products_use_independence():
 # ---------------------------------------------------------------------------
 
 
+def _indicator_context(text, draws):
+    """A context whose loop body first sets y to the indicator of the guard
+    ``text`` and only then redraws each variable of ``draws`` (a map from
+    name to distribution), so E[y] after one pass is the guard's truth
+    polynomial over the pre-pass values."""
+    init = "".join(f"{v} = 0\n" for v in draws)
+    redraws = "".join(f"    {v} = {draw}\n" for v, draw in draws.items())
+    return ctx_of(
+        f"{init}y = 0\nwhile true:\n"
+        f"    if {text}:\n        y = 1\n    else:\n        y = 0\n    end\n"
+        f"{redraws}end\n"
+    )
+
+
 def test_truth_polynomial_matches_condition_pointwise():
-    src = "x = 0\nd = 0\nwhile true:\n    x = DiscreteUniform(0, 4)\n    d = DiscreteUniform(1, 3)\nend\n"
-    ctx = ctx_of(src)
-    conds = [
-        parse_guard("x < 3"),
-        parse_guard("x == 2"),
-        parse_guard("x != 0"),
-        parse_guard("x >= d"),
-        parse_guard("x < 2 or d == 3"),
-        parse_guard("not (x > 1 and d < 3)"),
-    ]
-    for cond in conds:
-        poly = ctx.truth_polynomial(cond)
+    draws = {"x": "DiscreteUniform(0, 4)", "d": "DiscreteUniform(1, 3)"}
+    conds = ["x < 3", "x == 2", "x != 0", "x >= d", "x < 2 or d == 3", "not (x > 1 and d < 3)"]
+    for text in conds:
+        cond = parse_guard(text)
+        poly = _indicator_context(text, draws).recurrence(VarMonomial.var("y"))
         for xv in range(0, 5):
             for dv in range(1, 4):
                 state = {"x": F(xv), "d": F(dv)}
-                assert poly.eval_with_params(state, {}) == (1 if bexpr_eval(cond, state) else 0), str(cond)
+                assert poly.eval_with_params(state, {}) == (1 if bexpr_eval(cond, state) else 0), text
 
 
 def parse_guard(text):
@@ -198,20 +205,11 @@ def parse_guard(text):
 
 
 def test_guard_indicators_are_idempotent():
-    src = "x = 0\nwhile true:\n    x = DiscreteUniform(0, 4)\nend\n"
-    ctx = ctx_of(src)
-    tr = ctx.truth_polynomial(parse_guard_simple("x < 3", "x", "DiscreteUniform(0, 4)"))
+    ctx = _indicator_context("x < 3", {"x": "DiscreteUniform(0, 4)"})
+    tr = ctx.recurrence(VarMonomial.var("y"))
     assert ctx.reduce(tr * tr) == tr
     complement = PolyExpr.const(F(1)) - tr
     assert ctx.reduce(tr * complement) == PolyExpr.zero()
-
-
-def parse_guard_simple(text, var, draw):
-    prog = parse(
-        f"{var} = 0\ny = 0\nwhile true:\n    {var} = {draw}\n"
-        f"    if {text}:\n        y = 1\n    end\nend\n"
-    )
-    return prog.body[-1].branches[0][0]
 
 
 def test_power_reduction_is_pointwise_exact():

@@ -2,14 +2,17 @@
 equation counts on the benchmark loops, and agreement between the two
 analysis paths."""
 
+import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from probsens.dependency import classify
 from probsens.errors import (
     ClassificationError,
     EquationCapError,
@@ -28,7 +31,7 @@ from probsens.sensitivity import (
     sensitivity_recurrence,
     sensitivity_system,
 )
-from probsens.symbolic import ParamExpr, ep_eval, pe
+from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic, pe
 from probsens.syntax import VarMonomial
 
 from test_dependency import MIXED, MIXED_TAINTED, _coin_program
@@ -375,6 +378,37 @@ def test_cross_method_agreement_epidemic_random_probes(vals, n):
     except SingularParameterError:
         assume(False)
     assert a == b
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "probsens" / "benchmarks"
+
+
+def _admissible_manifest_triples():
+    """Every (program, target, parameter) of the manifest whose program is
+    admissible for the parameter, less those whose rows expect the cap."""
+    rows = json.loads((CORPUS / "manifest.json").read_text())["rows"]
+    capped = {(r["program"], r["target"], r["wrt"]) for r in rows if r.get("expect_status") == "cap"}
+    out = []
+    for program, target, wrt in sorted({(r["program"], r["target"], r["wrt"]) for r in rows} - capped):
+        np_ = norm((CORPUS / program).read_text(), name=program)
+        if classify(np_, wrt).admissible:
+            out.append((np_, program, target, wrt))
+    return out
+
+
+def test_both_methods_give_the_same_closed_form_on_the_manifest():
+    # an exact comparison: equal term maps (terms may be met in another
+    # order) and equal values up to the later start of the two
+    triples = _admissible_manifest_triples()
+    assert len(triples) == 25
+    for np_, program, target, wrt in triples:
+        diff, rec = (
+            parameter_sensitivity(np_, mono(target), wrt, method=method).closed_form
+            for method in ("diff", "sensrec")
+        )
+        assert diff.terms == rec.terms, (program, target, wrt)
+        for n in range(max(diff.start, rec.start) + 1):
+            assert ep_value_symbolic(diff, n) == ep_value_symbolic(rec, n), (program, target, wrt, n)
 
 
 def test_solved_sensitivity_matches_finite_differences():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 
@@ -21,12 +21,11 @@ from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import sensitivity_system
 from probsens.solver import ForwardIterator, factor_charpoly, solve_system
 from probsens.symbolic import (
-    CounterPoly,
     ExpPolynomial,
-    ExpTerm,
     ParamExpr,
     ep_diff,
     ep_eval,
+    ep_make,
     ep_value_symbolic,
     exp_polynomial_to_json,
     from_sympy,
@@ -139,7 +138,7 @@ def test_irreducible_quadratic_block():
     for n in range(13):
         assert ep_value_symbolic(solved["u"], n) == rows[n]["u"]
         assert ep_value_symbolic(solved["v"], n) == rows[n]["v"]
-    assert solved["u"].quad_terms
+    assert any(len(polys) == 2 for polys in solved["u"].terms.values())
 
 
 def test_unsupported_cubic_factor():
@@ -285,7 +284,7 @@ def test_two_parametric_eigenvalues_in_one_block():
     solved = solve_system(eqs, init)
     rows = iterate(eqs, init, 12)
     for s in eqs:
-        assert [str(t.base) for t in solved[s].terms] == ["-a", "1"]
+        assert [str(base) for base in solved[s].terms] == ["-a", "1"]
         for n in range(13):
             assert ep_value_symbolic(solved[s], n) == rows[n][s], (s, n)
     assert render_exp_polynomial(solved["u"]) == "(a/(a + 1))*(-a)**n + 1/(a + 1)"
@@ -504,14 +503,14 @@ def _spoil_before_the_check(monkeypatch, target, spoil) -> None:
 
 
 def _with_spurious_term(closed):
-    extra = ExpTerm(CounterPoly.const(1), pe(3))  # no system has the base 3
-    return ExpPolynomial(closed.prefix, (*closed.terms, extra), closed.quad_terms)
+    # no system has the base 3
+    return ep_make(closed.prefix, {**closed.terms, pe(3): ([pe(1)],)})
 
 
 def _with_own_power_added(closed):
-    first, *rest = closed.terms
-    poly = first.poly + CounterPoly.const(1)
-    return ExpPolynomial(closed.prefix, (ExpTerm(poly, first.base), *rest), closed.quad_terms)
+    first, *rest = closed.terms.items()
+    base, (poly,) = first
+    return ep_make(closed.prefix, dict([(base, ([poly[0] + 1, *poly[1:]],)), *rest]))
 
 
 @pytest.mark.parametrize("system", CHECKED_SYSTEMS, ids=CHECKED_SYSTEMS.keys())
@@ -609,6 +608,7 @@ _COEFFICIENT = st.builds(
     late=st.booleans(),
     start=_COEFFICIENT,
 )
+@example(self_terms=[pe(Fraction(1, 2))], cancel=False, forcing="same", late=False, start=pe(1))
 def test_one_symbol_shortcut_matches_the_general_path(self_terms, cancel, forcing, late, start):
     # u(n+1) = (sum of self_terms) * u(n) + v(n).  v is geometric with
     # ratio u's own self-coefficient a ("same", which merges into an
@@ -654,10 +654,10 @@ def test_one_symbol_shortcut_matches_the_general_path(self_terms, cancel, forcin
     if "v" in eqs and late:
         assert shortcut["u"].start >= 1
     if forcing == "same" and not a.is_zero and not late:
-        (term,) = shortcut["u"].terms
-        assert term.base == a and term.poly.degree == 1  # (c0 + c1*n) * a**n
+        ((base, (poly,)),) = shortcut["u"].terms.items()
+        assert base == a and len(poly) == 2  # (c0 + c1*n) * a**n
     if forcing == "pair":
-        assert shortcut["u"].quad_terms
+        assert any(len(polys) == 2 for polys in shortcut["u"].terms.values())
 
 
 def _bimodal_sensitivity_system():

@@ -19,14 +19,12 @@ from probsens.normalize import normalize
 from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import parameter_sensitivity
 from probsens.symbolic import (
-    CounterPoly,
     ExpPolynomial,
-    ExpTerm,
     ParamExpr,
-    QuadTerm,
     ep_add,
     ep_diff,
     ep_eval,
+    ep_make,
     ep_scale,
     ep_value_symbolic,
     pe,
@@ -426,10 +424,9 @@ def _coefficients(result):
     system, closed = result.system, result.closed_form
     out = [c for rec in system.equations.values() for c, _ in rec.terms]
     out += [c for c, _ in system.combination] + list(closed.prefix)
-    for t in closed.terms:
-        out += [*t.poly.coeffs, t.base]
-    for qt in closed.quad_terms:
-        out += [*qt.p.coeffs, *qt.q.coeffs, qt.beta, qt.gamma]
+    for key, polys in closed.terms.items():
+        out += [c for poly in polys for c in poly]
+        out += list(key) if len(polys) == 2 else [key]
     return out
 
 
@@ -456,26 +453,35 @@ def test_printing_matches_sympy_on_manifest_rows(program, target, wrt, method):
 
 
 # ---------------------------------------------------------------------------
-# CounterPoly
+# Exponential polynomials: the term map, evaluation, combination
 # ---------------------------------------------------------------------------
 
 
-def test_counter_poly():
-    f = CounterPoly.make([1, P, Fraction(1, 2)])  # 1 + p*n + n^2/2
-    assert f.degree == 2
-    assert f.evaluate(3, lambda c: c.eval_fraction({"p": Fraction(2)})) == 1 + 6 + Fraction(9, 2)
-    assert f.shift_up().degree == 3
-    assert f.diff_param("p") == CounterPoly.make([0, 1])
-    assert (f + f.scale(-1)).is_zero
+def _n(*coeffs) -> list:
+    """A polynomial in n from its coefficients, lowest degree first."""
+    return [pe(c) for c in coeffs]
 
 
-# ---------------------------------------------------------------------------
-# Exponential polynomials: evaluation, combination
-# ---------------------------------------------------------------------------
+def test_term_map_trims_evaluates_differentiates_and_adds():
+    one, two = pe(1), pe(2)
+    pair = (one, one)
+    f = ep_make((), {pair: (_n(0), _n(1, 0)), two: (_n(1, P, Fraction(1, 2), 0, 0),), P: (_n(0, 0),)})
+    # 1 + p*n + n**2/2 times 2**n, then the pair: trailing zeros trimmed,
+    # the zero term dropped, bases before pairs
+    assert f.terms == {two: (tuple(_n(1, P, Fraction(1, 2))),), pair: ((), (one,))}
+    assert list(f.terms) == [two, pair]
+    lucas = [2, 1, 3, 4, 7]
+    assert ep_eval(f, {"p": Fraction(2)}, 3) == (1 + 6 + Fraction(9, 2)) * 8 + lucas[4]
+    assert ep_diff(f, "p").terms == {two: (tuple(_n(0, 1)),)}
+    g = ep_make((), {P: (_n(1),)})  # p**n: its derivative brings down n/p
+    assert ep_diff(g, "p").terms == {P: ((pe(0), 1 / P),)}
+    assert ep_add(f, ep_scale(f, -1)).is_zero
+    assert ep_add(f, ep_scale(f, -1)).terms == {}
+    assert ep_add(g, f).terms == {P: ((one,),), **f.terms}
 
 
 def _geo(base, coeff=1) -> ExpPolynomial:
-    return ExpPolynomial(terms=(ExpTerm(CounterPoly.const(coeff), pe(base)),))
+    return ep_make((), {pe(base): (_n(coeff),)})
 
 
 def test_ep_eval_exponential():
@@ -485,10 +491,7 @@ def test_ep_eval_exponential():
 
 
 def test_ep_eval_with_prefix():
-    f = ExpPolynomial(
-        prefix=(pe(7), pe(9)),
-        terms=(ExpTerm(CounterPoly.make([0, 1]), pe(2)),),  # n * 2^n from n=2
-    )
+    f = ep_make((pe(7), pe(9)), {pe(2): (_n(0, 1),)})  # n * 2^n from n=2
     assert ep_eval(f, {}, 0) == 7
     assert ep_eval(f, {}, 1) == 9
     assert ep_eval(f, {}, 2) == 8
@@ -497,14 +500,14 @@ def test_ep_eval_with_prefix():
 
 def test_ep_eval_quad_term_matches_root_power_sum():
     # s(n) for x^2 - x - 1 (beta=1, gamma=1) is the Lucas sequence
-    f = ExpPolynomial(quad_terms=(QuadTerm(CounterPoly.const(1), CounterPoly(()), pe(1), pe(1)),))
+    f = ep_make((), {(pe(1), pe(1)): (_n(1), ())})
     lucas = [2, 1, 3, 4, 7, 11, 18, 29]
     for n, want in enumerate(lucas):
         assert ep_eval(f, {}, n) == want
 
 
 def test_ep_add_aligns_prefixes():
-    f = ExpPolynomial(prefix=(pe(1),), terms=(ExpTerm(CounterPoly.const(1), pe(2)),))
+    f = ep_make((pe(1),), {pe(2): (_n(1),)})
     g = _geo(3)
     h = ep_add(f, g)
     for n in range(6):
@@ -533,7 +536,7 @@ def test_adding_a_zero_prefix_preserves_values():
 
 
 def test_ep_value_symbolic():
-    f = ExpPolynomial(terms=(ExpTerm(CounterPoly.const(P**2), pe(2)),))
+    f = ep_make((), {pe(2): ([P**2],)})
     assert ep_value_symbolic(f, 3) == 8 * P**2
 
 
@@ -542,29 +545,22 @@ def _random_coeff(rng: random.Random) -> ParamExpr:
     return c / (P + rng.randint(1, 3)) if rng.random() < 0.3 else c
 
 
-def _random_counter_poly(rng: random.Random) -> CounterPoly:
-    return CounterPoly.make([_random_coeff(rng) for _ in range(rng.randint(1, 3))])
+def _random_counter_poly(rng: random.Random) -> list:
+    return [_random_coeff(rng) for _ in range(rng.randint(1, 3))]
 
 
 def _random_closed_form(rng: random.Random) -> ExpPolynomial:
     prefix = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 3)))
-    terms = []
+    terms = {}
     for _ in range(rng.randint(0, 3)):
         base = pe(Fraction(rng.randint(1, 4), rng.randint(1, 3))) + P * rng.randint(0, 1)
-        terms.append(ExpTerm(_random_counter_poly(rng), base))
-    quad_terms = []
+        terms[base] = (_random_counter_poly(rng),)
     for _ in range(rng.randint(0, 2)):
         p_poly, q_poly = _random_counter_poly(rng), _random_counter_poly(rng)
         shape = rng.choice(["p", "q", "both"])
-        quad_terms.append(
-            QuadTerm(
-                p_poly if shape != "q" else CounterPoly(()),
-                q_poly if shape != "p" else CounterPoly(()),
-                P + rng.randint(-2, 2),
-                pe(rng.randint(1, 3)) + Q,
-            )
-        )
-    return ExpPolynomial(prefix, tuple(terms), tuple(quad_terms))
+        pair = (P + rng.randint(-2, 2), pe(rng.randint(1, 3)) + Q)
+        terms[pair] = (p_poly if shape != "q" else [], q_poly if shape != "p" else [])
+    return ep_make(prefix, terms)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -577,7 +573,7 @@ def test_ep_eval_agrees_with_ep_value_symbolic(seed):
 
 
 def test_ep_eval_names_the_first_unassigned_coefficient():
-    f = ExpPolynomial(terms=(ExpTerm(CounterPoly.make([Q, P]), pe(1)),))  # q + p*n
+    f = ep_make((), {pe(1): ([Q, P],)})  # q + p*n
     with pytest.raises(ValueError, match=r"^unassigned parameter\(s\): q$"):
         ep_eval(f, {}, 3)
 
@@ -589,12 +585,9 @@ def test_ep_eval_names_the_first_unassigned_coefficient():
 
 def test_ep_diff_simple_coefficient():
     # d/dp [p^2 * 2^n] = 2p * 2^n
-    f = ExpPolynomial(terms=(ExpTerm(CounterPoly.const(P**2), pe(2)),))
+    f = ep_make((), {pe(2): ([P**2],)})
     g = ep_diff(f, "p")
-    assert len(g.terms) == 1
-    assert g.terms[0].base == ParamExpr(2)
-    assert g.terms[0].poly == CounterPoly.const(2 * P)
-    assert not g.quad_terms
+    assert g.terms == {ParamExpr(2): ((2 * P,),)}  # one term, and no pair
 
 
 def test_ep_diff_base_brings_down_n():
@@ -608,7 +601,7 @@ def test_ep_diff_base_brings_down_n():
 
 
 def test_ep_diff_parameter_free_is_zero():
-    f = ExpPolynomial(prefix=(pe(1),), terms=(ExpTerm(CounterPoly.make([1, 2]), pe(3)),))
+    f = ep_make((pe(1),), {pe(3): (_n(1, 2),)})
     assert ep_diff(f, "p").is_zero
 
 
@@ -628,46 +621,30 @@ def _fd_check(f: ExpPolynomial, param: str, sigma_base: dict, ns=range(0, 8)):
 
 
 def test_ep_diff_matches_finite_differences_exp_terms():
-    f = ExpPolynomial(
-        prefix=(P * P,),
-        terms=(
-            ExpTerm(CounterPoly.make([1, P]), P + 1),
-            ExpTerm(CounterPoly.const(P**2), pe(Fraction(1, 2))),
-        ),
-    )
+    f = ep_make((P * P,), {P + 1: ([pe(1), P],), pe(Fraction(1, 2)): ([P**2],)})
     _fd_check(f, "p", {"p": Fraction(2, 5)})
 
 
 def test_ep_diff_matches_finite_differences_quad_terms():
     # beta and gamma both depend on p
-    f = ExpPolynomial(
-        quad_terms=(
-            QuadTerm(CounterPoly.make([1, P]), CounterPoly.const(P), P, P + 1),
-        ),
-    )
+    f = ep_make((), {(P, P + 1): ([pe(1), P], [P])})
     _fd_check(f, "p", {"p": Fraction(1, 3)})
 
 
 def test_ep_diff_matches_finite_differences_quad_gamma_only():
     # beta parameter-free, gamma depends on p
-    f = ExpPolynomial(
-        quad_terms=(QuadTerm(CounterPoly.const(1), CounterPoly(()), pe(1), P),),
-    )
+    f = ep_make((), {(pe(1), P): (_n(1), ())})
     _fd_check(f, "p", {"p": Fraction(3, 7)})
 
 
 def test_ep_diff_matches_finite_differences_mixed():
-    f = ExpPolynomial(
-        prefix=(pe(0), P),
-        terms=(ExpTerm(CounterPoly.const(P), 2 * P),),
-        quad_terms=(QuadTerm(CounterPoly.const(P**2), CounterPoly.const(1), P + 1, P),),
-    )
+    f = ep_make((pe(0), P), {2 * P: ([P],), (P + 1, P): ([P**2], _n(1))})
     _fd_check(f, "p", {"p": Fraction(2, 7)})
 
 
 def test_ep_diff_linearity():
     f = _geo(P)
-    g = ExpPolynomial(quad_terms=(QuadTerm(CounterPoly.const(P), CounterPoly(()), P, pe(1)),))
+    g = ep_make((), {(P, pe(1)): ([P], ())})
     lhs = ep_diff(ep_add(f, g), "p")
     rhs = ep_add(ep_diff(f, "p"), ep_diff(g, "p"))
     for n in range(8):
@@ -675,7 +652,7 @@ def test_ep_diff_linearity():
 
 
 def test_ep_diff_prefix_is_differentiated():
-    f = ExpPolynomial(prefix=(P**3,), terms=(ExpTerm(CounterPoly.const(1), pe(2)),))
+    f = ep_make((P**3,), {pe(2): (_n(1),)})
     g = ep_diff(f, "p")
     assert ep_eval(g, {"p": Fraction(2)}, 0) == 12
     assert ep_eval(g, {"p": Fraction(2)}, 1) == 0
@@ -687,17 +664,14 @@ def test_ep_diff_prefix_is_differentiated():
 
 
 def test_render_mentions_prefix_and_terms():
-    f = ExpPolynomial(
-        prefix=(pe(0),),
-        terms=(ExpTerm(CounterPoly.const(P), pe(2)),),
-    )
+    f = ep_make((pe(0),), {pe(2): ([P],)})
     text = render_exp_polynomial(f)
     assert "2**n" in text
     assert "0" in text
 
 
 def test_render_quad_describes_recurrence():
-    f = ExpPolynomial(quad_terms=(QuadTerm(CounterPoly.const(1), CounterPoly(()), pe(1), pe(1)),))
+    f = ep_make((), {(pe(1), pe(1)): (_n(1), ())})
     text = render_exp_polynomial(f)
     assert "s[n]" in text
     assert "s[0] = 2" in text
