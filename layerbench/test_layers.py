@@ -64,7 +64,7 @@ def _program(name: str):
 
 def _sensitivity_system(name: str, target: str, wrt: str):
     system = sensitivity_system(MomentContext(_program(name)), parse_monomial(target), wrt)
-    equations = {s: rec.terms for s, rec in system.equations.items()}
+    equations = system.equations
     return system, equations
 
 

@@ -40,6 +40,7 @@ from .parser import parse, parse_monomial, validate
 from .sensitivity import (
     moment_closure,
     parameter_sensitivity,
+    render_recurrence,
     sensitivity_system,
 )
 from .symbolic import exp_polynomial_to_json, render_exp_polynomial, ep_eval
@@ -150,10 +151,10 @@ def _system_equations_json(system) -> list[dict]:
     return [
         {
             "lhs": sym.indexed("n+1"),
-            "terms": [{"coeff": str(c), "symbol": str(s)} for c, s in rec.terms],
-            "text": rec.render(),
+            "terms": [{"coeff": str(c), "symbol": str(s)} for c, s in terms],
+            "text": render_recurrence(sym, terms),
         }
-        for sym, rec in system.equations.items()
+        for sym, terms in system.equations.items()
         if not sym.is_constant
     ]
 

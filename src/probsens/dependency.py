@@ -200,9 +200,7 @@ def _compile(rhs, cap: int):
     return [_Choice(poly) for poly, _prob in rhs.choices]
 
 
-def variable_supports(
-    np: NormalizedProgram, cap: int = VALUE_SET_CAP, point_cap: int = _POINT_CAP
-) -> dict[str, Support]:
+def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
     """Forward value-set fixpoint: variable -> finite set of values, or None.
 
     The empty set marks a variable that is never given a value before being
@@ -212,12 +210,12 @@ def variable_supports(
     Supports are ordered by inclusion, with None ("not finite") on top.  One
     assignment joins into its target the values of its right-hand side over
     the product of the supports it reads, and the support of its kept value;
-    the target becomes None past ``cap`` values, and a choice gives None at a
-    parameter coefficient, at a read variable that is None or past
-    ``point_cap`` value combinations.  Each such step is a union that is
-    monotone in the supports, and a support grows to at most ``cap`` values
-    before it turns None, so every fair order of steps reaches the same least
-    fixpoint above the initial values.  This one is semi-naive: a choice
+    the target becomes None past ``VALUE_SET_CAP`` values, and a choice gives
+    None at a parameter coefficient, at a read variable that is None or past
+    ``_POINT_CAP`` value combinations.  Each such step is a union that is
+    monotone in the supports, and a support grows to at most
+    ``VALUE_SET_CAP`` values before it turns None, so every fair order of
+    steps reaches the same least fixpoint above the initial values.  This one is semi-naive: a choice
     polynomial is evaluated only on the combinations that hold a value it has
     not seen, because all the others were joined in before.
     """
@@ -237,7 +235,7 @@ def variable_supports(
                 members[t].add(x)
                 supports[t].append(x)
                 grew = True
-        if len(supports[t]) > cap:
+        if len(supports[t]) > VALUE_SET_CAP:
             supports[t] = None
         return grew
 
@@ -249,14 +247,14 @@ def variable_supports(
             for choice in rhs:
                 if supports[t] is None:
                     break
-                grew |= join(t, choice.new_values(supports, cap, point_cap))
+                grew |= join(t, choice.new_values(supports, VALUE_SET_CAP, _POINT_CAP))
         if else_source is not None:
             grew |= join(t, supports[else_source])
         return grew
 
     for v, rhs in np.init:
-        assign(v, _compile(rhs, cap))
-    body = [(ga.target, _compile(ga.rhs, cap), ga.else_source) for ga in np.body]
+        assign(v, _compile(rhs, VALUE_SET_CAP))
+    body = [(ga.target, _compile(ga.rhs, VALUE_SET_CAP), ga.else_source) for ga in np.body]
     grew = True
     while grew:
         grew = False
@@ -264,11 +262,6 @@ def variable_supports(
             if supports[t] is not None:
                 grew |= assign(t, rhs, else_source)
     return {v: None if s is None else frozenset(s) for v, s in supports.items()}
-
-
-def finite_valued(np: NormalizedProgram, cap: int = VALUE_SET_CAP) -> frozenset[str]:
-    """Variables whose value sets stay finite (sound under-approximation)."""
-    return frozenset(v for v, s in variable_supports(np, cap=cap).items() if s is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +517,8 @@ def classify(
     :func:`variable_supports`) are computed here unless the caller has them."""
     graph = graph if graph is not None else build_graph(np)
     if supports is None:
-        finite = finite_valued(np)
-    else:
-        finite = frozenset(v for v, s in supports.items() if s is not None)
+        supports = variable_supports(np)
+    finite = frozenset(v for v, s in supports.items() if s is not None)
     guard_vars = sorted(
         frozenset().union(*(bexpr_vars(ga.guard) for ga in np.body), frozenset())
     )

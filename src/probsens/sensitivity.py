@@ -14,8 +14,9 @@ recurrence for the sensitivity itself,
 and two pruning rules keep the resulting system small — a moment E[W_i] is
 only needed when its coefficient actually depends on p, and a sensitivity
 d/dp E[W_i] is identically zero (hence droppable) when no variable of W_i is
-p-dependent.  The worklist closes over the surviving symbols: first every
-required sensitivity, then every required moment.
+p-dependent.  One worklist closes over the surviving symbols: every required
+sensitivity first, then every required moment, each kind smallest monomial
+first.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from .symbolic import (
 from .syntax import PolyExpr, VarMonomial
 
 __all__ = [
-    "Recurrence",
     "RecurrenceSystem",
     "SensitivityResult",
     "SequenceSymbol",
     "moment_closure",
     "parameter_sensitivity",
+    "render_recurrence",
     "sensitivity_recurrence",
     "sensitivity_system",
 ]
@@ -96,37 +97,23 @@ class SequenceSymbol:
 MOMENT_ONE = SequenceSymbol.moment(VarMonomial.one())
 
 
-@dataclass(frozen=True)
-class Recurrence:
-    """``lhs(n+1) = sum of coeff * symbol(n)`` with pairwise-distinct symbols.
+Terms = tuple[tuple[ParamExpr, SequenceSymbol], ...]
 
-    The constant contribution rides on the designated symbol E(1)."""
 
-    lhs: SequenceSymbol
-    terms: tuple[tuple[ParamExpr, SequenceSymbol], ...]
-
-    def coefficient(self, symbol: SequenceSymbol) -> ParamExpr:
-        for c, s in self.terms:
-            if s == symbol:
-                return c
-        return ParamExpr.zero()
-
-    def render(self) -> str:
-        """The equation as text."""
-        parts = []
-        for c, s in self.terms:
-            if s.is_constant:
-                text = str(c)
-                parts.append(text if not (" + " in text or " - " in text) else f"({text})")
-            elif c.is_one:
-                parts.append(s.indexed("n"))
-            else:
-                parts.append(f"{_paren(str(c))}*{s.indexed('n')}")
-        rhs = " + ".join(parts) if parts else "0"
-        return f"{self.lhs.indexed('n+1')} = {rhs}"
-
-    def __str__(self) -> str:
-        return self.render()
+def render_recurrence(lhs: SequenceSymbol, terms: Terms) -> str:
+    """``lhs(n+1) = sum of coeff * symbol(n)`` as text; the constant
+    contribution rides on the designated symbol E(1)."""
+    parts = []
+    for c, s in terms:
+        if s.is_constant:
+            text = str(c)
+            parts.append(text if not (" + " in text or " - " in text) else f"({text})")
+        elif c.is_one:
+            parts.append(s.indexed("n"))
+        else:
+            parts.append(f"{_paren(str(c))}*{s.indexed('n')}")
+    rhs = " + ".join(parts) if parts else "0"
+    return f"{lhs.indexed('n+1')} = {rhs}"
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +126,8 @@ class RecurrenceSystem:
     """A closed linear system over sequence symbols, plus how the quantity of
     interest decomposes over them.
 
+    ``equations`` maps each symbol s to the terms of s(n+1) = sum of
+    coeff * symbol(n), the map :func:`solve_system` takes.
     ``combination`` expresses the target sequence as a linear combination of
     system symbols (after canonicalization a single monomial can spread over
     several); it is empty exactly when the target is identically zero.
@@ -147,18 +136,14 @@ class RecurrenceSystem:
 
     target: VarMonomial
     parameter: Optional[str]
-    combination: tuple[tuple[ParamExpr, SequenceSymbol], ...]
-    equations: dict[SequenceSymbol, Recurrence]
+    combination: Terms
+    equations: dict[SequenceSymbol, Terms]
     initials: dict[SequenceSymbol, ParamExpr]
 
     @property
     def size(self) -> int:
         """Number of equations, not counting the constant sequence E(1)."""
         return sum(1 for s in self.equations if not s.is_constant)
-
-    @property
-    def symbols(self) -> tuple[SequenceSymbol, ...]:
-        return tuple(self.equations)
 
     def monomials(self, kind: str) -> tuple[VarMonomial, ...]:
         """The monomials carried by this system's 'moment' or 'sensitivity'
@@ -170,20 +155,15 @@ class RecurrenceSystem:
             if s.is_moment == want_moment and not s.is_constant
         )
 
-    def initial(self, symbol: SequenceSymbol) -> ParamExpr:
-        return self.initials[symbol]
-
     def iterate(
         self, steps: int, values: Optional[Mapping[str, Fraction]] = None
     ) -> list[dict]:
         """Rows 0..steps of every sequence, by exact forward iteration —
         symbolically when ``values`` is None, else as Fractions."""
-        equations = {s: rec.terms for s, rec in self.equations.items()}
-        return ForwardIterator(equations, self.initials, values).rows(steps)
+        return ForwardIterator(self.equations, self.initials, values).rows(steps)
 
     def solve(self) -> dict[SequenceSymbol, ExpPolynomial]:
-        equations = {s: rec.terms for s, rec in self.equations.items()}
-        return solve_system(equations, self.initials)
+        return solve_system(self.equations, self.initials)
 
     def closed_form(self) -> ExpPolynomial:
         """Closed form of the target sequence."""
@@ -196,94 +176,13 @@ class RecurrenceSystem:
         return acc
 
     def render(self) -> str:
-        return "\n".join(rec.render() for s, rec in self.equations.items() if not s.is_constant)
-
-
-# ---------------------------------------------------------------------------
-# Moment closure (shared by the differentiation path and the sensitivity path)
-# ---------------------------------------------------------------------------
-
-
-def _monomial_heap_push(heap: list, queued: set, monomial: VarMonomial) -> None:
-    if monomial not in queued and not monomial.is_one:
-        heappush(heap, (monomial.deglex_key, monomial))
-        queued.add(monomial)
-
-
-def _cap_guard(cap: int, equations: dict, pending: int) -> None:
-    """Raise once the system cannot fit: every one of the ``pending`` queued
-    monomials still gets an equation of its own."""
-    if len(equations) + pending > cap:
-        recent = list(equations)[-5:]
-        raise EquationCapError(
-            cap, len(equations) + pending, tuple(str(s) for s in recent)
+        return "\n".join(
+            render_recurrence(s, terms) for s, terms in self.equations.items() if not s.is_constant
         )
 
 
-def _close_moments(
-    ctx: MomentContext, heap: list, queued: set, equations: dict, cap: int
-) -> None:
-    """Add the moment recurrence of every queued monomial, and of every
-    monomial those recurrences mention, smallest monomial first."""
-    while heap:
-        _, mono = heappop(heap)
-        _cap_guard(cap, equations, len(heap) + 1)
-        rhs = ctx.recurrence(mono)
-        sym = SequenceSymbol.moment(mono)
-        equations[sym] = Recurrence(
-            sym, tuple((c, SequenceSymbol.moment(m)) for m, c in rhs.terms)
-        )
-        for m, _ in rhs.terms:
-            _monomial_heap_push(heap, queued, m)
-
-
-def moment_closure(
-    program, target: VarMonomial, cap: int = DEFAULT_EQUATION_CAP
-) -> RecurrenceSystem:
-    """The self-contained system of moment recurrences a target needs,
-    worklist-assembled smallest-monomial-first."""
-    ctx = _as_context(program)
-    target_poly = ctx.reduce(PolyExpr.monomial(target))
-
-    heap: list = []
-    queued: set = set()
-    combination = []
-    for mono, c in target_poly.terms:
-        combination.append((c, SequenceSymbol.moment(mono)))
-        _monomial_heap_push(heap, queued, mono)
-
-    equations: dict[SequenceSymbol, Recurrence] = {}
-    _close_moments(ctx, heap, queued, equations, cap)
-    return _finish_system(ctx, target, None, tuple(combination), equations)
-
-
-def _finish_system(ctx, target, parameter, combination, equations) -> RecurrenceSystem:
-    """Close over E(1) where referenced and attach exact initial values."""
-    referenced_one = any(
-        t.is_constant for rec in equations.values() for _, t in rec.terms
-    ) or any(s.is_constant for _, s in combination)
-    if referenced_one and MOMENT_ONE not in equations:
-        equations[MOMENT_ONE] = Recurrence(MOMENT_ONE, ((ParamExpr.one(), MOMENT_ONE),))
-
-    initials: dict[SequenceSymbol, ParamExpr] = {}
-    for s in equations:
-        if s.is_constant:
-            initials[s] = ParamExpr.one()
-        elif s.is_moment:
-            initials[s] = ctx.initial(s.monomial)
-        else:
-            initials[s] = ctx.derivative(ctx.initial(s.monomial), s.param)
-    return RecurrenceSystem(
-        target=target,
-        parameter=parameter,
-        combination=combination,
-        equations=equations,
-        initials=initials,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Sensitivity recurrences
+# Recurrences and their assembly
 # ---------------------------------------------------------------------------
 
 
@@ -293,9 +192,9 @@ def sensitivity_recurrence(
     monomial: VarMonomial,
     param: str,
     debug: bool = False,
-) -> Recurrence:
-    """One-step recurrence for d/dp E[monomial]: differentiate the moment
-    recurrence term by term.
+) -> Terms:
+    """Terms of the one-step recurrence for d/dp E[monomial]: differentiate
+    the moment recurrence term by term.
 
     Two drops keep the system small: a moment term vanishes when its
     coefficient is constant in the parameter, and a sensitivity term vanishes
@@ -312,7 +211,91 @@ def sensitivity_recurrence(
             continue  # E(1) is constant; its derivative contributes nothing
         if debug or (pdep & mono.variables()):
             terms.append((coeff, SequenceSymbol.sensitivity(mono, param)))
-    return Recurrence(SequenceSymbol.sensitivity(monomial, param), tuple(terms))
+    return tuple(terms)
+
+
+def _cap_guard(cap: int, equations: dict, pending: int) -> None:
+    """Raise once the system cannot fit: every one of the ``pending`` queued
+    symbols still gets an equation of its own."""
+    if len(equations) + pending > cap:
+        recent = list(equations)[-5:]
+        raise EquationCapError(
+            cap, len(equations) + pending, tuple(str(s) for s in recent)
+        )
+
+
+def _assemble(
+    ctx: MomentContext,
+    target: VarMonomial,
+    param: Optional[str],
+    cap: int,
+    debug: bool = False,
+) -> RecurrenceSystem:
+    """Worklist assembly of the system for E[target] (``param`` None) or for
+    d/dp E[target].
+
+    One heap pops every sensitivity before every moment, each kind smallest
+    monomial first (degree, then lexicographic), so assembly order is
+    deterministic; a sensitivity recurrence queues both kinds, a moment
+    recurrence only moments.  E(1) gets its trivial equation when referenced,
+    and every symbol gets its exact initial value."""
+    heap: list = []
+    queued: set = set()
+
+    def push(sym: SequenceSymbol) -> None:
+        if sym not in queued:
+            queued.add(sym)
+            if not sym.is_constant:
+                heappush(heap, (sym.is_moment, sym.monomial.deglex_key, sym))
+
+    if param is not None:
+        graph = ctx.graph
+        pdep = graph.p_dependent(param)
+    combination = []
+    for mono, c in ctx.reduce(PolyExpr.monomial(target)).terms:
+        if param is None:
+            sym = SequenceSymbol.moment(mono)
+        elif mono.is_one:
+            continue  # constant part of the target has zero derivative
+        elif not (debug or (pdep & mono.variables())):
+            continue  # p-independent part: sensitivity identically zero
+        else:
+            sym = SequenceSymbol.sensitivity(mono, param)
+        combination.append((c, sym))
+        push(sym)
+
+    equations: dict[SequenceSymbol, Terms] = {}
+    while heap:
+        sym = heappop(heap)[2]
+        _cap_guard(cap, equations, len(heap) + 1)
+        if sym.is_moment:
+            terms = tuple(
+                (c, SequenceSymbol.moment(m)) for m, c in ctx.recurrence(sym.monomial).terms
+            )
+        else:
+            terms = sensitivity_recurrence(ctx, graph, sym.monomial, param, debug=debug)
+        equations[sym] = terms
+        for _, s in terms:
+            push(s)
+    if MOMENT_ONE in queued:
+        equations[MOMENT_ONE] = ((ParamExpr.one(), MOMENT_ONE),)
+
+    initials: dict[SequenceSymbol, ParamExpr] = {}
+    for s in equations:
+        if s.is_constant:
+            initials[s] = ParamExpr.one()
+        elif s.is_moment:
+            initials[s] = ctx.initial(s.monomial)
+        else:
+            initials[s] = ctx.derivative(ctx.initial(s.monomial), s.param)
+    return RecurrenceSystem(target, param, tuple(combination), equations, initials)
+
+
+def moment_closure(
+    program, target: VarMonomial, cap: int = DEFAULT_EQUATION_CAP
+) -> RecurrenceSystem:
+    """The self-contained system of moment recurrences a target needs."""
+    return _assemble(_as_context(program), target, None, cap)
 
 
 def sensitivity_system(
@@ -323,15 +306,11 @@ def sensitivity_system(
     cap: int = DEFAULT_EQUATION_CAP,
     debug: bool = False,
 ) -> RecurrenceSystem:
-    """Worklist assembly of the sensitivity-recurrence system for
-    d/dp E[target].
+    """The sensitivity-recurrence system for d/dp E[target].
 
     Requires the program to pass the dependency-graph criteria (or be
     admissible outright); a p-independent target yields the empty system,
-    whose closed form is identically zero.  Sensitivities are closed over
-    first, then the moments they mention; both worklists pop the smallest
-    monomial first (degree, then lexicographic), so assembly order is
-    deterministic."""
+    whose closed form is identically zero."""
     ctx = _as_context(program)
     cls = ctx.classification(param)
     if not (cls.thm2_ok or cls.admissible):
@@ -340,38 +319,7 @@ def sensitivity_system(
             "a parameter-influenced dependency reaches a defective variable",
             cls.witnesses,
         )
-    graph = ctx.graph
-    pdep = graph.p_dependent(param)
-    target_poly = ctx.reduce(PolyExpr.monomial(target))
-
-    sens_heap: list = []
-    sens_queued: set = set()
-    combination = []
-    for mono, c in target_poly.terms:
-        if mono.is_one:
-            continue  # constant part of the target has zero derivative
-        if not (debug or (pdep & mono.variables())):
-            continue  # p-independent part: sensitivity identically zero
-        combination.append((c, SequenceSymbol.sensitivity(mono, param)))
-        _monomial_heap_push(sens_heap, sens_queued, mono)
-
-    equations: dict[SequenceSymbol, Recurrence] = {}
-    mom_heap: list = []
-    mom_queued: set = set()
-
-    while sens_heap:
-        _, mono = heappop(sens_heap)
-        _cap_guard(cap, equations, len(sens_heap) + 1 + len(mom_heap))
-        rec = sensitivity_recurrence(ctx, graph, mono, param, debug=debug)
-        equations[rec.lhs] = rec
-        for _, sym in rec.terms:
-            if sym.is_moment:
-                _monomial_heap_push(mom_heap, mom_queued, sym.monomial)
-            else:
-                _monomial_heap_push(sens_heap, sens_queued, sym.monomial)
-
-    _close_moments(ctx, mom_heap, mom_queued, equations, cap)
-    return _finish_system(ctx, target, param, tuple(combination), equations)
+    return _assemble(ctx, target, param, cap, debug)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +389,7 @@ def parameter_sensitivity(
             cls.witnesses,
         )
     elif target.variables().isdisjoint(cls.p_dependent):
-        system = _finish_system(ctx, target, None, (), {})
+        system = RecurrenceSystem(target, None, (), {}, {})
         closed = ep_zero()
     else:
         system = moment_closure(ctx, target, cap=cap)

@@ -125,12 +125,11 @@ def test_criterion_01_epidemic_moment_recurrences_and_closed_form():
         e_eff: {e_one: sp.Rational(3, 4) * vp, e_eff: d - d * vp},
     }
     for lhs, want in expected.items():
-        rec = system.equations[lhs]
-        got = {s: c.e for c, s in rec.terms}
+        got = {s: c.e for c, s in system.equations[lhs]}
         assert set(got) == set(want), (lhs, got)
         for s, coeff in want.items():
             assert sp.expand(got[s] - coeff) == 0, (lhs, s, got[s])
-        assert system.initial(lhs).is_zero
+        assert system.initials[lhs].is_zero
 
     for cp_v, vp_v, d_v in _probe_points():
         point = {"contact_param": cp_v, "vax_param": vp_v, "decline": d_v}

@@ -23,7 +23,7 @@ import probsens.errors as errors
 from probsens.cli import main
 from probsens.normalize import normalize
 from probsens.parser import parse, parse_monomial, validate
-from probsens.sensitivity import moment_closure, sensitivity_system
+from probsens.sensitivity import moment_closure, render_recurrence, sensitivity_system
 from probsens.syntax import program_to_source
 
 from test_dependency import _coin_program
@@ -534,17 +534,17 @@ def test_rendered_coefficients_match_their_str(runner, tmp_path, program, target
     np_ = normalize(parse(path.read_text(), name=path.name))
     mono = parse_monomial(target)
     system = sensitivity_system(np_, mono, wrt) if wrt else moment_closure(np_, mono)
-    equations = [rec for s, rec in system.equations.items() if not s.is_constant]
+    equations = [(s, terms) for s, terms in system.equations.items() if not s.is_constant]
 
     args = ["dump-recurrences", str(path), "--target", target, "--format", "json"]
     result = runner.invoke(main, args + (["--wrt", wrt] if wrt else []))
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)["equations"]
     assert len(report) == len(equations)
-    for eq, rec in zip(report, equations):
-        assert [t["coeff"] for t in eq["terms"]] == [str(c) for c, _ in rec.terms]
-        assert eq["text"] == rec.render()
-    assert system.render() == "\n".join(rec.render() for rec in equations)
+    for eq, (s, terms) in zip(report, equations):
+        assert [t["coeff"] for t in eq["terms"]] == [str(c) for c, _ in terms]
+        assert eq["text"] == render_recurrence(s, terms)
+    assert system.render() == "\n".join(render_recurrence(s, terms) for s, terms in equations)
 
 
 def test_dump_text_json_numeric_content_matches(runner):

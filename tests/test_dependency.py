@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import probsens.dependency as dependency
 from probsens.dependency import (
     VALUE_SET_CAP,
     _POINT_CAP,
     build_graph,
     classify,
-    finite_valued,
     variable_supports,
 )
 from probsens.normalize import normalize
@@ -192,7 +192,7 @@ def test_finite_value_sets_of_binary_state():
 
 def test_counter_is_not_finite():
     np_ = norm("x = 0\nwhile true:\n    x = x + 1\nend\n")
-    assert "x" not in finite_valued(np_)
+    assert variable_supports(np_)["x"] is None
 
 
 def test_bernoulli_complement_is_finite():
@@ -357,7 +357,10 @@ def test_supports_match_naive_fixpoint_on_random_programs(src):
     np_ = norm(src)
     assert variable_supports(np_) == _naive_supports(np_)
     # small caps, so that both give-up rules fire often
-    assert variable_supports(np_, 4, 9) == _naive_supports(np_, 4, 9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "VALUE_SET_CAP", 4)
+        mp.setattr(dependency, "_POINT_CAP", 9)
+        assert variable_supports(np_) == _naive_supports(np_, 4, 9)
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.prob")), ids=lambda p: p.stem)

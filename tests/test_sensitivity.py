@@ -24,7 +24,6 @@ from probsens.oracle import fd_sensitivity
 from probsens.parser import parse, parse_monomial
 from probsens.sensitivity import (
     MOMENT_ONE,
-    Recurrence,
     SequenceSymbol,
     moment_closure,
     parameter_sensitivity,
@@ -125,11 +124,11 @@ def test_sensitivity_recurrence_drops_parameter_free_coefficients():
     np_ = norm(MIXED)
     ctx = MomentContext(np_)
     graph = build_graph(np_)
-    rec = sensitivity_recurrence(ctx, graph, mono("u"), "p")
+    terms = sensitivity_recurrence(ctx, graph, mono("u"), "p")
     # E(u | n+1) = E(x) + p*E(y*z): the coefficient of E(x) is constant in p
     # and x itself is p-independent, so the x term vanishes entirely.
-    assert all("x" not in str(s.monomial) for _, s in rec.terms)
-    coeff = {str(s): c for c, s in rec.terms}
+    assert all("x" not in str(s.monomial) for _, s in terms)
+    coeff = {str(s): c for c, s in terms}
     assert coeff["E(y*z)"] == pe(1)
     assert coeff["d/dp E(y*z)"] == expr("p")
 
@@ -141,8 +140,8 @@ def test_sensitivity_recurrence_debug_keeps_everything():
     np_ = norm(MIXED)
     ctx = MomentContext(np_)
     graph = build_graph(np_)
-    rec = sensitivity_recurrence(ctx, graph, mono("u"), "p", debug=True)
-    names = {str(s) for _, s in rec.terms}
+    terms = sensitivity_recurrence(ctx, graph, mono("u"), "p", debug=True)
+    names = {str(s) for _, s in terms}
     assert "E(x)" in names and "d/dp E(x)" in names
     # but never a derivative of the constant sequence
     assert "d/dp E(1)" not in names
@@ -164,9 +163,8 @@ def test_mixed_u_system_is_exactly_nine_equations():
 
 def test_mixed_u_sensitivity_equation_coefficients():
     s = sensitivity_system(norm(MIXED), mono("u"), "p")
-    rec = s.equations[SequenceSymbol.sensitivity(mono("u"), "p")]
     got = {}
-    for c, sym in rec.terms:
+    for c, sym in s.equations[SequenceSymbol.sensitivity(mono("u"), "p")]:
         key = ("E(%s)" % sym.monomial) if sym.is_moment else ("S(%s)" % sym.monomial)
         got[key] = c
     assert got == {
@@ -253,10 +251,26 @@ def test_differentiation_path_requires_closing_moments():
         parameter_sensitivity(norm(MIXED), mono("u"), "p", method="diff")
 
 
-def test_equation_cap():
+# The full system has 12 equations: 4 sensitivities, then 8 moments.  The
+# count is what the worklist has assembled plus what it still holds queued,
+# moments queued by the sensitivities included.
+_Z1_SQ_FIRST = ("d/dp E(z1**2)", "d/dp E(cnt*z1)", "d/dp E(z1)", "d/dp E(cnt**2*z1)", "E(z1)")
+_CAP_ERRORS = [
+    *((cap, 6, _Z1_SQ_FIRST[:1]) for cap in range(1, 6)),
+    (6, 8, _Z1_SQ_FIRST[:2]),
+    (7, 8, _Z1_SQ_FIRST[:2]),
+    (8, 10, _Z1_SQ_FIRST),
+    (9, 10, _Z1_SQ_FIRST),
+    (10, 11, ("d/dp E(z1)", "d/dp E(cnt**2*z1)", "E(z1)", "E(cnt)", "E(cnt*z1)")),
+    (11, 12, ("E(z1)", "E(cnt)", "E(cnt*z1)", "E(cnt**2)", "E(z1**2)")),
+]
+
+
+@pytest.mark.parametrize("cap, count, last", _CAP_ERRORS, ids=[f"cap{row[0]}" for row in _CAP_ERRORS])
+def test_equation_cap(cap, count, last):
     with pytest.raises(EquationCapError) as exc:
-        sensitivity_system(norm(TRIPLE_CHAIN), mono("z1**2"), "p", cap=5)
-    assert exc.value.cap == 5
+        sensitivity_system(norm(TRIPLE_CHAIN), mono("z1**2"), "p", cap=cap)
+    assert (exc.value.cap, exc.value.count, exc.value.last_symbols) == (cap, count, last)
 
 
 def test_auto_dispatch():
@@ -445,12 +459,12 @@ def test_iterate_with_values_matches_symbolic():
 def test_initials_are_derivatives_of_moment_initials():
     ctx = MomentContext(norm(MIXED))
     s = sensitivity_system(ctx, mono("u"), "p")
-    for sym in s.symbols:
+    for sym in s.equations:
         if sym.is_constant:
-            assert s.initial(sym) == pe(1)
+            assert s.initials[sym] == pe(1)
         elif not sym.is_moment:
             base = ctx.initial(sym.monomial)
-            assert s.initial(sym) == base.diff("p")
+            assert s.initials[sym] == base.diff("p")
 
 
 def test_each_coefficient_value_is_differentiated_once(monkeypatch):
@@ -462,7 +476,7 @@ def test_each_coefficient_value_is_differentiated_once(monkeypatch):
     ctx = MomentContext(norm(_coin_program(13)))
     s = sensitivity_system(ctx, mono("total**2"), "p")
     differentiated = set()
-    for sym in s.symbols:
+    for sym in s.equations:
         if not (sym.is_moment or sym.is_constant):
             differentiated.update(c for _, c in ctx.recurrence(sym.monomial).terms)
             differentiated.add(ctx.initial(sym.monomial))

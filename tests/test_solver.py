@@ -665,7 +665,7 @@ def _bimodal_sensitivity_system():
     name = "bimodal.prob"
     ctx = MomentContext(normalize(parse((CORPUS / name).read_text(), name=name)))
     system = sensitivity_system(ctx, parse_monomial("x**2"), "p")
-    return {s: rec.terms for s, rec in system.equations.items()}, system.initials
+    return system.equations, system.initials
 
 
 def test_a_triangular_system_is_solved_without_factoring(monkeypatch):

@@ -422,7 +422,7 @@ def _coefficients(result):
     """Every coefficient a report prints: the equations, the combination and
     the closed form."""
     system, closed = result.system, result.closed_form
-    out = [c for rec in system.equations.values() for c, _ in rec.terms]
+    out = [c for terms in system.equations.values() for c, _ in terms]
     out += [c for c, _ in system.combination] + list(closed.prefix)
     for key, polys in closed.terms.items():
         out += [c for poly in polys for c in poly]
