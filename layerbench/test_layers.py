@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from sympy.core.cache import clear_cache
 
+import probsens.polys as polys
 import probsens.solver as solver
 from probsens.dependency import variable_supports
 from probsens.errors import EquationCapError
@@ -38,7 +39,9 @@ from probsens.syntax import program_to_source
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "src" / "probsens" / "benchmarks"
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 import refs  # noqa: E402  (hand-derived references, shared with perfbench)
+from test_polys import _check_cofactors, stress_pairs  # noqa: E402
 
 BIMODAL_POINT = {"p": Fraction(2, 7), "q2": Fraction(3, 11), "var": Fraction(4, 13)}
 CHAINS_POINT = {"p": Fraction(2, 7), "q": Fraction(3, 11), "r": Fraction(4, 13)}
@@ -85,6 +88,19 @@ def test_paramexpr_arithmetic(benchmark):
 
     result = benchmark.pedantic(work, setup=clear_cache, rounds=ROUNDS)
     assert result.free_params() == frozenset({"p", "q"})
+
+
+def test_gcd_stress(benchmark):
+    """``polys.cofactors`` on the 96 seed-2 pairs of the tier-1 gcd stress
+    set, each checked against sympy's gcd."""
+    pairs = stress_pairs(2, 96)
+
+    def work():
+        return [polys.cofactors(a, b) for _, a, b in pairs]
+
+    results = benchmark.pedantic(work, rounds=ROUNDS)
+    for (nvars, a, b), got in zip(pairs, results):
+        _check_cofactors(nvars, a, b, *got)
 
 
 def test_forward_iterator_20_steps(benchmark, bimodal_system):

@@ -497,7 +497,7 @@ def _json_number(x) -> float | None:
     default=None,
     help="Benchmark manifest [default: the packaged corpus].",
 )
-@click.option("--timeout", type=float, default=120.0, show_default=True, help="Per-row wall-clock budget in seconds.")
+@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=120.0, show_default=True, help="Per-row wall-clock budget in seconds.")
 @click.option("--only", default=None, help="Run only rows whose program name contains this substring.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--strict", is_flag=True, help="Exit non-zero if a hard row deviates from its expectation.")

@@ -27,7 +27,6 @@ from itertools import product
 from typing import Optional
 
 from .syntax import (
-    BTrue,
     Categorical,
     DistDraw,
     NormalizedProgram,

@@ -41,7 +41,6 @@ from .syntax import (
     PolyExpr,
     Program,
     Categorical,
-    Statement,
     bexpr_and,
     bexpr_negate,
     bexpr_rename,

@@ -20,11 +20,13 @@ union of their generators.
 
 The gcd is the heuristic one of Char, Geddes and Gonnet ("GCDHEU: Heuristic
 polynomial GCD algorithm based on integer GCD computation", J. Symbolic
-Computation 7, 1989): evaluate the first variable at an integer xi, take the
-gcd of the two images, rebuild a candidate from the xi-adic expansion of that
-gcd, and keep it if it divides both inputs.  When that fails for six values
-of xi, a primitive polynomial remainder sequence in the first variable gives
-the gcd.  Operands of one term, the common case, take a direct path.
+Computation 7, 1989), and it is the only one: evaluate the first variable at
+an integer xi, take the gcd of the two images, rebuild a candidate from the
+xi-adic expansion of that gcd, and keep it if it divides both inputs, else
+take a larger xi.  Past a bound on xi a candidate that divides both is the
+gcd, and only finitely many values of xi give a candidate that does not, so
+the loop ends with the gcd (see :func:`_heu`).  Operands of one term, the
+common case, take a direct path.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return h, a1, b1
     if len(a) == 1:
         return _monomial_cofactors(a, b)
-    return _heu(a, b) or _prs(a, b)
+    return _heu(a, b)
 
 
 def _monomial_cofactors(mono: Poly, other: Poly) -> tuple[Poly, Poly, Poly]:
@@ -221,15 +223,20 @@ def divide(a: Poly, b: Poly):
     return Poly(q)
 
 
-#: GCDHEU gives up on a value of xi whose images would carry integers of
-#: about this many bits (the length of xi times the degree).
-_HEU_BITS = 6000
-_HEU_TRIES = 6
-
-
 def _heu(f: Poly, g: Poly):
-    """``(h, f/h, g/h)`` by GCDHEU, or None when six values of xi give no
-    candidate that divides both primitive parts (or an image vanishes)."""
+    """``(h, f/h, g/h)`` by GCDHEU, or None when f or g is zero (an image
+    at a bad value of xi vanishes, and the caller steps xi).
+
+    With f and g primitive, xi starts at 2*min(|f|, |g|) + 2 (|.| the
+    largest coefficient) and only grows, and from there on a candidate
+    that divides both f and g is their gcd h (Char, Geddes and Gonnet's
+    theorem).  Such a candidate always comes: with f = h*f' and g = h*g',
+    the image gcd at xi is h(xi) * d, where d divides the resultant of f'
+    and g' in the first variable, a fixed nonzero polynomial in the others.
+    A nonconstant factor of it can divide d for only finitely many xi
+    (else it would divide f' and g'), and the content k of d divides the
+    resultant's, so once xi passes those values and 2*k*|h| + 1, the
+    candidate is h.  xi grows geometrically, so it gets there."""
     if not (f and g):
         return None
     if not next(iter(f)):  # no variables left: integers
@@ -237,19 +244,12 @@ def _heu(f: Poly, g: Poly):
     cf, cg = content(f), content(g)
     c = gcd(cf, cg)
     f, g = _quo_ground(f, cf), _quo_ground(g, cg)
-    df = max(m[0] for m in f)
-    dg = max(m[0] for m in g)
-    if not (df or dg):
+    if not any(m[0] for m in f) and not any(m[0] for m in g):
         # the first variable is absent: the gcd is one in the others
-        r = _heu(_drop_first(f), _drop_first(g))
-        if r is None:
-            return None
-        h, qf, qg = (_prepend(x, 0) for x in r)
+        h, qf, qg = (_prepend(x, 0) for x in _heu(_drop_first(f), _drop_first(g)))
     else:
         xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-        for _ in range(_HEU_TRIES):
-            if xi.bit_length() * max(df, dg) > _HEU_BITS:
-                return None
+        while True:
             r = _heu(_evaluate_first(f, xi), _evaluate_first(g, xi))
             if r is not None:
                 h = _from_images(r[0], xi)
@@ -259,8 +259,6 @@ def _heu(f: Poly, g: Poly):
                 if qg is not None:
                     break
             xi = xi * 73794 // 27011  # about xi * (1 + sqrt(3)), as the paper steps it
-        else:
-            return None
     return h * c, qf * (cf // c), qg * (cg // c)
 
 
@@ -302,75 +300,6 @@ def _drop_first(p: Poly) -> Poly:
 
 def _prepend(p: Poly, k: int) -> Poly:
     return Poly({(k, *m): c for m, c in p.items()})
-
-
-def _prs(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """``(h, f/h, g/h)`` by a primitive polynomial remainder sequence in the
-    first variable, whose coefficients are polynomials in the others (their
-    gcds, the integer content among them, recurse through ``cofactors``)."""
-    nvars = len(next(iter(f)))
-    F, G = _univariate(f), _univariate(g)
-    cf, cg = _coefficient_gcd(F.values()), _coefficient_gcd(G.values())
-    c = cofactors(cf, cg)[0]
-    F, G = _exact_quo(F, cf), _exact_quo(G, cg)
-    if max(F) < max(G):
-        F, G = G, F
-    while max(G):
-        r = _prem(F, G)
-        if not r:
-            break
-        F, G = G, _exact_quo(r, _coefficient_gcd(r.values()))
-    else:
-        G = {0: constant(1, nvars - 1)}  # a nonzero constant: coprime
-    G = _exact_quo(G, _coefficient_gcd(G.values()))
-    h = Poly({(d, *m): v for d, x in G.items() for m, v in (x * c).items()})
-    return h, divide(f, h), divide(g, h)
-
-
-def _univariate(p: Poly) -> dict:
-    """``p`` as {degree in the first variable: coefficient polynomial}."""
-    out: dict = {}
-    for m, c in p.items():
-        out.setdefault(m[0], Poly())[m[1:]] = c
-    return out
-
-
-def _coefficient_gcd(coeffs) -> Poly:
-    it = iter(coeffs)
-    h = next(it)
-    for x in it:
-        h = cofactors(h, x)[0]
-    return h
-
-
-def _exact_quo(F: dict, c: Poly) -> dict:
-    return F if _is_one(c) else {d: divide(x, c) for d, x in F.items()}
-
-
-def _prem(F: dict, G: dict) -> dict:
-    """The pseudo-remainder of F by G, both {degree: coefficient}."""
-    dg = max(G)
-    lc = G[dg]
-    r = dict(F)
-    e = max(r) - dg + 1
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        out = {d: x * lc for d, x in r.items() if d != dr}
-        for d, x in G.items():
-            if d != dg:
-                k = d + dr - dg
-                v = out.get(k, Poly()) - x * lr
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        r = out
-        e -= 1
-    if e:
-        s = lc**e
-        r = {d: x * s for d, x in r.items()}
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 import sympy as sp
 
 import probsens.cli as cli

@@ -497,6 +497,15 @@ def test_cap_below_one_is_a_usage_error(cap):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_bench_timeout_not_above_zero_is_a_usage_error(timeout):
+    # a budget of no time would report every row as a timeout
+    proc = _run_cli("bench", "--only", "random_walk_1d", "--timeout", timeout)
+    assert proc.returncode == 2
+    assert _error_line(proc) == f"Error: Invalid value for '--timeout': {float(timeout)} is not in the range x>0."
+    assert proc.stdout == ""
+
+
 def test_cap_env_var_below_one_is_a_usage_error():
     walk = str(CORPUS / "random_walk_1d.prob")
     env = {**os.environ, cli.CAP_ENV_VAR: "0"}

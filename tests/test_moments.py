@@ -29,7 +29,6 @@ from probsens.symbolic import pe
 import sympy as sp
 from probsens.syntax import (
     BTrue,
-    Comparison,
     DistDraw,
     PolyExpr,
     VarMonomial,

@@ -2,6 +2,7 @@
 installed as a test dependency: the gcd, the reduced normal form, and the
 field operations as ``ParamExpr`` exposes them."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -68,33 +69,70 @@ def test_cofactors_match_sympy_gcd(pair):
     _check_cofactors(nvars, a, b, *polys.cofactors(a, b))
 
 
-@given(poly_pairs())
-@settings(max_examples=100, deadline=None)
-def test_primitive_remainder_sequence_fallback_matches_sympy_gcd(pair):
-    # GCDHEU failing every value of xi leaves the gcd to the primitive PRS
-    nvars, a, b = pair
-    if not a or not b:
-        return
-    with mock.patch.object(polys, "_heu", return_value=None):
-        _check_cofactors(nvars, a, b, *polys.cofactors(a, b))
+def stress_pairs(seed: int, count: int) -> list:
+    """``count`` seeded pairs h*a, h*b as ``(nvars, f, g)``: 1 to 3
+    variables, degree 2 to 12, coefficients up to 3 or 1000, h squared in
+    about 30 % of them and a carrying another factor h in about 30 %."""
+    rng = random.Random(seed)
+
+    def poly(nvars, degree, coeff):
+        out: dict = {}
+        for _ in range(rng.randint(degree, 3 * degree)):
+            m = [0] * nvars
+            for _ in range(rng.randint(0, degree)):
+                m[rng.randrange(nvars)] += 1
+            out[tuple(m)] = out.get(tuple(m), 0) + rng.randint(-coeff, coeff)
+        return Poly({m: c for m, c in out.items() if c}) or polys.constant(1, nvars)
+
+    pairs = []
+    for _ in range(count):
+        nvars, degree, coeff = rng.randint(1, 3), rng.randint(2, 12), rng.choice((3, 1000))
+        h = poly(nvars, degree, coeff)
+        if rng.random() < 0.3:
+            h = h * h
+        a, b = poly(nvars, degree, coeff), poly(nvars, degree, coeff)
+        if rng.random() < 0.3:
+            a = a * h
+        pairs.append((nvars, h * a, h * b))
+    return pairs
 
 
-def test_heuristic_gives_up_on_large_images():
+def test_cofactors_match_sympy_gcd_on_the_stress_set():
+    # GCDHEU steps xi until a candidate divides both inputs; some of these
+    # pairs need images of more than 6000 bits (the length of xi times the
+    # degree in the evaluated variable), where GCDHEU used to give up
+    seen = []
+    real = polys._evaluate_first
+
+    def recording(p, xi):
+        seen.append((p, xi))
+        return real(p, xi)
+
+    patch = mock.patch.object(polys, "_evaluate_first", recording)
+    with patch:
+        for nvars, a, b in stress_pairs(1, 48):
+            _check_cofactors(nvars, a, b, *polys.cofactors(a, b))
+    assert max(xi.bit_length() * max(m[0] for m in p) for p, xi in seen) > 6000
+
+    # (x + 1) * x * (x - 1) and (x + 1) * (x + 2): the image gcd at the
+    # first xi, 4, is 30 = h(4) * 6 and gives the candidate 2x**2 - x + 2;
+    # at 10 it is 66 = h(10) * 6 and gives x**2 - 3x - 4; at 27 it is
+    # h(27) = 28, and the candidate is x + 1
+    h = Poly({(1,): 1, (0,): 1})
+    a, b = h * Poly({(3,): 1, (1,): -1}), h * Poly({(1,): 1, (0,): 2})
+    seen.clear()
+    with patch:
+        got = polys.cofactors(a, b)
+    assert sorted({xi for _, xi in seen}) == [4, 10, 27]
+    _check_cofactors(1, a, b, *got)
+
+
+def test_heuristic_finds_the_gcd_of_large_images():
     # (x**40 + 3) * (x + 2) and (x**40 + 3) * (x - 5): an image at xi has
-    # about 40 * log2(xi) bits; with a bound below that GCDHEU stops and
-    # the PRS finds the common factor
+    # about 40 * log2(xi) bits
     common = Poly({(40,): 1, (0,): 3})
     a, b = common * Poly({(1,): 1, (0,): 2}), common * Poly({(1,): 1, (0,): -5})
-    calls = []
-    real_prs = polys._prs
-
-    def recording(f, g):
-        calls.append((f, g))
-        return real_prs(f, g)
-
-    with mock.patch.object(polys, "_HEU_BITS", 40), mock.patch.object(polys, "_prs", recording):
-        h, qa, qb = polys.cofactors(a, b)
-    assert len(calls) == 1
+    h, qa, qb = polys.cofactors(a, b)
     assert h in (common, -common)
     assert h * qa == a and h * qb == b
 

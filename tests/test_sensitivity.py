@@ -31,7 +31,6 @@ from probsens.sensitivity import (
     sensitivity_system,
 )
 from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic, pe
-from probsens.syntax import VarMonomial
 
 from test_dependency import MIXED, MIXED_TAINTED, _coin_program
 from test_moments import BRANCHY_COUNTER

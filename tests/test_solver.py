@@ -261,8 +261,11 @@ def test_random_systems_match_iteration(seed, scales):
         except UnsupportedFactorError:
             continue  # a 2x2 block coupled below the diagonal can go cubic+
         if scales:
-            # exact values at a point: symbolic values over Q(a, b) grow
-            # too large to sum quickly by n = 9
+            # exact values at a point: comparing all 12 systems symbolically
+            # to n = 12 takes about 8 s on a 2-core machine, three quarters
+            # of it one four-symbol system's polynomial products and exact
+            # divisions; the first system is compared symbolically in
+            # test_symbolic_values_over_two_parameters_match_iteration
             point = {"a": Fraction(2, 7), "b": Fraction(3, 11)}
             rows = ForwardIterator(eqs, init, point).rows(12)
             values = [{s: ep_eval(solved[s], point, n) for s in eqs} for n in range(13)]
@@ -272,6 +275,17 @@ def test_random_systems_match_iteration(seed, scales):
         for s in eqs:
             for n, row in enumerate(rows):
                 assert values[n][s] == row[s], (s, n)
+
+
+def test_symbolic_values_over_two_parameters_match_iteration():
+    # s2 of the first "denominators" system (blocks of 1, 1, 2 and 1 symbols
+    # over Q(a, b)): from n = 9 on, its values once stalled the gcd
+    rng = random.Random(20260816)
+    eqs, init = _random_system(rng, rng.randint(1, 5), _DENOMINATOR_SCALES)
+    solved = solve_system(eqs, init)
+    rows = ForwardIterator(eqs, init).rows(12)
+    for n in (9, 10, 12):
+        assert ep_value_symbolic(solved["s2"], n) == rows[n]["s2"], n
 
 
 def test_two_parametric_eigenvalues_in_one_block():
