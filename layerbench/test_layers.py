@@ -280,6 +280,20 @@ BIT = frozenset({Fraction(0), Fraction(1)})
     [
         ("grammar_zoo.prob", {"tick": {0, 1, 2, 3}, "d": {0, 1, 2}, "mode": BIT, "acc": None}),
         ("randomized_response.prob", {"truth": BIT, "resp": BIT, "answers": None}),
+        (
+            "non_admissible_4.prob",
+            {
+                "x": set(range(6)),
+                "f": set(range(11)),
+                "inc": BIT,
+                "_t1": BIT,
+                "_t2": None,
+                "cnt": None,
+                "y": None,
+                "z": None,
+            },
+        ),
+        ("gamblers_ruin.prob", {"bet": None, "capital": None}),
         ("coin_flips_12", {"total": set(range(13))}),
     ],
 )

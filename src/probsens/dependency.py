@@ -11,7 +11,10 @@ single-assignment form:
   sensitivity recurrences close into a finite linear system.
 
 A separate value-set interpretation reports which variables only ever take
-finitely many values; branching is only supported over such variables.
+finitely many values; branching is only supported over such variables.  It
+is a plain fixpoint over int and ``Fraction`` values that gives a variable up
+as not finite past 64 values, past 4096 value combinations of one right-hand
+side, or at a value of more than 4096 bits.
 
 Reading a variable before its unique body assignment refers to the previous
 iteration's value, but the induced dependency edge is the same either way, so
@@ -36,6 +39,9 @@ from .syntax import (
 
 VALUE_SET_CAP = 64
 _POINT_CAP = 4096
+# A value whose numerator or denominator has more bits than this makes its
+# support None: a squaring loop reaches 2**(2**k) long before 64 values.
+_BIT_CAP = 4096
 
 # A support is either a finite set of rational values or None ("not finite").
 Support = Optional[frozenset]
@@ -46,157 +52,108 @@ Support = Optional[frozenset]
 # ---------------------------------------------------------------------------
 
 
-def _draw_values(rhs: DistDraw, cap: int) -> Support:
+def _draw_values(rhs: DistDraw) -> Support:
     if rhs.kind == "Bernoulli":
-        return frozenset({Fraction(0), Fraction(1)})
+        return frozenset({0, 1})
     if rhs.kind == "DiscreteUniform":
         a, b = rhs.args
         if not (a.is_rational and b.is_rational):
             return None
         lo, hi = a.as_fraction(), b.as_fraction()
-        if lo.denominator != 1 or hi.denominator != 1 or hi < lo or hi - lo + 1 > cap:
+        if lo.denominator != 1 or hi.denominator != 1 or hi < lo or hi - lo + 1 > VALUE_SET_CAP:
             return None
-        return frozenset(Fraction(k) for k in range(int(lo), int(hi) + 1))
+        return frozenset(range(int(lo), int(hi) + 1))
     return None  # Normal, Uniform: continuous
 
 
-def _sumset(offset: Fraction, parts, cap: int) -> Optional[set]:
-    """``offset`` plus one value from each part in every way; None past ``cap``.
+def _compile_choice(poly):
+    """``(names, constant term, blocks)`` of a choice polynomial, or None when
+    a coefficient carries a parameter.
 
-    A partial sum can stop the work early: shifted by one value of each part
-    still to come, it lies inside the whole sumset.
+    The monomials fall into blocks that share no variable.  A block is
+    ``(positions of its variables in names, terms)``, and a term is
+    ``(coefficient, ((index into the block's variables, exponent), ...))``.
+    A block that is one variable times a coefficient holds that coefficient
+    in place of its terms.  Coefficients are ints when integral, else
+    ``Fraction``s.
     """
+    if any(not c.is_rational for _, c in poly.terms):
+        return None
+    names = tuple(sorted(poly.variables()))
+    index = {v: i for i, v in enumerate(names)}
+    offset = 0
+    groups: list[tuple[set[int], list]] = []
+    for mono, coeff in poly.terms:
+        c = coeff.as_fraction()
+        c = c.numerator if c.denominator == 1 else c
+        if mono.is_one:
+            offset = c
+            continue
+        reads = {index[v] for v, _ in mono.powers}
+        terms = [(c, tuple((index[v], e) for v, e in mono.powers))]
+        for group in [g for g in groups if g[0] & reads]:
+            groups.remove(group)
+            reads |= group[0]
+            terms += group[1]
+        groups.append((reads, terms))
+    blocks = []
+    for reads, terms in groups:
+        pos = tuple(sorted(reads))
+        local = {p: i for i, p in enumerate(pos)}
+        terms = [(c, tuple((local[p], e) for p, e in pw)) for c, pw in terms]
+        if len(terms) == 1 and terms[0][1] == ((0, 1),):
+            terms = terms[0][0]
+        blocks.append((pos, terms))
+    return names, offset, blocks
+
+
+def _choice_values(choice, supports) -> Optional[set]:
+    """Values of a compiled choice polynomial over the whole product of the
+    current supports, or None once it is not finite-valued.
+
+    A parameter coefficient, a read variable that is None, or a running
+    product of support sizes (in sorted-name order) past ``_POINT_CAP`` gives
+    None before anything is evaluated.  The values are the constant term plus
+    the sumset of the blocks' values; a partial sum past ``VALUE_SET_CAP``
+    gives None, since shifting it by one value of each block still to come
+    keeps it inside the whole sumset.
+    """
+    if choice is None:
+        return None
+    names, offset, blocks = choice
+    sets = []
+    points = 1
+    for v in names:
+        values = supports[v]
+        if values is None:
+            return None
+        points *= len(values)
+        if points > _POINT_CAP:
+            return None
+        sets.append(values)
     acc = {offset}
-    for part in parts:
+    for pos, terms in blocks:
+        if type(terms) is not list:
+            part = sets[pos[0]] if terms == 1 else {terms * x for x in sets[pos[0]]}
+        else:
+            part = set()
+            for combo in product(*[sets[p] for p in pos]):
+                val = 0
+                for c, powers in terms:
+                    for j, e in powers:
+                        c *= combo[j] ** e
+                    val += c
+                part.add(val)
         acc = {a + b for a in acc for b in part}
-        if len(acc) > cap:
+        if len(acc) > VALUE_SET_CAP:
             return None
     return acc
 
 
-class _Block:
-    """Monomials of one choice polynomial that share variables, with the values
-    they have taken so far (in the order found)."""
-
-    def __init__(self, pos: tuple[int, ...], terms: list):
-        self.pos = pos  # positions of the block's variables in the choice's names
-        self.terms = terms  # (coefficient, ((index into pos, exponent), ...))
-        self.values: list[Fraction] = []
-        self._member: set[Fraction] = set()
-
-    def grow(self, lists, seen, now) -> list[Fraction]:
-        """Evaluate on the combinations with at least one value not seen
-        before: for variable i, the seen values of the variables before i,
-        the unseen values of i and all values of the variables after i.
-        Return the values the block had not taken yet."""
-        new = []
-        pos = self.pos
-        for i, p in enumerate(pos):
-            if seen[p] == now[p]:
-                continue
-            axes = [lists[q][: seen[q]] for q in pos[:i]]
-            axes.append(lists[p][seen[p] : now[p]])
-            axes += [lists[q][: now[q]] for q in pos[i + 1 :]]
-            for combo in product(*axes):
-                val = Fraction(0)
-                for coeff, powers in self.terms:
-                    for j, e in powers:
-                        coeff *= combo[j] ** e
-                    val += coeff
-                if val not in self._member:
-                    self._member.add(val)
-                    self.values.append(val)
-                    new.append(val)
-        return new
-
-
-class _Choice:
-    """One choice polynomial and the supports it was last evaluated on.
-
-    The monomials fall into blocks that share no variable, so the values of
-    the polynomial are the sumset of the blocks' values plus the constant
-    term.  Coefficients are converted to ``Fraction`` once, here.
-    """
-
-    def __init__(self, poly):
-        self.names = tuple(sorted(poly.variables()))
-        self.symbolic = any(not c.is_rational for _, c in poly.terms)
-        self.seen = [0] * len(self.names)  # support sizes at the last evaluation
-        self.fresh = True
-        self.offset = Fraction(0)
-        self.blocks: list[_Block] = []
-        if self.symbolic:
-            return
-        index = {v: i for i, v in enumerate(self.names)}
-        groups: list[tuple[set[int], list]] = []
-        for mono, coeff in poly.terms:
-            if mono.is_one:
-                self.offset = coeff.as_fraction()
-                continue
-            reads = {index[v] for v, _ in mono.powers}
-            terms = [(coeff.as_fraction(), tuple((index[v], e) for v, e in mono.powers))]
-            for group in [g for g in groups if g[0] & reads]:
-                groups.remove(group)
-                reads |= group[0]
-                terms += group[1]
-            groups.append((reads, terms))
-        for reads, terms in groups:
-            pos = tuple(sorted(reads))
-            local = {p: i for i, p in enumerate(pos)}
-            self.blocks.append(
-                _Block(pos, [(c, tuple((local[p], e) for p, e in pw)) for c, pw in terms])
-            )
-
-    def new_values(self, supports, cap: int, point_cap: int):
-        """Values on the combinations of the current supports not seen at the
-        last evaluation, or None once the polynomial is not finite-valued.
-
-        A parameter coefficient, a read variable that is None, or a running
-        product of support sizes (in sorted-name order) past ``point_cap``
-        gives None before anything is evaluated.
-        """
-        if self.symbolic:
-            return None
-        lists = []
-        points = 1
-        for v in self.names:
-            values = supports[v]
-            if values is None:
-                return None
-            points *= len(values)
-            if points > point_cap:
-                return None
-            lists.append(values)
-        now = [len(values) for values in lists]
-        if points == 0 or (not self.fresh and now == self.seen):
-            return ()
-        old = []
-        new = []
-        for block in self.blocks:
-            k = len(block.values)
-            new.append(block.grow(lists, self.seen, now))
-            if len(block.values) > cap:
-                return None
-            old.append(block.values[:k])
-        self.seen = now
-        if self.fresh:
-            self.fresh = False
-            return _sumset(self.offset, [b.values for b in self.blocks], cap)
-        out: set[Fraction] = set()
-        for i, delta in enumerate(new):
-            if delta:
-                later = [b.values for b in self.blocks[i + 1 :]]
-                sums = _sumset(self.offset, [delta, *old[:i], *later], cap)
-                if sums is None:
-                    return None
-                out |= sums
-        return out
-
-
-def _compile(rhs, cap: int):
+def _compile(rhs):
     if isinstance(rhs, DistDraw):
-        return _draw_values(rhs, cap)
-    return [_Choice(poly) for poly, _prob in rhs.choices]
+        return _draw_values(rhs)
+    return [_compile_choice(poly) for poly, _prob in rhs.choices]
 
 
 def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
@@ -208,35 +165,38 @@ def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
 
     Supports are ordered by inclusion, with None ("not finite") on top.  One
     assignment joins into its target the values of its right-hand side over
-    the product of the supports it reads, and the support of its kept value;
-    the target becomes None past ``VALUE_SET_CAP`` values, and a choice gives
-    None at a parameter coefficient, at a read variable that is None or past
-    ``_POINT_CAP`` value combinations.  Each such step is a union that is
+    the product of the supports it reads, and the support of its kept value.
+    The target becomes None past ``VALUE_SET_CAP`` values or at a value whose
+    numerator or denominator has more than ``_BIT_CAP`` bits, and a choice
+    gives None at a parameter coefficient, at a read variable that is None or
+    past ``_POINT_CAP`` value combinations.  Each such step is a union that is
     monotone in the supports, and a support grows to at most
     ``VALUE_SET_CAP`` values before it turns None, so every fair order of
-    steps reaches the same least fixpoint above the initial values.  This one is semi-naive: a choice
-    polynomial is evaluated only on the combinations that hold a value it has
-    not seen, because all the others were joined in before.
+    steps reaches the same least fixpoint above the initial values.  This one
+    is plain: every pass evaluates every right-hand side on the whole product
+    of the current supports, until a pass changes nothing.  Values are held
+    as ints where they are integral and become ``Fraction``s in the result.
     """
-    supports: dict[str, Optional[list]] = {v: [] for v in np.all_variables}
-    members: dict[str, set] = {v: set() for v in np.all_variables}
+    supports: dict[str, Optional[set]] = {v: set() for v in np.all_variables}
 
     def join(t: str, values) -> bool:
         """Join ``values`` into the support of ``t``; True if it grew."""
-        if supports[t] is None:
+        sup = supports[t]
+        if sup is None:
             return False
         if values is None:
             supports[t] = None
             return True
-        grew = False
-        for x in values:
-            if x not in members[t]:
-                members[t].add(x)
-                supports[t].append(x)
-                grew = True
-        if len(supports[t]) > VALUE_SET_CAP:
+        new = [x for x in values if x not in sup]
+        for x in new:
+            num, den = x.numerator, x.denominator
+            if num.bit_length() > _BIT_CAP or den.bit_length() > _BIT_CAP:
+                supports[t] = None
+                return True
+            sup.add(num if den == 1 else x)
+        if len(sup) > VALUE_SET_CAP:
             supports[t] = None
-        return grew
+        return bool(new)
 
     def assign(t: str, rhs, else_source: Optional[str] = None) -> bool:
         if not isinstance(rhs, list):
@@ -246,21 +206,21 @@ def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
             for choice in rhs:
                 if supports[t] is None:
                     break
-                grew |= join(t, choice.new_values(supports, VALUE_SET_CAP, _POINT_CAP))
+                grew |= join(t, _choice_values(choice, supports))
         if else_source is not None:
             grew |= join(t, supports[else_source])
         return grew
 
     for v, rhs in np.init:
-        assign(v, _compile(rhs, VALUE_SET_CAP))
-    body = [(ga.target, _compile(ga.rhs, VALUE_SET_CAP), ga.else_source) for ga in np.body]
+        assign(v, _compile(rhs))
+    body = [(ga.target, _compile(ga.rhs), ga.else_source) for ga in np.body]
     grew = True
     while grew:
         grew = False
         for t, rhs, else_source in body:
             if supports[t] is not None:
                 grew |= assign(t, rhs, else_source)
-    return {v: None if s is None else frozenset(s) for v, s in supports.items()}
+    return {v: None if s is None else frozenset(map(Fraction, s)) for v, s in supports.items()}
 
 
 # ---------------------------------------------------------------------------

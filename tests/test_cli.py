@@ -26,7 +26,7 @@ from probsens.parser import parse, parse_monomial, validate
 from probsens.sensitivity import moment_closure, render_recurrence, sensitivity_system
 from probsens.syntax import program_to_source
 
-from test_dependency import _coin_program
+from test_dependency import SQUARING, _coin_program
 
 CORPUS = Path(cli.__file__).parent / "benchmarks"
 MANIFEST = CORPUS / "manifest.json"
@@ -600,6 +600,21 @@ def test_classify_json(runner):
     assert record["admissible"] is False
     assert record["thm2_ok"] is True
     assert set(record["defective"]) >= {"w", "x"}
+
+
+def test_classify_squaring_loop_finishes(tmp_path):
+    # x takes the values 2**(2**k); the value sets stop at the bit cap
+    path = tmp_path / "square.prob"
+    path.write_text(SQUARING)
+    proc = subprocess.run(
+        [sys.executable, "-m", "probsens", "classify", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "admissible: no" in proc.stdout
+    assert "defective: x" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 import probsens.dependency as dependency
 from probsens.dependency import (
     VALUE_SET_CAP,
+    _BIT_CAP,
     _POINT_CAP,
     build_graph,
     classify,
@@ -430,6 +431,64 @@ def test_branch_only_variable_keeps_its_empty_set():
     sup = variable_supports(np_)
     assert sup == {"t": frozenset(), "u": {F(1)}, "x": {F(1)}}
     assert sup == _naive_supports(np_)
+
+
+NON_INTEGRAL = [
+    ("x = 1\nwhile true:\n    x = x/2 {1/2} 1\nend\n", "x", None),
+    (
+        "a = 0\nb = 0\nh = 0\nwhile true:\n    a = DiscreteUniform(1, 3)\n"
+        "    b = DiscreteUniform(1, 2)\n    h = a/2 + b/3\nend\n",
+        "h",
+        {F(a, 2) + F(b, 3) for a in range(4) for b in range(3)},  # a = b = 0 at the start
+    ),
+    # halves that sum to integers again
+    (
+        "a = 0\nb = 0\ns = 0\nwhile true:\n    a = Bernoulli(1/2)\n    b = Bernoulli(1/3)\n"
+        "    s = a/2 + b/2 {1/3} 3*s/2 - s/2\nend\n",
+        "s",
+        {F(0), F(1, 2), F(1)},
+    ),
+    (
+        "y = 1/3\nz = 0\nwhile true:\n    y = 1 - y {1/2} 1/3\n    z = 3*y**2 + y\nend\n",
+        "z",
+        {F(0), F(2, 3), F(2)},
+    ),
+]
+
+
+@pytest.mark.parametrize("src, var, expected", NON_INTEGRAL, ids=["halving", "sum", "back_to_ints", "thirds"])
+def test_non_integral_values_match_naive_fixpoint(src, var, expected):
+    np_ = norm(src)
+    sup = variable_supports(np_)
+    assert sup == _naive_supports(np_)
+    assert sup[var] == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "VALUE_SET_CAP", 4)
+        mp.setattr(dependency, "_POINT_CAP", 9)
+        small = variable_supports(np_)
+    assert small == _naive_supports(np_, 4, 9)
+    for s in (sup, small):
+        assert all(type(x) is F for values in s.values() if values is not None for x in values)
+
+
+SQUARING = "x = 2\nwhile true:\n    x = x*x\nend\n"
+
+
+def test_squaring_loop_stops_at_the_bit_cap():
+    # 2**(2**k) passes 4096 bits at k = 12, long before 64 values
+    assert variable_supports(norm(SQUARING))["x"] is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bit_cap_boundary(sign):
+    def support(value):
+        return variable_supports(norm(f"x = 0\nwhile true:\n    x = {value}\nend\n"))["x"]
+
+    widest = 2**_BIT_CAP - 1
+    assert support(sign * widest) == {F(0), F(sign * widest)}
+    assert support(sign * (widest + 1)) is None
+    assert support(f"{sign}/{widest}") == {F(0), F(sign, widest)}
+    assert support(f"{sign}/{widest + 1}") is None
 
 
 # ---------------------------------------------------------------------------
