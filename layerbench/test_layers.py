@@ -353,3 +353,20 @@ def test_oracle_sampled_fd(benchmark):
     # |payoff| <= 2n, and two thresholds per pass move with p
     tolerance = refs.sampled_difference_tolerance(2 * n, 2, n, eps, trials)
     assert abs(estimate.value - float(want)) < tolerance
+
+
+def test_oracle_sampled_fd_normal(benchmark):
+    # var differs between the two points, so the Normal site's scale is a
+    # (points, 1) column; the noise is centered, so d/dvar E[x_n] is 0
+    program = parse((CORPUS / "bimodal.prob").read_text(), name="bimodal.prob")
+    mono, n, eps, trials = parse_monomial("x"), 6, Fraction(1, 10), 50_000
+
+    estimate = benchmark.pedantic(
+        lambda: fd_sensitivity(
+            program, mono, n, "var", BIMODAL_POINT, eps=eps, exact=False, trials=trials, seed=3
+        ),
+        setup=clear_cache,
+        rounds=ROUNDS,
+    )
+    noise = refs.bimodal_x_noise_sd(float(BIMODAL_POINT["var"]), float(eps), n, trials)
+    assert abs(estimate.value) < 5 * noise

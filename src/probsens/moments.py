@@ -146,7 +146,7 @@ class MomentContext:
         self._monomials: dict[tuple, tuple[tuple, VarMonomial]] = {}
         self._power_reps: dict[tuple[int, int], list] = {}
         self._truth_terms: dict[BExpr, dict] = {}
-        self._powers: dict[tuple[int, int], list[dict]] = {}
+        self._powers: dict[tuple[int, int], dict[int, dict]] = {}
         self._power_values: dict[tuple[int, int], dict] = {}
         self._replacements: dict[tuple[int, int], dict] = {}
 
@@ -303,7 +303,10 @@ class MomentContext:
         """E[(assigned value)**k] in the pre-assignment state.
 
         Memoized by the identity of ``rhs``, which the program keeps alive.
-        Each choice's ``poly**k`` is its ``poly**(k-1)`` times ``poly``."""
+        Each choice's powers are memoized by exponent, and ``poly**k`` is
+        ``poly**m`` times ``poly**(k-m)``, m the largest memoized exponent
+        below k: one product for k = m + 1, and for each square of a
+        squaring loop."""
         key = (id(rhs), k)
         cached = self._power_values.get(key)
         if cached is not None:
@@ -315,11 +318,14 @@ class MomentContext:
             for j, (poly, prob) in enumerate(rhs.choices):
                 powers = self._powers.get((id(rhs), j))
                 if powers is None:
-                    powers = self._powers[id(rhs), j] = [{self._one: _ONE}]
-                if len(powers) <= k:
-                    base = self._terms(poly)
-                    while len(powers) <= k:
-                        powers.append(self._product(powers[-1], base))
+                    powers = self._powers[id(rhs), j] = {0: {self._one: _ONE}, 1: self._terms(poly)}
+                chain, e = [], k
+                while e not in powers:
+                    m = max(x for x in powers if x < e)
+                    chain.append((e, m))
+                    e -= m
+                for e, m in reversed(chain):
+                    powers[e] = self._product(powers[m], powers[e - m])
                 for t, c in powers[k].items():
                     _accumulate(cached, t, _mul(c, prob.elem))
             cached = _nonzero(cached)

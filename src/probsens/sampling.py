@@ -7,6 +7,9 @@ the only part of ``probsens`` that needs numpy: ``oracle.sample_moment``
 and the sampled mode of ``oracle.fd_sensitivity`` import this module on
 their first call, and nothing else imports it.
 
+One pass simulates every parameter point of a mean or a central difference
+over the same draws, with states of shape (points, trials) (README, "Oracle").
+
 Sampled values are float64 and may overflow on programs whose values grow
 fast.  An estimate is then an infinity or a NaN, which callers report, so
 the estimates below silence numpy's warnings about it.
@@ -21,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import OracleError, ProbsensError
 from .oracle import _COMPARE, AnyProgram, OracleEstimate, _statements, checked_probability
 from .syntax import (
     And,
@@ -48,7 +51,7 @@ def sampled_mean(
 ) -> OracleEstimate:
     """The mean of the monomial's sampled values after n iterations."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _mean_estimate(_sampled_values(program, monomial, n, trials, seed, sigma))
+        return _mean_estimate(_sampled_values(program, monomial, n, trials, seed, [sigma])[0])
 
 
 def sampled_difference(
@@ -64,8 +67,7 @@ def sampled_difference(
     """The central difference between the points ``hi`` and ``lo``, 2*eps
     apart, from the per-trial differences at matched seeds."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v_hi = _sampled_values(program, monomial, n, trials, seed, hi)
-        v_lo = _sampled_values(program, monomial, n, trials, seed, lo)
+        v_hi, v_lo = _sampled_values(program, monomial, n, trials, seed, [hi, lo])
         return _mean_estimate((v_hi - v_lo) / (2 * float(eps)))
 
 
@@ -81,18 +83,39 @@ def _site_generator(seed: int, site: int, iteration: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _poly_vec(terms, states, trials: int) -> np.ndarray:
-    """A polynomial bound to float coefficients, one value per trial.  A
-    coefficient of None stands for 1: multiplying by 1.0, like raising to
-    the first power, leaves every float as it is, so both are skipped."""
-    acc = np.zeros(trials)
+_ZERO, _ONE = np.float64(0.0), np.float64(1.0)
+
+
+def _apply(op, acc, x, mine: bool):
+    """``op(acc, x)``, into ``acc`` if it is an array made here of the result's shape."""
+    if mine and isinstance(acc, np.ndarray) and np.broadcast(acc, x).shape == acc.shape:
+        return op(acc, x, out=acc)
+    return op(acc, x)
+
+
+def _poly_vec(terms, signed_zero: bool, states):
+    """A polynomial bound to float coefficients, at every point and trial.
+    A coefficient of None stands for 1.  A sum started at its first term
+    differs from one started at 0.0 only where every term is -0.0, so 0.0 is
+    added at the end unless a nonzero constant term rules that out.
+    ``np.power`` rounds a numpy scalar as it rounds an array element."""
+    acc, mine = None, False
     for c, powers in terms:
-        term = c
+        term, own = c, False
         for v, e in powers:
-            x = states[v] if e == 1 else states[v] ** e
-            term = x if term is None else term * x
-        acc = acc + (1.0 if term is None else term)
-    return acc
+            x = states[v] if e == 1 else np.power(states[v], e)
+            if term is None:
+                term, own = x, e != 1
+            else:
+                term, own = _apply(np.multiply, term, x, own), True
+        term = _ONE if term is None else term
+        if acc is None:
+            acc, mine = term, own
+        else:
+            acc, mine = _apply(np.add, acc, term, mine), True
+    if acc is None:
+        return _ZERO
+    return _apply(np.add, acc, _ZERO, mine) if signed_zero else acc
 
 
 def _number_sites(stmts):
@@ -118,41 +141,56 @@ def _number_sites(stmts):
 
 
 class _Sampling:
-    """One simulation: a program bound to one parameter point.
+    """One simulation: a program bound to a list of parameter points.
 
     Each coefficient, distribution argument and choice's cumulative
     probabilities become floats the first time a statement reads them, in
-    the order the statements run, so the first error is that of evaluating
-    at every read.  ``bound`` maps a syntax object's ``id`` to its bound
-    form; it lives as long as the call.
+    an order that is the same at every point.  The first point's first error
+    is raised at once; a later point's waits in ``errors``, and the point
+    reads NaN.  ``bound`` maps a syntax object's ``id`` to its bound form.
     """
 
-    def __init__(self, names, sites, trials: int, seed: int, sigma):
+    def __init__(self, names, sites, trials: int, seed: int, points):
         self.sites = sites
         self.trials = trials
         self.seed = seed
-        self.sigma = sigma
-        self.states = {v: np.zeros(trials) for v in names}
+        self.points = points
+        self.errors: dict[int, Exception] = {}
+        self.states = {v: _ZERO for v in names}
         self.bound: dict[int, object] = {}
 
-    def poly(self, poly: PolyExpr) -> np.ndarray:
-        terms = self.bound.get(id(poly))
-        if terms is None:
-            terms = []
-            for m, c in poly.terms:
-                value = c.eval_fraction(self.sigma)
-                terms.append((None if value == 1 else float(value), m.powers))
-            self.bound[id(poly)] = terms
-        return _poly_vec(terms, self.states, self.trials)
+    def read(self, width: int, values) -> list:
+        """``values(sigma)``, ``width`` floats, at every point: each float is a
+        scalar where its bits are equal at every point, else a column."""
+        rows = []
+        for i, sigma in enumerate(self.points):
+            try:
+                rows.append(values(sigma))
+            except (ProbsensError, ArithmeticError, ValueError) as exc:
+                if i == 0:
+                    raise
+                self.errors.setdefault(i, exc)
+                rows.append([math.nan] * width)
+        return [np.float64(c[0]) if len({v.hex() for v in c}) == 1 else np.array(c)[:, None] for c in zip(*rows)]
 
-    def test(self, b) -> np.ndarray:
+    def poly(self, poly: PolyExpr):
+        bound = self.bound.get(id(poly))
+        if bound is None:
+            coeffs = self.read(len(poly.terms), lambda s: [float(c.eval_fraction(s)) for _, c in poly.terms])
+            monos = [m.powers for m, _ in poly.terms]
+            terms = [(None if c.ndim == 0 and c == 1 else c, m) for c, m in zip(coeffs, monos)]
+            signed_zero = not any(not m and np.all(c != 0) for c, m in zip(coeffs, monos))
+            bound = self.bound[id(poly)] = (terms, signed_zero)
+        return _poly_vec(*bound, self.states)
+
+    def test(self, b):
         if isinstance(b, Comparison):
             lv, rv = self.poly(b.lhs), self.poly(b.rhs)
             return _COMPARE[b.op](lv, rv)
         if isinstance(b, BTrue):
-            return np.ones(self.trials, dtype=bool)
+            return np.True_
         if isinstance(b, BFalse):
-            return np.zeros(self.trials, dtype=bool)
+            return np.False_
         if isinstance(b, Not):
             return ~self.test(b.arg)
         if isinstance(b, And):
@@ -161,34 +199,28 @@ class _Sampling:
             return self.test(b.lhs) | self.test(b.rhs)
         raise AssertionError(b)
 
-    def dist_args(self, rhs: DistDraw) -> list[float]:
+    def dist_args(self, rhs: DistDraw) -> list:
         args = self.bound.get(id(rhs))
         if args is None:
-            exact = [a.eval_fraction(self.sigma) for a in rhs.args]
-            if rhs.kind == "Normal":
-                if exact[1] < 0:
-                    raise OracleError(f"Normal variance {exact[1]} is negative")
-            elif rhs.kind == "Bernoulli":
-                checked_probability(exact[0], "Bernoulli")
-            args = self.bound[id(rhs)] = [float(a) for a in exact]
+            args = self.bound[id(rhs)] = self.read(len(rhs.args), lambda s: _checked_args(rhs, s))
         return args
 
-    def cumulative(self, rhs: Categorical) -> np.ndarray:
+    def cumulative(self, rhs: Categorical) -> list:
         cum = self.bound.get(id(rhs))
         if cum is None:
-            cum = self.bound[id(rhs)] = np.cumsum(
-                [float(checked_probability(p.eval_fraction(self.sigma), "choice")) for _, p in rhs.choices]
-            )
+            probs = [p for _, p in rhs.choices]
+            cum = self.bound[id(rhs)] = self.read(len(probs), lambda s: np.cumsum(
+                [float(checked_probability(p.eval_fraction(s), "choice")) for p in probs]).tolist())
         return cum
 
-    def draw(self, rhs, iteration: int) -> np.ndarray:
+    def draw(self, rhs, iteration: int):
         trials = self.trials
         if isinstance(rhs, DistDraw):
             gen = _site_generator(self.seed, self.sites[id(rhs)], iteration)
             args = self.dist_args(rhs)
             if rhs.kind == "Normal":
                 mean, var = args
-                return mean + math.sqrt(var) * gen.standard_normal(trials)
+                return mean + np.sqrt(var) * gen.standard_normal(trials)
             u = gen.random(trials)
             if rhs.kind == "Bernoulli":
                 return (u < args[0]).astype(float)
@@ -221,31 +253,26 @@ class _Sampling:
                 for t, v in zip(st.targets, news):
                     states[t] = v if mask is None else np.where(mask, v, states[t])
                 continue
-            taken = np.zeros(self.trials, dtype=bool)
+            taken = np.False_
             for cond, branch in st.branches:
                 c = self.test(cond)
                 if mask is not None:
                     c = c & mask
                 c = c & ~taken
                 self.run(branch, c, iteration)
-                taken |= c
+                taken = taken | c
             if st.else_body is not None:
                 self.run(st.else_body, ~taken if mask is None else mask & ~taken, iteration)
 
 
-def _simulate_states(
-    program: AnyProgram,
-    n: int,
-    trials: int,
-    seed: int,
-    sigma: Mapping[str, Fraction],
-) -> dict[str, np.ndarray]:
-    names, init, body = _statements(program)
-    sim = _Sampling(names, _number_sites(init + body), trials, seed, sigma)
-    sim.run(init, None, 0)
-    for k in range(1, n + 1):
-        sim.run(body, None, k)
-    return sim.states
+def _checked_args(rhs: DistDraw, sigma) -> list[float]:
+    exact = [a.eval_fraction(sigma) for a in rhs.args]
+    if rhs.kind == "Normal":
+        if exact[1] < 0:
+            raise OracleError(f"Normal variance {exact[1]} is negative")
+    elif rhs.kind == "Bernoulli":
+        checked_probability(exact[0], "Bernoulli")
+    return [float(a) for a in exact]
 
 
 def _sampled_values(
@@ -254,13 +281,19 @@ def _sampled_values(
     n: int,
     trials: int,
     seed: int,
-    sigma: Mapping[str, Fraction],
+    points: list[Mapping[str, Fraction]],
 ) -> np.ndarray:
-    """The monomial's value after n iterations, one entry per trial."""
-    states = _simulate_states(program, n, trials, seed, sigma)
-    vals = np.ones(trials)
+    """The monomial's value after n iterations, a row per point, a column per trial."""
+    names, init, body = _statements(program)
+    sim = _Sampling(names, _number_sites(init + body), trials, seed, points)
+    sim.run(init, None, 0)
+    for k in range(1, n + 1):
+        sim.run(body, None, k)
+    vals = np.ones((len(points), trials))
     for v, e in monomial.powers:
-        vals = vals * states[v] ** e
+        vals *= np.power(sim.states[v], e)
+    if sim.errors:
+        raise sim.errors[min(sim.errors)]
     return vals
 
 

@@ -617,6 +617,22 @@ def test_classify_squaring_loop_finishes(tmp_path):
     assert "defective: x" in proc.stdout
 
 
+def test_dump_recurrences_of_the_squaring_loop_reaches_the_cap(tmp_path):
+    # equation k needs E[x**(2**k)]; each power is one product of two
+    # memoized ones, so the cap comes long before the timeout
+    path = tmp_path / "square.prob"
+    path.write_text(SQUARING)
+    proc = subprocess.run(
+        [sys.executable, "-m", "probsens", "dump-recurrences", str(path), "--target", "x"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 5
+    assert _error_line(proc).startswith("error: recurrence system exceeded the equation cap (501 > 500)")
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -746,6 +762,18 @@ def test_simulate_negative_normal_variance_is_an_oracle_error():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: Normal variance -2 is negative"]
     assert "math domain error" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sampled_difference_reports_the_low_side_variance_error():
+    # var + 3 is a valid variance and var - 3 is not: the one pass over both
+    # points reads the variance at each, and only the low side fails
+    proc = _run_cli(
+        "simulate", str(CORPUS / "bimodal.prob"), "--monomial", "x", "--n", "6",
+        "--param", "p=1/3,q2=1/3,var=2", "--trials", "10", "--fd", "var:3",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: Normal variance -1 is negative"]
     assert proc.stdout == ""
 
 

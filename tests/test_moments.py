@@ -395,6 +395,17 @@ def test_recurrences_match_oracle_on_random_programs(src, target):
         assert predicted == moment_exact(np_, pm(target), n + 1, {})
 
 
+def test_powers_requested_out_of_order_give_the_same_recurrences():
+    # poly**k is the largest memoized power below k times poly**(k - m): a
+    # fresh context builds every power up from poly**1, the shared one takes
+    # 5 * 3 for 8, 8 * 5 for 13 and 8 * 4 for 12
+    src = "x = 1\ny = 0\nwhile true:\n  y = y + 1 {1/2} y\n  x = x*y + 2 {p} x - y\nend\n"
+    ks = [5, 2, 8, 3, 13, 1, 12]
+    fresh = [ctx_of(src).recurrence(pm(f"x**{k}")) for k in ks]
+    shared = ctx_of(src)
+    assert [shared.recurrence(pm(f"x**{k}")) for k in ks] == fresh
+
+
 # ---------------------------------------------------------------------------
 # Assembly against the reference that grows each polynomial by ``+``
 # ---------------------------------------------------------------------------

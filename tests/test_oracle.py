@@ -410,7 +410,7 @@ def _assert_enumeration_matches(program, monomial, n, sigma, budget=oracle.DEFAU
 
 def _assert_sampling_matches(program, monomial, n, sigma, trials=64, seed=5):
     want = _outcome(lambda: _ref_sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
-    got = _outcome(lambda: sampling._sampled_values(program, monomial, n, trials, seed, sigma).tobytes())
+    got = _outcome(lambda: sampling._sampled_values(program, monomial, n, trials, seed, [sigma])[0].tobytes())
     assert got == want
 
 
@@ -432,6 +432,72 @@ def test_bound_interpreters_match_references_on_random_programs(src, target, n, 
         _assert_enumeration_matches(program, mono, n, sigma)
         _assert_enumeration_matches(program, mono, n, sigma, budget)
         _assert_sampling_matches(program, mono, n, sigma)
+
+
+def _difference_outcomes(program, monomial, n, sigma, eps, trials=64, seed=5):
+    """The one-pass difference and the two-run reference at ``sigma`` moved
+    by -eps and +eps in p: each is ('ok', hi row, lo row, estimate bits) or
+    its first error, where the reference runs hi to the end, then lo."""
+    hi, lo = dict(sigma, p=sigma["p"] + eps), dict(sigma, p=sigma["p"] - eps)
+
+    def bits(rows, estimate):
+        return (*(r.tobytes() for r in rows), np.float64(estimate.value).tobytes(),
+                np.float64(estimate.stderr).tobytes(), estimate.trials)
+
+    def two_runs():
+        v_hi = _ref_sampled_values(program, monomial, n, trials, seed, hi)
+        v_lo = _ref_sampled_values(program, monomial, n, trials, seed, lo)
+        return bits((v_hi, v_lo), sampling._mean_estimate((v_hi - v_lo) / (2 * float(eps))))
+
+    def one_pass():
+        rows = sampling._sampled_values(program, monomial, n, trials, seed, [hi, lo])
+        return bits(rows, sampling.sampled_difference(program, monomial, n, trials, seed, hi, lo, eps))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _outcome(one_pass), _outcome(two_runs)
+
+
+#: (p, eps) with neither side failing, hi failing at {2*p}, lo failing at
+#: {p}, and both failing, lo at an earlier read than hi where both reads
+#: are there (p = 1/4, eps = 1/2)
+DIFFERENCE_POINTS = [(Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 8)),
+                     (Fraction(1, 16), Fraction(1, 8)), (Fraction(1, 4), Fraction(1, 2)),
+                     (Fraction(1, 2), Fraction(1))]
+
+
+@given(
+    random_programs(),
+    st.sampled_from(["a", "b", "c", "a*b", "c**2"]),
+    st.integers(0, 2),
+    st.sampled_from(["", "b = Bernoulli(p)", "c = Normal(1, p)", "a = Uniform(0, p)", "b = DiscreteUniform(0, 2)"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_pass_difference_matches_two_runs_on_random_programs(src, target, n, tail):
+    # choices read {p} and {2*p} in turn, 2*c becomes a coefficient that
+    # differs between the points, and a tail statement may add a draw
+    choices = iter(["{p}", "{2*p}"] * src.count("{1/2}"))
+    src = src.replace("2*c", "2*p*c")
+    src = "".join((next(choices) if i else "") + part for i, part in enumerate(src.split("{1/2}")))
+    src = src.replace("\nend\n", f"\n{tail}\nend\n")
+    mono = parse_monomial(target)
+    for program in (parse(src), normalize(parse(src))):
+        for p, eps in DIFFERENCE_POINTS:
+            got, want = _difference_outcomes(program, mono, n, {"p": p}, eps)
+            assert got == want
+
+
+def test_one_pass_difference_raises_the_first_error_of_two_runs():
+    program = parse("x = 0\ny = 0\nwhile true:\n  x = x + 1 {p} x\n  y = y + x {2*p} y - 1\nend\n")
+    mono = parse_monomial("y")
+    cases = [
+        (Fraction(1, 2), Fraction(1, 8), "choice probability 5/4 outside [0, 1]"),  # hi fails
+        (Fraction(1, 16), Fraction(1, 8), "choice probability -1/16 outside [0, 1]"),  # lo fails
+        # both fail: lo already at {p}, hi only at {2*p}, which is read later
+        (Fraction(1, 4), Fraction(1, 2), "choice probability 3/2 outside [0, 1]"),
+    ]
+    for p, eps, message in cases:
+        got, want = _difference_outcomes(program, mono, 2, {"p": p}, eps)
+        assert got == want == ("error", OracleError, message)
 
 
 CORPUS_POINT = (Fraction(2, 7), Fraction(3, 11), Fraction(4, 13))
@@ -482,6 +548,17 @@ def test_zero_probability_and_three_way_choices_sample_alike():
             for form in (program, normalize(program)):
                 _assert_sampling_matches(form, mono, 4, sigma, trials=500)
                 _assert_enumeration_matches(form, mono, 3, sigma)
+
+
+def test_powers_of_constant_states_round_as_array_elements():
+    # x holds the constant 5/3, a numpy scalar; numpy's scalar ** rounds
+    # (5/3)**3 differently from the array loop, which np.power uses for both
+    program = parse("x = 0\ny = 0\nwhile true:\n  x = 5/3\n  y = x**3 {p} y - x**3\nend\n")
+    for target in ("x**3", "y", "x**3*y"):
+        mono = parse_monomial(target)
+        _assert_sampling_matches(program, mono, 2, {"p": Fraction(1, 3)})
+        got, want = _difference_outcomes(program, mono, 2, {"p": Fraction(1, 3)}, Fraction(1, 10))
+        assert got == want and got[0] == "ok"
 
 
 def test_draws_sample_and_enumerate_alike():
