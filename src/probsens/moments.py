@@ -35,7 +35,7 @@ from .errors import (
 )
 from .normalize import normalize
 from .parser import parse
-from .symbolic import ParamExpr, _add, _mul, pe
+from .symbolic import ParamExpr, pe
 from .syntax import (
     BExpr,
     BTrue,
@@ -92,13 +92,12 @@ def dist_moment(kind: str, args: tuple[ParamExpr, ...], k: int) -> ParamExpr:
 _ABSENT = float("inf")
 
 
-#: The coefficient 1, as the field element the context computes with.
-_ONE = ParamExpr.one().elem
+_ONE = ParamExpr.one()
 
 
 def _accumulate(acc: dict, key, c) -> None:
     prev = acc.get(key)
-    acc[key] = c if prev is None else _add(prev, c)
+    acc[key] = c if prev is None else prev + c
 
 
 def _nonzero(terms: dict) -> dict:
@@ -111,9 +110,10 @@ class MomentContext:
     one analysis classifies the program once.
 
     Inside the context a polynomial is a dict from exponent tuples, one slot
-    per variable in sorted name order, to coefficients, so a product of
-    monomials is a sum of tuples.  The public methods take and return
-    ``PolyExpr`` and ``VarMonomial`` values and convert once at the boundary.
+    per variable in sorted name order, to ``ParamExpr`` coefficients, so a
+    product of monomials is a sum of tuples.  The public methods take and
+    return ``PolyExpr`` and ``VarMonomial`` values and convert monomials to
+    tuples and back once, at the boundary.
     """
 
     def __init__(self, program: NormalizedProgram):
@@ -124,8 +124,8 @@ class MomentContext:
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
-        self._coeffs: dict[object, ParamExpr] = {}
-        self._derivatives: dict[tuple[object, str], ParamExpr] = {}
+        self._coeffs: dict[ParamExpr, ParamExpr] = {}
+        self._derivatives: dict[tuple[ParamExpr, str], ParamExpr] = {}
         names = set(program.all_variables)
         for _, rhs in program.init:
             names |= rhs.variables()
@@ -183,7 +183,7 @@ class MomentContext:
         return t
 
     def _terms(self, poly: PolyExpr) -> dict:
-        return {self._tuple(m): c.elem for m, c in poly.terms}
+        return {self._tuple(m): c for m, c in poly.terms}
 
     def _monomial(self, t: tuple) -> tuple[tuple, VarMonomial]:
         """The monomial of ``t`` and its sort key.  The key orders as
@@ -202,8 +202,7 @@ class MomentContext:
     def _poly(self, terms: dict, intern: bool = False) -> PolyExpr:
         rows = [(*self._monomial(t), c) for t, c in terms.items()]
         rows.sort(key=itemgetter(0))
-        wrap = (lambda c: self.intern(ParamExpr(c))) if intern else ParamExpr
-        return PolyExpr(tuple((mono, wrap(c)) for _, mono, c in rows))
+        return PolyExpr(tuple((mono, self.intern(c) if intern else c) for _, mono, c in rows))
 
     # -- canonicalization over finite value sets ----------------------------
 
@@ -224,9 +223,9 @@ class MomentContext:
             v = self._order[i]
             acc: dict = {}
             for point in sorted(self.supports[v]):
-                scale = pe(point**e).elem
+                scale = pe(point**e)
                 for m, c in self._lagrange_basis(v, point).terms:
-                    _accumulate(acc, m.degree, _mul(c.elem, scale))
+                    _accumulate(acc, m.degree, c * scale)
             cached = self._power_reps[key] = list(_nonzero(acc).items())
         return cached
 
@@ -241,7 +240,7 @@ class MomentContext:
                 if t[i] >= size:
                     head, tail = t[:i], t[i + 1:]
                     work.extend(
-                        ((*head, j, *tail), _mul(c, r)) for j, r in self._power_rep(i, t[i])
+                        ((*head, j, *tail), c * r) for j, r in self._power_rep(i, t[i])
                     )
                     break
             else:
@@ -296,7 +295,7 @@ class MomentContext:
         out: dict = {}
         for ta, ca in a.items():
             for tb, cb in b.items():
-                _accumulate(out, tuple(map(add, ta, tb)), _mul(ca, cb))
+                _accumulate(out, tuple(map(add, ta, tb)), ca * cb)
         return _nonzero(out)
 
     def _power_value(self, rhs, k: int) -> dict:
@@ -312,7 +311,7 @@ class MomentContext:
         if cached is not None:
             return cached
         if isinstance(rhs, DistDraw):
-            cached = _nonzero({self._one: dist_moment(rhs.kind, rhs.args, k).elem})
+            cached = _nonzero({self._one: dist_moment(rhs.kind, rhs.args, k)})
         else:
             cached = {}
             for j, (poly, prob) in enumerate(rhs.choices):
@@ -327,7 +326,7 @@ class MomentContext:
                 for e, m in reversed(chain):
                     powers[e] = self._product(powers[m], powers[e - m])
                 for t, c in powers[k].items():
-                    _accumulate(cached, t, _mul(c, prob.elem))
+                    _accumulate(cached, t, c * prob)
             cached = _nonzero(cached)
         self._power_values[key] = cached
         return cached
@@ -368,7 +367,7 @@ class MomentContext:
                 continue
             rest = t[:i] + (0,) + t[i + 1:]
             for m, r in value_of(k).items():
-                _accumulate(new, tuple(map(add, rest, m)), _mul(c, r))
+                _accumulate(new, tuple(map(add, rest, m)), c * r)
         return kept, _nonzero(new)
 
     def _substitute(self, terms: dict, index: int) -> dict:
@@ -392,15 +391,15 @@ class MomentContext:
         return poly
 
     def intern(self, coeff: ParamExpr) -> ParamExpr:
-        """The context's one object for ``coeff``'s value in ``coeff``'s field.
+        """The context's one object for ``coeff``'s value.
 
         Recurrences of one program repeat a few coefficient values many
         times; sharing one object per value shares its printed form too."""
-        return self._coeffs.setdefault(coeff.elem, coeff)
+        return self._coeffs.setdefault(coeff, coeff)
 
     def derivative(self, coeff: ParamExpr, param: str) -> ParamExpr:
         """``coeff.diff(param)``, interned, computed once per value."""
-        key = (coeff.elem, param)
+        key = (coeff, param)
         d = self._derivatives.get(key)
         if d is None:
             d = self._derivatives[key] = self.intern(coeff.diff(param))
@@ -426,7 +425,7 @@ class MomentContext:
         missing = {self._order[i] for t in terms for i, e in enumerate(t) if e}
         if missing:
             raise UninitializedVariableError(tuple(sorted(missing)))
-        value = ParamExpr(terms.get(self._one, 0))
+        value = terms.get(self._one, ParamExpr.zero())
         self._initials[monomial] = value
         return value
 

@@ -1,22 +1,12 @@
-"""Exact rational functions of named parameters: sparse integer polynomials
-and reduced fractions of them, with no dependency beyond the standard library.
+"""Sparse integer polynomials in named parameters, with no dependency beyond
+the standard library.
 
 A polynomial in ZZ[x_1, ..., x_k] is a ``Poly``: a dict from exponent tuples,
 one slot per generator, to nonzero ints.  A polynomial does not know its
-generators.  A ``Frac`` keeps them as a tuple of names in the order of
-:func:`gens_of`, together with a numerator N and a denominator D over them,
-in the normal form sympy's ``cancel`` gives:
-
-- gcd(N, D) = 1 over ZZ, so the integer content is divided out of both
-  together;
-- the leading coefficient of D, in lex order over the generators, is
-  positive.
-
-A fraction is unique in that form, so any correct gcd gives the same pair.
-A value that is constant is a plain ``Fraction``, never a ``Frac``.  Field
-operations (:func:`add`, :func:`mul`, :func:`div`, ...) take and return
-``Fraction`` or ``Frac``; operands over different generators meet over the
-union of their generators.
+generators; whoever holds one keeps them as a tuple of names in the order of
+:func:`gens_of`, and :func:`relayout` moves a polynomial to a larger tuple.
+The field of fractions of these polynomials, Q(params), is
+``symbolic.ParamExpr``, whose field operations cancel with :func:`cofactors`.
 
 The gcd is the heuristic one of Char, Geddes and Gonnet ("GCDHEU: Heuristic
 polynomial GCD algorithm based on integer GCD computation", J. Symbolic
@@ -31,28 +21,23 @@ common case, take a direct path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add as _plus, sub as _minus
 
 __all__ = [
-    "Frac",
     "Poly",
-    "add",
-    "cancel",
     "cofactors",
-    "derivative",
-    "div",
+    "constant",
+    "content",
+    "diff",
     "divide",
     "evaluate",
     "gens_of",
-    "inverse",
-    "mul",
-    "neg",
-    "numer_denom",
-    "power",
-    "sub",
-    "variable",
+    "is_ground",
+    "is_one",
+    "lc",
+    "quo_ground",
+    "relayout",
 ]
 
 
@@ -123,14 +108,14 @@ def constant(c: int, nvars: int) -> Poly:
     return Poly({(0,) * nvars: c}) if c else Poly()
 
 
-def _is_one(p: Poly) -> bool:
+def is_one(p: Poly) -> bool:
     if len(p) != 1:
         return False
     ((m, c),) = p.items()
     return c == 1 and not any(m)
 
 
-def _is_ground(p: Poly) -> bool:
+def is_ground(p: Poly) -> bool:
     return not p or (len(p) == 1 and not any(next(iter(p))))
 
 
@@ -139,11 +124,11 @@ def content(p: Poly) -> int:
     return gcd(*p.values())
 
 
-def _quo_ground(p: Poly, c: int) -> Poly:
+def quo_ground(p: Poly, c: int) -> Poly:
     return p if c == 1 else Poly({m: v // c for m, v in p.items()})
 
 
-def _lc(p: Poly) -> int:
+def lc(p: Poly) -> int:
     """The leading coefficient in lex order (slot 0 most significant)."""
     return p[max(p)]
 
@@ -174,7 +159,7 @@ def _monomial_cofactors(mono: Poly, other: Poly) -> tuple[Poly, Poly, Poly]:
     if not any(e):
         if cg == 1:
             return Poly({e: 1}), mono, other
-        return Poly({e: cg}), Poly({m0: c0 // cg}), _quo_ground(other, cg)
+        return Poly({e: cg}), Poly({m0: c0 // cg}), quo_ground(other, cg)
     return (
         Poly({e: cg}),
         Poly({tuple(map(_minus, m0, e)): c0 // cg}),
@@ -243,7 +228,7 @@ def _heu(f: Poly, g: Poly):
         return _int_cofactors(f[()], g[()])
     cf, cg = content(f), content(g)
     c = gcd(cf, cg)
-    f, g = _quo_ground(f, cf), _quo_ground(g, cg)
+    f, g = quo_ground(f, cf), quo_ground(g, cg)
     if not any(m[0] for m in f) and not any(m[0] for m in g):
         # the first variable is absent: the gcd is one in the others
         h, qf, qg = (_prepend(x, 0) for x in _heu(_drop_first(f), _drop_first(g)))
@@ -253,7 +238,7 @@ def _heu(f: Poly, g: Poly):
             r = _heu(_evaluate_first(f, xi), _evaluate_first(g, xi))
             if r is not None:
                 h = _from_images(r[0], xi)
-                h = _quo_ground(h, content(h))
+                h = quo_ground(h, content(h))
                 qf = divide(f, h)
                 qg = None if qf is None else divide(g, h)
                 if qg is not None:
@@ -303,7 +288,7 @@ def _prepend(p: Poly, k: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Reduced fractions
+# Generators
 # ---------------------------------------------------------------------------
 
 # The generator order sympy's ``_sort_gens`` gives: a name's key is (rank,
@@ -325,7 +310,7 @@ def _gen_key(name: str) -> tuple:
 
 def gens_of(names) -> tuple:
     """The generators over ``names`` in sorted order, one shared tuple per
-    set of names (so two fractions over the same names share it)."""
+    set of names (so two values over the same names share it)."""
     key = frozenset(names)
     gens = _GENS.get(key)
     if gens is None:
@@ -345,194 +330,6 @@ def relayout(p: Poly, src: tuple, dst: tuple) -> Poly:
         m = (*m, 0)
         out[tuple([m[i] for i in take])] = c
     return Poly(out)
-
-
-class Frac:
-    """A reduced fraction ``num / den`` of polynomials over ``gens``, whose
-    value is not constant.  ``==`` and ``hash`` compare values, whatever
-    the generators."""
-
-    __slots__ = ("num", "den", "gens", "_hash")
-
-    def __init__(self, num: Poly, den: Poly, gens: tuple):
-        self.num = num
-        self.den = den
-        self.gens = gens
-        self._hash = None
-
-    def named_terms(self) -> tuple:
-        """The numerator and denominator terms with names for exponents."""
-        gens = self.gens
-        return tuple(
-            frozenset((tuple((gens[i], k) for i, k in enumerate(m) if k), c) for m, c in p.items())
-            for p in (self.num, self.den)
-        )
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Frac:
-            return False
-        if self.gens is other.gens:
-            return self.num == other.num and self.den == other.den
-        return self.named_terms() == other.named_terms()
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.named_terms())
-        return h
-
-    def __repr__(self) -> str:
-        return f"Frac({dict(self.num)!r}, {dict(self.den)!r}, {self.gens!r})"
-
-
-def variable(name: str) -> Frac:
-    return Frac(Poly({(1,): 1}), Poly({(0,): 1}), gens_of((name,)))
-
-
-def _make(num: Poly, den: Poly, gens: tuple):
-    """The field element ``num / den`` for a reduced pair with nonzero
-    ``den``, its sign not yet normalized."""
-    if not num:
-        return Fraction(0)
-    if _lc(den) < 0:
-        num, den = -num, -den
-    if _is_ground(num) and _is_ground(den):
-        return Fraction(num[next(iter(num))], den[next(iter(den))])
-    return Frac(num, den, gens)
-
-
-def cancel(num: Poly, den: Poly, gens: tuple):
-    """The field element ``num / den`` for any pair with nonzero ``den``."""
-    if not num:
-        return Fraction(0)
-    _, num, den = cofactors(num, den)
-    return _make(num, den, gens)
-
-
-def numer_denom(x, gens: tuple) -> tuple[Poly, Poly]:
-    """The numerator and denominator of the element ``x`` over ``gens``,
-    which must hold its generators."""
-    if type(x) is Fraction:
-        k = len(gens)
-        return constant(x.numerator, k), constant(x.denominator, k)
-    return relayout(x.num, x.gens, gens), relayout(x.den, x.gens, gens)
-
-
-def _unify(a: Frac, b: Frac) -> tuple[Poly, Poly, Poly, Poly, tuple]:
-    gens = a.gens
-    if gens is b.gens:
-        return a.num, a.den, b.num, b.den, gens
-    gens = gens_of(gens + b.gens)
-    return (*numer_denom(a, gens), *numer_denom(b, gens), gens)
-
-
-def _add_ground(f: Frac, q: Fraction):
-    """``f + q``: with D = g*D' and q = n/(g*d') for g = gcd(content(D), d),
-    the sum is (N*d' + n*D') / (D'*d) with only an integer left to cancel."""
-    n, d = q.numerator, q.denominator
-    if not n:
-        return f
-    num, den = f.num, f.den
-    if d == 1:
-        return Frac(num + den * n, den, f.gens)
-    g = gcd(content(den), d)
-    den1 = _quo_ground(den, g)
-    t = num * (d // g) + den1 * n
-    g2 = gcd(content(t), g)
-    return Frac(_quo_ground(t, g2), den1 * (d // g2), f.gens)
-
-
-def _mul_ground(f: Frac, q: Fraction):
-    n, d = q.numerator, q.denominator
-    if not n:
-        return q
-    if n == 1 and d == 1:
-        return f
-    g1 = gcd(n, content(f.den))
-    g2 = gcd(content(f.num), d)
-    return _make(_quo_ground(f.num, g2) * (n // g1), _quo_ground(f.den, g1) * (d // g2), f.gens)
-
-
-def add(a, b):
-    """``a + b``.  For a/b + c/d with g = gcd(b, d), the sum is
-    (a*(d/g) + c*(b/g)) / (b*d/g), and only a factor of g can cancel
-    (Henrici's method); when b = d, g is b itself and needs no gcd."""
-    if type(a) is Fraction:
-        return a + b if type(b) is Fraction else _add_ground(b, a)
-    if type(b) is Fraction:
-        return _add_ground(a, b)
-    an, ad, bn, bd, gens = _unify(a, b)
-    if ad == bd:
-        t = an + bn
-        if _is_one(ad):
-            return _make(t, ad, gens)
-        if not t:
-            return Fraction(0)
-        _, t, den = cofactors(t, ad)
-        return _make(t, den, gens)
-    g, ad1, bd1 = cofactors(ad, bd)
-    if _is_one(g):
-        return _make(an * bd + bn * ad, ad * bd, gens)
-    t = an * bd1 + bn * ad1
-    if not t:
-        return Fraction(0)
-    _, t, g1 = cofactors(t, g)
-    return _make(t, ad1 * bd1 * g1, gens)
-
-
-def neg(a):
-    return -a if type(a) is Fraction else Frac(-a.num, a.den, a.gens)
-
-
-def sub(a, b):
-    return add(a, neg(b))
-
-
-def mul(a, b):
-    """``a * b``.  For (a/b) * (c/d) only gcd(a, d) and gcd(c, b) can
-    cancel."""
-    if type(a) is Fraction:
-        return a * b if type(b) is Fraction else _mul_ground(b, a)
-    if type(b) is Fraction:
-        return _mul_ground(a, b)
-    an, ad, bn, bd, gens = _unify(a, b)
-    if not _is_one(bd):
-        _, an, bd = cofactors(an, bd)
-    if not _is_one(ad):
-        _, bn, ad = cofactors(bn, ad)
-    return _make(an * bn, ad * bd, gens)
-
-
-def inverse(a):
-    """``1 / a`` for a nonzero element."""
-    if type(a) is Fraction:
-        return 1 / a
-    return _make(a.den, a.num, a.gens)
-
-
-def div(a, b):
-    return mul(a, inverse(b))
-
-
-def power(a, k: int):
-    """``a ** k`` for an int k >= 0: N**k / D**k is reduced as it is."""
-    if type(a) is Fraction:
-        return a**k
-    if not k:
-        return Fraction(1)
-    return Frac(a.num**k, a.den**k, a.gens)
-
-
-def derivative(a, name: str):
-    """d a / d name."""
-    if type(a) is Fraction or name not in a.gens:
-        return Fraction(0)
-    i = a.gens.index(name)
-    num, den = a.num, a.den
-    dnum = _diff(num, i)
-    if _is_ground(den):
-        return cancel(dnum, den, a.gens) if dnum else Fraction(0)
-    return cancel(dnum * den - num * _diff(den, i), den * den, a.gens)
 
 
 def evaluate(p: Poly, point) -> tuple[int, int]:
@@ -563,7 +360,8 @@ def evaluate(p: Poly, point) -> tuple[int, int]:
     return num, den
 
 
-def _diff(p: Poly, i: int) -> Poly:
+def diff(p: Poly, i: int) -> Poly:
+    """d p / d (generator ``i``)."""
     out = {}
     for m, c in p.items():
         k = m[i]

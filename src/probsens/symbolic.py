@@ -1,24 +1,24 @@
 """Exact symbolic arithmetic: rational functions of parameters and
 exponential polynomials in the loop counter.
 
-``ParamExpr`` holds an element of Q(params), the field of rational functions
-of the parameters, as a reduced fraction of integer polynomials
-(``polys.Frac``), or as a plain ``Fraction`` when the value is constant, so
-every operation is field arithmetic and equality is exact.  Closed forms of
-moment sequences are ``ExpPolynomial`` values: an explicit transient prefix
-plus a sum of ``P(n) * base**n`` terms and of joint terms for conjugate root
-pairs, held in one term map whose layout ``ExpPolynomial`` documents.  The
-solver builds and sums closed forms in that same map, and the ``ep_*``
-algebra, the printer and the evaluator read it.
+``ParamExpr`` is an element of Q(params), the field of rational functions
+of the parameters, held as a reduced fraction of integer polynomials, or
+of two ints when the value is constant, so every operation is field
+arithmetic and equality is exact.  The field operations (:func:`add`,
+:func:`mul`, :func:`inverse`, ...) take and return ``ParamExpr`` values and
+cancel with ``polys.cofactors``.  Closed forms of moment sequences are
+``ExpPolynomial`` values: an explicit transient prefix plus a sum of
+``P(n) * base**n`` terms and of joint terms for conjugate root pairs, held
+in one term map whose layout ``ExpPolynomial`` documents.  The solver builds
+and sums closed forms in that same map, and the ``ep_*`` algebra, the
+printer and the evaluator read it.
 
-sympy is imported only on demand: by ``ParamExpr.e``, by a ``ParamExpr``
-built from a sympy expression, and by the conversions that the solver's
+sympy is imported only on demand, by the conversions that the solver's
 blocks of two or more symbols use (:func:`sympy_domain`).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -26,22 +26,12 @@ from typing import Iterable, Mapping, Union
 
 from . import polys
 from .errors import SingularParameterError
-from .polys import Frac, Poly, gens_of
-
-# Field operations on bare elements (``Fraction`` or ``Frac``), for callers
-# that skip the ``ParamExpr`` wrapper in their inner loops.
-_add = polys.add
-_sub = polys.sub
-_mul = polys.mul
+from .polys import Poly, constant, content, gens_of, is_ground, is_one, lc, quo_ground, relayout
 
 
 def common_gens(values: Iterable["ParamExpr"]) -> tuple:
     """The generators of the smallest parameter field holding ``values``."""
-    names: set[str] = set()
-    for v in values:
-        if type(v.elem) is Frac:
-            names.update(v.elem.gens)
-    return gens_of(names)
+    return gens_of(n for v in values for n in v.gens)
 
 
 # -- the sympy boundary -------------------------------------------------------
@@ -59,10 +49,9 @@ def to_sympy(value: "ParamExpr", domain, gens: tuple):
     """``value`` as an element of ``sympy_domain(gens)``: both sides keep
     the same normal form, so nothing is cancelled."""
     if not gens:
-        f = value.elem
-        return domain(f.numerator, f.denominator)
+        return domain(value.num, value.den)
     ring = domain.field.ring
-    num, den = polys.numer_denom(value.elem, gens)
+    num, den = numer_denom(value, gens)
     return domain.field.raw_new(ring.from_dict(dict(num)), ring.from_dict(dict(den)))
 
 
@@ -71,37 +60,7 @@ def from_sympy(x, domain, gens: tuple) -> "ParamExpr":
     if not gens:
         return ParamExpr(Fraction(int(x.numerator), int(x.denominator)))
     num, den = (Poly({m: int(c) for m, c in p.items()}) for p in (x.numer, x.denom))
-    return ParamExpr(polys.cancel(num, den, gens))
-
-
-def _from_expr(value):
-    """The field element of a sympy expression."""
-    if value.is_Rational:
-        return Fraction(int(value.p), int(value.q))
-    gens = gens_of(s.name for s in value.free_symbols)
-    domain = sympy_domain(gens)
-    return from_sympy(domain.field.from_expr(value), domain, gens).elem
-
-
-def _element(value):
-    """The exact field element for a non-``ParamExpr`` operand."""
-    t = type(value)
-    if t is Frac or t is Fraction:
-        return value
-    if t is int:
-        return Fraction(value)
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a parameter expression")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return polys.variable(value)
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass Fraction or int")
-    sympy = sys.modules.get("sympy")  # a sympy expression implies sympy is loaded
-    if sympy is not None and isinstance(value, sympy.Expr):
-        return _from_expr(value)
-    raise TypeError(f"cannot build a parameter expression from {value!r}")
+    return cancel(num, den, gens)
 
 
 def _used(poly: Poly, names) -> list[str]:
@@ -114,9 +73,10 @@ def _require(poly, names, values) -> None:
         raise ValueError(f"unassigned parameter(s): {', '.join(missing)}")
 
 
-# Printing builds the text sympy's ``StrPrinter`` gives for ``v.e`` from the
-# terms of the reduced numerator and denominator, with integer and
-# exponent-tuple work only; ``ParamExpr.e`` is the sympy view it must match.
+# Printing builds the text sympy's ``StrPrinter`` gives for a value as a sympy
+# expression, from the terms of the reduced numerator and denominator, with
+# integer and exponent-tuple work only.  The tests hold the sympy view of a
+# ``ParamExpr`` that it must match.
 
 
 def _terms(poly, names, den: int = 1) -> list:
@@ -165,11 +125,11 @@ def _poly_text(poly, names, den: int = 1) -> str:
     return _sum(rows) if len(rows) > 1 else _product(*rows[0], [])
 
 
-def _text(f) -> str:
-    """The text sympy prints for the field element ``f``.  The fraction is
-    reduced, so a monomial over a monomial has coprime coefficients."""
-    if type(f) is Fraction:
-        return _product(f.numerator, f.denominator, [], [])
+def _text(f: "ParamExpr") -> str:
+    """The text sympy prints for ``f``.  The fraction is reduced, so a
+    monomial over a monomial has coprime coefficients."""
+    if not f.gens:
+        return _product(f.num, f.den, [], [])
     names = f.gens
     if len(f.den) == 1 and not any(next(iter(f.den))):
         # sympy spreads a rational factor over a sum: (p + 1)/2 is p/2 + 1/2
@@ -194,19 +154,46 @@ def _text(f) -> str:
 class ParamExpr:
     """An exact rational function of the symbolic parameters.
 
-    ``elem`` is a reduced ``polys.Frac`` over the parameters it was built
-    from, or a ``Fraction`` when the value is constant.  Operands over
-    different parameters meet over the union of their parameter names.
-    ``==`` and ``hash`` are exact and independent of the parameters a value
-    is held over.  ``str`` prints from the terms of the fraction, once per
-    object; ``e`` is a sympy view built on demand, the reference that
-    printing is tested against.
+    The value is ``num / den`` over the generators ``gens``, in the order of
+    ``polys.gens_of``.  A constant has ``gens == ()`` and ``num`` and ``den``
+    coprime ints with ``den > 0``, as a ``Fraction`` holds them.  Any other
+    value holds ``Poly`` numerator and denominator over the parameters it
+    was built from, in the normal form sympy's ``cancel`` gives:
+
+    - gcd(num, den) = 1 over ZZ, so the integer content is divided out of
+      both together;
+    - the leading coefficient of ``den``, in lex order over the generators,
+      is positive.
+
+    A value is unique in that form, so any correct gcd gives the same pair.
+    Operands over different parameters meet over the union of their
+    parameter names.  ``==`` and ``hash`` are exact and independent of the
+    parameters a value is held over, and a constant compares and hashes as
+    its ``Fraction``.  ``str`` prints from the terms of the fraction, once per
+    object.  The constructor takes an int, a ``Fraction``, a parameter name
+    or a ``ParamExpr``; arithmetic builds its results without it.
     """
 
-    __slots__ = ("elem", "_hash", "_text")
+    __slots__ = ("num", "den", "gens", "_hash", "_text")
 
     def __init__(self, value: Union[int, Fraction, str, "ParamExpr"]):
-        self.elem = value.elem if isinstance(value, ParamExpr) else _element(value)
+        if isinstance(value, ParamExpr):
+            num, den, gens = value.num, value.den, value.gens
+        elif isinstance(value, bool):
+            raise TypeError("boolean is not a parameter expression")
+        elif isinstance(value, int):
+            num, den, gens = int(value), 1, ()
+        elif isinstance(value, Fraction):
+            num, den, gens = value.numerator, value.denominator, ()
+        elif isinstance(value, str):
+            num, den, gens = Poly({(1,): 1}), Poly({(0,): 1}), gens_of((value,))
+        elif isinstance(value, float):
+            raise TypeError("floats are not exact; pass Fraction or int")
+        else:
+            raise TypeError(f"cannot build a parameter expression from {value!r}")
+        self.num = num
+        self.den = den
+        self.gens = gens
         self._hash = None
         self._text = None
 
@@ -222,27 +209,30 @@ class ParamExpr:
 
     # -- arithmetic -----------------------------------------------------------
 
+    # ``+`` and ``*`` run in the assembly's inner loops, so they test the
+    # operand's type inline instead of calling ``pe``.
+
     def __add__(self, other) -> "ParamExpr":
-        return ParamExpr(_add(self.elem, _operand(other)))
+        return add(self, other if type(other) is ParamExpr else ParamExpr(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ParamExpr":
-        return ParamExpr(_sub(self.elem, _operand(other)))
+        return add(self, neg(pe(other)))
 
     def __rsub__(self, other) -> "ParamExpr":
-        return ParamExpr(_sub(_operand(other), self.elem))
+        return add(pe(other), neg(self))
 
     def __mul__(self, other) -> "ParamExpr":
-        return ParamExpr(_mul(self.elem, _operand(other)))
+        return mul(self, other if type(other) is ParamExpr else ParamExpr(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ParamExpr":
-        return ParamExpr(_div(self.elem, _operand(other)))
+        return mul(self, inverse(pe(other)))
 
     def __rtruediv__(self, other) -> "ParamExpr":
-        return ParamExpr(_div(_operand(other), self.elem))
+        return mul(pe(other), inverse(self))
 
     def __pow__(self, k: int) -> "ParamExpr":
         if not isinstance(k, int):
@@ -250,123 +240,276 @@ class ParamExpr:
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("zero raised to a negative power")
-            return ParamExpr(polys.power(polys.inverse(self.elem), -k))
-        return ParamExpr(polys.power(self.elem, k))
+            return power(inverse(self), -k)
+        return power(self, k)
 
     def __neg__(self) -> "ParamExpr":
-        return ParamExpr(polys.neg(self.elem))
+        return neg(self)
 
     # -- predicates & queries ---------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     @property
     def is_zero(self) -> bool:
-        return not self.elem
+        return not self.num
 
     @property
     def is_one(self) -> bool:
-        f = self.elem
-        return type(f) is Fraction and f == 1
+        return not self.gens and self.num == 1 and self.den == 1
 
     @property
     def is_rational(self) -> bool:
-        return type(self.elem) is Fraction
-
-    @property
-    def e(self):
-        """The value as a sympy expression, in ``sp.cancel`` form, built from
-        the numerator and denominator terms.  Imports sympy."""
-        import sympy as sp
-
-        f = self.elem
-        if type(f) is Fraction:
-            return sp.Rational(f.numerator, f.denominator)
-        symbols = [sp.Symbol(n) for n in f.gens]
-
-        def as_expr(poly):
-            return sp.Add(*(
-                sp.Mul(sp.Integer(c), *(s**k for s, k in zip(symbols, m) if k)) for m, c in poly.items()
-            ))
-
-        return as_expr(f.num) / as_expr(f.den)
+        return not self.gens
 
     def free_params(self) -> frozenset[str]:
-        f = self.elem
-        if type(f) is Fraction:
+        if not self.gens:
             return frozenset()
-        return frozenset(_used(f.num, f.gens) + _used(f.den, f.gens))
+        return frozenset(_used(self.num, self.gens) + _used(self.den, self.gens))
 
     def diff(self, param: str) -> "ParamExpr":
-        return ParamExpr(polys.derivative(self.elem, param))
+        return derivative(self, param)
 
     def as_fraction(self) -> Fraction:
-        f = self.elem
-        if type(f) is not Fraction:
+        if self.gens:
             raise ValueError(f"{self} is not a plain rational number")
-        return f
+        return Fraction(self.num, self.den)
 
     def eval_fraction(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate exactly at rational parameter values.
 
         Raises ``SingularParameterError`` if the denominator vanishes there.
         """
-        f = self.elem
-        if type(f) is Fraction:
-            return f
-        names = f.gens
+        names = self.gens
+        if not names:
+            return Fraction(self.num, self.den)
         point = [values.get(n) for n in names]
-        _require(f.den, names, values)
-        den_num, den_den = polys.evaluate(f.den, point)
+        _require(self.den, names, values)
+        den_num, den_den = polys.evaluate(self.den, point)
         if not den_num:
-            raise SingularParameterError(_poly_text(f.den, names))
-        _require(f.num, names, values)
-        num, num_den = polys.evaluate(f.num, point)
+            raise SingularParameterError(_poly_text(self.den, names))
+        _require(self.num, names, values)
+        num, num_den = polys.evaluate(self.num, point)
         return Fraction(num * den_den, num_den * den_num)
 
     # -- dunder plumbing --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ParamExpr):
-            b = other.elem
-        elif isinstance(other, (int, Fraction)):
-            b = _element(other)
-        else:
+        if not isinstance(other, ParamExpr):
+            if isinstance(other, (int, Fraction)):
+                return not self.gens and self.num == other.numerator and self.den == other.denominator
             return NotImplemented
-        return self.elem == b
+        if self.gens is other.gens:
+            return self.num == other.num and self.den == other.den
+        return bool(self.gens and other.gens) and _named_terms(self) == _named_terms(other)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.elem)
+            if self.gens:
+                h = hash(_named_terms(self))
+            else:
+                h = hash(self.num) if self.den == 1 else hash(Fraction(self.num, self.den))
+            self._hash = h
         return h
 
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            text = self._text = _text(self.elem)
+            text = self._text = _text(self)
         return text
 
     def __repr__(self) -> str:
         return f"ParamExpr({self})"
 
 
-def _div(a, b):
-    if not b:
-        raise ZeroDivisionError("division by an identically zero expression")
-    return polys.div(a, b)
-
-
-def _operand(value):
-    return value.elem if isinstance(value, ParamExpr) else _element(value)
-
-
-_PE_ZERO = ParamExpr(0)
-_PE_ONE = ParamExpr(1)
-_PE_TWO = ParamExpr(2)
-
-
 def pe(value) -> ParamExpr:
     """Shorthand constructor used throughout the package."""
     return value if isinstance(value, ParamExpr) else ParamExpr(value)
+
+
+# ---------------------------------------------------------------------------
+# Field operations
+# ---------------------------------------------------------------------------
+
+def _new(num, den, gens: tuple) -> ParamExpr:
+    """The value ``num / den`` over ``gens``, already in normal form."""
+    x = object.__new__(ParamExpr)
+    x.num = num
+    x.den = den
+    x.gens = gens
+    x._hash = None
+    x._text = None
+    return x
+
+
+def _named_terms(x: ParamExpr) -> tuple:
+    """The numerator and denominator terms of a non-constant value with
+    names for exponents, which ``==`` and ``hash`` compare across fields."""
+    gens = x.gens
+    return tuple(
+        frozenset((tuple((gens[i], k) for i, k in enumerate(m) if k), c) for m, c in p.items())
+        for p in (x.num, x.den)
+    )
+
+
+def _make(num: Poly, den: Poly, gens: tuple) -> ParamExpr:
+    """The value ``num / den`` for a reduced pair with nonzero ``den``, its
+    sign not yet normalized."""
+    if not num:
+        return _PE_ZERO
+    if lc(den) < 0:
+        num, den = -num, -den
+    if is_ground(num) and is_ground(den):
+        return _new(next(iter(num.values())), next(iter(den.values())), ())
+    return _new(num, den, gens)
+
+
+def cancel(num: Poly, den: Poly, gens: tuple) -> ParamExpr:
+    """The value ``num / den`` for any pair with nonzero ``den``."""
+    if not num:
+        return _PE_ZERO
+    _, num, den = polys.cofactors(num, den)
+    return _make(num, den, gens)
+
+
+def numer_denom(x: ParamExpr, gens: tuple) -> tuple[Poly, Poly]:
+    """The numerator and denominator of ``x`` over ``gens``, which must hold
+    its generators."""
+    if not x.gens:
+        k = len(gens)
+        return constant(x.num, k), constant(x.den, k)
+    return relayout(x.num, x.gens, gens), relayout(x.den, x.gens, gens)
+
+
+def _unify(a: ParamExpr, b: ParamExpr) -> tuple[Poly, Poly, Poly, Poly, tuple]:
+    gens = a.gens
+    if gens is b.gens:
+        return a.num, a.den, b.num, b.den, gens
+    gens = gens_of(gens + b.gens)
+    return (*numer_denom(a, gens), *numer_denom(b, gens), gens)
+
+
+def _add_ground(f: ParamExpr, n: int, d: int) -> ParamExpr:
+    """``f + n/d`` for a non-constant ``f``: with D = g*D' and n/d = n/(g*d')
+    for g = gcd(content(D), d), the sum is (N*d' + n*D') / (D'*d) with only
+    an integer left to cancel."""
+    if not n:
+        return f
+    num, den = f.num, f.den
+    if d == 1:
+        return _new(num + den * n, den, f.gens)
+    g = gcd(content(den), d)
+    den1 = quo_ground(den, g)
+    t = num * (d // g) + den1 * n
+    g2 = gcd(content(t), g)
+    return _new(quo_ground(t, g2), den1 * (d // g2), f.gens)
+
+
+def _mul_ground(f: ParamExpr, n: int, d: int) -> ParamExpr:
+    """``f * n/d`` for a non-constant ``f``: only gcd(n, content(D)) and
+    gcd(content(N), d) can cancel."""
+    if not n:
+        return _PE_ZERO
+    if n == 1 and d == 1:
+        return f
+    g1 = gcd(n, content(f.den))
+    g2 = gcd(content(f.num), d)
+    return _new(quo_ground(f.num, g2) * (n // g1), quo_ground(f.den, g1) * (d // g2), f.gens)
+
+
+def add(a: ParamExpr, b: ParamExpr) -> ParamExpr:
+    """``a + b``.  For a/b + c/d with g = gcd(b, d), the sum is
+    (a*(d/g) + c*(b/g)) / (b*d/g), and only a factor of g can cancel
+    (Henrici's method; Knuth, TAOCP vol. 2, 4.5.1).  Two constants take it
+    with int gcds, as ``Fraction`` does; when b = d, g is b itself and needs
+    no gcd."""
+    if not a.gens:
+        if b.gens:
+            return _add_ground(b, a.num, a.den)
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        if ad == 1 and bd == 1:
+            return _new(an + bn, 1, ())
+        g = gcd(ad, bd)
+        s = ad // g
+        t = an * (bd // g) + bn * s
+        g2 = gcd(t, g)
+        return _new(t // g2, s * (bd // g2), ())
+    if not b.gens:
+        return _add_ground(a, b.num, b.den)
+    an, ad, bn, bd, gens = _unify(a, b)
+    if ad == bd:
+        t = an + bn
+        if is_one(ad):
+            return _make(t, ad, gens)
+        return cancel(t, ad, gens)
+    g, ad1, bd1 = polys.cofactors(ad, bd)
+    if is_one(g):
+        return _make(an * bd + bn * ad, ad * bd, gens)
+    t = an * bd1 + bn * ad1
+    if not t:
+        return _PE_ZERO
+    _, t, g1 = polys.cofactors(t, g)
+    return _make(t, ad1 * bd1 * g1, gens)
+
+
+def neg(a: ParamExpr) -> ParamExpr:
+    return _new(-a.num, a.den, a.gens)
+
+
+def mul(a: ParamExpr, b: ParamExpr) -> ParamExpr:
+    """``a * b``.  For (a/b) * (c/d) only gcd(a, d) and gcd(c, b) can
+    cancel."""
+    if not a.gens:
+        if b.gens:
+            return _mul_ground(b, a.num, a.den)
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        if ad == 1 and bd == 1:
+            return _new(an * bn, 1, ())
+        g1, g2 = gcd(an, bd), gcd(bn, ad)
+        return _new((an // g1) * (bn // g2), (ad // g2) * (bd // g1), ())
+    if not b.gens:
+        return _mul_ground(a, b.num, b.den)
+    an, ad, bn, bd, gens = _unify(a, b)
+    if not is_one(bd):
+        _, an, bd = polys.cofactors(an, bd)
+    if not is_one(ad):
+        _, bn, ad = polys.cofactors(bn, ad)
+    return _make(an * bn, ad * bd, gens)
+
+
+def inverse(a: ParamExpr) -> ParamExpr:
+    """``1 / a``."""
+    if not a.num:
+        raise ZeroDivisionError("division by an identically zero expression")
+    if a.gens:
+        return _make(a.den, a.num, a.gens)
+    return _new(a.den, a.num, ()) if a.num > 0 else _new(-a.den, -a.num, ())
+
+
+def power(a: ParamExpr, k: int) -> ParamExpr:
+    """``a ** k`` for an int k >= 0: N**k / D**k is reduced as it is."""
+    if not k:
+        return _PE_ONE
+    return _new(a.num**k, a.den**k, a.gens)
+
+
+def derivative(a: ParamExpr, name: str) -> ParamExpr:
+    """d a / d name."""
+    if name not in a.gens:
+        return _PE_ZERO
+    i = a.gens.index(name)
+    num, den = a.num, a.den
+    dnum = polys.diff(num, i)
+    if is_ground(den):
+        return cancel(dnum, den, a.gens)
+    return cancel(dnum * den - num * polys.diff(den, i), den * den, a.gens)
+
+
+_PE_ZERO = _new(0, 1, ())
+_PE_ONE = _new(1, 1, ())
+_PE_TWO = _new(2, 1, ())
 
 
 # ---------------------------------------------------------------------------

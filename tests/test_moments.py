@@ -26,7 +26,6 @@ from probsens.oracle import moment_exact
 from probsens.parser import parse, parse_monomial as pm
 from probsens.sensitivity import SequenceSymbol, moment_closure
 from probsens.symbolic import pe
-import sympy as sp
 from probsens.syntax import (
     BTrue,
     DistDraw,
@@ -36,6 +35,7 @@ from probsens.syntax import (
     bexpr_vars,
 )
 
+from sympy_views import expr
 from test_dependency import MIXED
 from test_normalize import EPIDEMIC, random_programs
 
@@ -60,11 +60,6 @@ while true:
     z = cnt**2 - 3*y**2 + x**3
 end
 """
-
-
-def expr(text):
-    """Exact parameter expression from arithmetic notation (tests only)."""
-    return pe(sp.sympify(text, rational=True))
 
 
 def ctx_of(src):
@@ -546,4 +541,4 @@ def test_recurrence_matches_folded_reference_on_corpus(name, target):
 def test_recurrence_coefficients_are_interned():
     ctx = ctx_of(BRANCHY_COUNTER)
     coeffs = [c for t in ("cnt**2", "z", "y**2") for _, c in ctx.recurrence(pm(t)).terms]
-    assert len({id(c) for c in coeffs}) == len({c.elem for c in coeffs}) < len(coeffs)
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)

@@ -8,7 +8,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +31,7 @@ from probsens.sensitivity import (
 )
 from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic, pe
 
+from sympy_views import expr
 from test_dependency import MIXED, MIXED_TAINTED, _coin_program
 from test_moments import BRANCHY_COUNTER
 from test_normalize import EPIDEMIC
@@ -78,10 +78,6 @@ def norm(src, name="<program>"):
 
 def mono(text):
     return parse_monomial(text)
-
-
-def expr(text):
-    return pe(sp.sympify(text, rational=True))
 
 
 EPIDEMIC_VALS = {

@@ -35,11 +35,9 @@ from probsens.symbolic import (
 )
 from probsens.polys import gens_of
 
+from sympy_views import expr, from_expr
+
 CORPUS = Path(solver.__file__).parent / "benchmarks"
-
-
-def expr(text: str) -> ParamExpr:
-    return pe(sp.sympify(text, rational=True))
 
 
 def iterate(equations, initials, steps):
@@ -113,7 +111,7 @@ def test_resonance_constant_forcing():
     solved = solve_system(eqs, init)
     c, u0 = sp.symbols("c u0")
     for n in range(7):
-        assert ep_value_symbolic(solved["u"], n) == pe(u0 + c * n)
+        assert ep_value_symbolic(solved["u"], n) == from_expr(u0 + c * n)
 
 
 def test_nilpotent_shift_register():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probsens.polys as polys
@@ -30,6 +30,8 @@ from probsens.symbolic import (
     pe,
     render_exp_polynomial,
 )
+
+from sympy_views import as_expr, from_expr
 
 P = ParamExpr("p")
 Q = ParamExpr("q")
@@ -89,6 +91,56 @@ def test_free_params_and_rational():
     assert ParamExpr(Fraction(3, 4)).is_rational
     assert ParamExpr(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
     assert not P.is_rational
+
+
+# ---------------------------------------------------------------------------
+# Constants behave as the Fraction they hold
+# ---------------------------------------------------------------------------
+
+big_fractions = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-(10**30), 10**30)),
+    st.integers(1, 10**12),
+)
+
+
+def assert_is_fraction(got: ParamExpr, want: Fraction) -> None:
+    assert got.gens == ()
+    assert (got.num, got.den) == (want.numerator, want.denominator)
+    assert got == want and want == got and hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert bool(got) == bool(want)
+
+
+@given(big_fractions, big_fractions, st.integers(-3, 5))
+@example(Fraction(0), Fraction(0), -1)
+@example(Fraction(-7, 12), Fraction(7, 12), 0)
+@settings(max_examples=300, deadline=None)
+def test_constants_behave_as_fraction(a, b, k):
+    x, y = ParamExpr(a), ParamExpr(b)
+    assert_is_fraction(x, a)
+    assert_is_fraction(x + y, a + b)
+    assert_is_fraction(x - y, a - b)
+    assert_is_fraction(x * y, a * b)
+    assert_is_fraction(-x, -a)
+    if b:
+        assert_is_fraction(x / y, a / b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if a or k >= 0:
+        assert_is_fraction(x**k, a**k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**k
+
+
+def test_constants_meet_ints():
+    assert ParamExpr(3) == 3 and 3 == ParamExpr(3)
+    assert {ParamExpr(3): 1}[3] == 1
+    assert {3: 1}[ParamExpr(3)] == 1
+    assert {Fraction(1, 2): 1}[ParamExpr(Fraction(1, 2))] == 1
+    assert ParamExpr(3) != ParamExpr("p") and ParamExpr(0) != 1
 
 
 rationals = st.fractions(
@@ -179,7 +231,7 @@ def paired_fractions(draw):
 
 def assert_same(got: ParamExpr, expr: sp.Expr) -> None:
     want = cancelled(expr)
-    assert got == ParamExpr(want)
+    assert got == from_expr(want)
     assert str(got) == str(want)
 
 
@@ -188,7 +240,7 @@ def assert_same(got: ParamExpr, expr: sp.Expr) -> None:
 def test_arithmetic_matches_sympy_cancel(a, b, k):
     (x, ex), (y, ey) = a, b
     assert_same(x, ex)
-    assert_same(ParamExpr(ex), ex)
+    assert_same(from_expr(ex), ex)
     assert_same(x + y, ex + ey)
     assert_same(x - y, ex - ey)
     assert_same(x * y, ex * ey)
@@ -289,13 +341,11 @@ def gcd_free_operands(draw):
 
 
 def _has_denominator_one(v: ParamExpr) -> bool:
-    f = v.elem
-    return f.denominator == 1 if type(f) is not polys.Frac else polys._is_one(f.den)
+    return polys.is_one(v.den) if v.gens else v.den == 1
 
 
 def _pair(v: ParamExpr):
-    f = v.elem
-    return (f.gens, dict(f.num), dict(f.den)) if type(f) is polys.Frac else (None, f, None)
+    return (v.gens, dict(v.num), dict(v.den)) if v.gens else (None, v.as_fraction(), None)
 
 
 def _sympy_result(x: ParamExpr, y: ParamExpr, op):
@@ -324,10 +374,10 @@ def test_gcd_free_results_match_sympy(x, y, name):
     else:
         got = op(x, y)
     gens, num, den = _sympy_result(x, y, op)
-    want = ParamExpr(num) if gens is None else ParamExpr(polys.Frac(polys.Poly(num), polys.Poly(den), gens))
+    want = ParamExpr(num) if gens is None else symbolic.cancel(polys.Poly(num), polys.Poly(den), gens)
     assert _pair(got) == (gens, num, den)
     assert got == want and hash(got) == hash(want)
-    assert str(got) == str(want) == str(got.e)
+    assert str(got) == str(want) == str(as_expr(got))
 
 
 @pytest.mark.parametrize(
@@ -345,13 +395,13 @@ def test_gcd_free_results_match_sympy(x, y, name):
 )
 def test_gcd_free_results_are_reduced(value, want):
     assert _pair(value) == _pair(want)
-    assert str(value) == str(value.e)
+    assert str(value) == str(as_expr(value))
     if not value.free_params():
-        assert type(value.elem) is not polys.Frac
+        assert value.gens == ()
 
 
 # ---------------------------------------------------------------------------
-# Printing: str(v) is built from v's terms and must equal sympy's str(v.e)
+# Printing: str(v) is built from v's terms and must equal str(as_expr(v))
 # ---------------------------------------------------------------------------
 
 # name orders: {a, p} and {x, b, p} differ from sympy's generator order, and
@@ -388,9 +438,9 @@ def printed_fractions(draw):
 @settings(max_examples=300, deadline=None)
 def test_printing_matches_sympy(v):
     for w in (v, -v, v / 2, v + 1, v - Fraction(1, 3)):
-        assert str(w) == str(w.e)
+        assert str(w) == str(as_expr(w))
     if not v.is_zero:
-        assert str(1 / v) == str((1 / v).e)
+        assert str(1 / v) == str(as_expr(1 / v))
 
 
 @pytest.mark.parametrize(
@@ -411,7 +461,7 @@ def test_printing_matches_sympy(v):
     ],
 )
 def test_printing_pinned(value, text):
-    assert str(value) == text == str(value.e)
+    assert str(value) == text == str(as_expr(value))
     assert repr(value) == f"ParamExpr({text})"
 
 
@@ -449,7 +499,7 @@ def test_printing_matches_sympy_on_manifest_rows(program, target, wrt, method):
     coefficients = _coefficients(result)
     assert any(not c.is_rational for c in coefficients)
     for c in coefficients:
-        assert str(c) == str(c.e)
+        assert str(c) == str(as_expr(c))
 
 
 # ---------------------------------------------------------------------------
