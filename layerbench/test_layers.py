@@ -66,6 +66,16 @@ def _program(name: str):
     return normalize(parse((CORPUS / name).read_text(), name=name))
 
 
+def _fresh_context(program):
+    """A benchmark setup that hands the timed call a new context."""
+
+    def setup():
+        clear_cache()
+        return (MomentContext(program),), {}
+
+    return setup
+
+
 def _sensitivity_system(name: str, target: str, wrt: str):
     system = sensitivity_system(MomentContext(_program(name)), parse_monomial(target), wrt)
     equations = system.equations
@@ -225,34 +235,47 @@ def test_recurrence_total_sq(benchmark, k):
     recurrence assembly alone, with value sets computed in the setup."""
     program, mono = _coin_program(k), parse_monomial("total**2")
 
-    def setup():
-        clear_cache()
-        return (MomentContext(program),), {}
-
-    rec = benchmark.pedantic(lambda ctx: ctx.recurrence(mono), setup=setup, rounds=ROUNDS)
+    rec = benchmark.pedantic(
+        lambda ctx: ctx.recurrence(mono), setup=_fresh_context(program), rounds=ROUNDS
+    )
     # E[total**2] after a pass needs every c_i and every c_i*c_j (i < j),
     # plus the constant.
     assert len(rec.terms) == k * (k + 1) // 2 + 1
 
 
-@pytest.mark.parametrize("k", [6, 9, 13, 20])
+@pytest.mark.parametrize("k", [6, 9, 13, 20, 30])
 def test_sensitivity_system_total_sq(benchmark, k):
     """d/dp E[total**2] of the k-coin program, assembled and rendered from a
-    fresh context as ``dump-recurrences --wrt p`` does, with value sets
-    computed in the setup."""
+    fresh context as ``dump-recurrences --wrt p --cap`` does with a cap
+    just large enough, with value sets computed in the setup.  k = 30 gives
+    931 equations."""
     program, mono = _coin_program(k), parse_monomial("total**2")
-
-    def setup():
-        clear_cache()
-        return (MomentContext(program),), {}
+    size = k * (k + 1) + 1
 
     def work(ctx):
-        system = sensitivity_system(ctx, mono, "p")
+        system = sensitivity_system(ctx, mono, "p", cap=size)
         return system, system.render()
 
-    system, text = benchmark.pedantic(work, setup=setup, rounds=ROUNDS)
-    assert system.size == k * (k + 1) + 1
+    system, text = benchmark.pedantic(work, setup=_fresh_context(program), rounds=ROUNDS)
+    assert system.size == size
     assert len(text.splitlines()) == system.size
+
+
+def test_moment_closure_coin_flips_50(benchmark):
+    """E[total] of coin_flips_50.prob from a fresh context, initial values
+    included: 51 equations, each recurrence and each initial value pushed
+    back through 51 statements, of which it touches at most two."""
+    program, mono = _program("coin_flips_50.prob"), parse_monomial("total")
+
+    system = benchmark.pedantic(
+        lambda ctx: moment_closure(ctx, mono), setup=_fresh_context(program), rounds=ROUNDS
+    )
+    assert system.size == 51
+    assert all(v == (1 if s.is_constant else 0) for s, v in system.initials.items())
+    point = {"p": Fraction(2, 7)}
+    rows = system.iterate(3, point)
+    value = sum(c.eval_fraction(point) * rows[3][s] for c, s in system.combination)
+    assert value == 50 * (1 - (1 - point["p"]) ** 3)
 
 
 @pytest.mark.parametrize("cap", [60, 100])
@@ -262,16 +285,12 @@ def test_moment_closure_reaches_the_cap(benchmark, cap):
     chain are constants, so this is the assembly's constant arithmetic."""
     program, mono = _program("non_admissible_4.prob"), parse_monomial("z")
 
-    def setup():
-        clear_cache()
-        return (MomentContext(program),), {}
-
     def work(ctx):
         with pytest.raises(EquationCapError) as exc:
             moment_closure(ctx, mono, cap=cap)
         return exc.value
 
-    error = benchmark.pedantic(work, setup=setup, rounds=ROUNDS)
+    error = benchmark.pedantic(work, setup=_fresh_context(program), rounds=ROUNDS)
     assert (error.cap, error.count) == (cap, cap + 1)
 
 

@@ -126,12 +126,17 @@ class MomentContext:
         self._initials: dict[VarMonomial, ParamExpr] = {}
         self._coeffs: dict[ParamExpr, ParamExpr] = {}
         self._derivatives: dict[tuple[ParamExpr, str], ParamExpr] = {}
-        names = set(program.all_variables)
-        for _, rhs in program.init:
-            names |= rhs.variables()
-        for ga in program.body:
-            names |= ga.rhs.variables() | bexpr_vars(ga.guard)
-        self._set_order(names)
+        self._set_powers: dict[tuple[tuple, int], list] = {}
+        self._sizes = {v: len(s) for v, s in self.supports.items() if s}
+        # each assignment as ``_push`` takes it: the key of its value, its
+        # target and the variables its value reads
+        self._init_steps = [(rhs, v, rhs.variables()) for v, rhs in program.init]
+        self._body_steps = [
+            (j, ga.target, {*ga.rhs.variables(), *bexpr_vars(ga.guard), ga.else_source} - {None})
+            for j, ga in enumerate(program.body)
+        ]
+        reads = (r for *_, r in self._init_steps + self._body_steps)
+        self._set_order(set(program.all_variables).union(*reads))
 
     def _set_order(self, names: Iterable[str]) -> None:
         """Lay exponent tuples out over ``names``, sorted; every cache of
@@ -139,9 +144,7 @@ class MomentContext:
         self._order = tuple(sorted(names))
         self._slot = {v: i for i, v in enumerate(self._order)}
         self._one = (0,) * len(self._order)
-        self._caps = [
-            (i, len(s)) for i, v in enumerate(self._order) if (s := self.supports.get(v))
-        ]
+        self._caps = [(i, self._sizes[v]) for i, v in enumerate(self._order) if v in self._sizes]
         self._tuples: dict[VarMonomial, tuple] = {}
         self._monomials: dict[tuple, tuple[tuple, VarMonomial]] = {}
         self._power_reps: dict[tuple[int, int], list] = {}
@@ -216,24 +219,31 @@ class MomentContext:
 
     def _power_rep(self, i: int, e: int) -> list:
         """The terms ``(j, c)`` of the polynomial of degree < |values| in
-        slot ``i``'s variable that equals its ``e``-th power on its values."""
+        slot ``i``'s variable that equals its ``e``-th power on its values;
+        variables with the same values share one list."""
         key = (i, e)
         cached = self._power_reps.get(key)
         if cached is None:
             v = self._order[i]
-            acc: dict = {}
-            for point in sorted(self.supports[v]):
-                scale = pe(point**e)
-                for m, c in self._lagrange_basis(v, point).terms:
-                    _accumulate(acc, m.degree, c * scale)
-            cached = self._power_reps[key] = list(_nonzero(acc).items())
+            points = tuple(sorted(self.supports[v]))
+            cached = self._set_powers.get((points, e))
+            if cached is None:
+                acc: dict = {}
+                for point in points:
+                    scale = pe(point**e)
+                    for m, c in self._lagrange_basis(v, point).terms:
+                        _accumulate(acc, m.degree, c * scale)
+                cached = self._set_powers[points, e] = list(_nonzero(acc).items())
+            self._power_reps[key] = cached
         return cached
 
-    def _reduce(self, terms: dict, out: dict) -> dict:
-        """Add ``terms`` to ``out`` with every over-high variable power
-        rewritten to its canonical form; ``out`` needs no rewriting."""
-        caps = self._caps
+    def _reduce(self, terms: dict, out: dict, caps: list) -> dict:
+        """Add ``terms`` to ``out``, in place, with every power in a slot
+        of ``caps`` that meets its value-set size rewritten to its
+        canonical form.  ``out`` needs no rewriting and holds no zero, so
+        only the keys added to are checked for one."""
         work = list(terms.items())
+        added = []
         while work:
             t, c = work.pop()
             for i, size in caps:
@@ -245,12 +255,16 @@ class MomentContext:
                     break
             else:
                 _accumulate(out, t, c)
-        return _nonzero(out)
+                added.append(t)
+        for t in added:
+            if not out.get(t, True):
+                del out[t]
+        return out
 
     def reduce(self, poly: PolyExpr) -> PolyExpr:
         """Rewrite every over-high variable power to its canonical form."""
         self._admit(poly.variables())
-        return self._poly(self._reduce(self._terms(poly), {}))
+        return self._poly(self._reduce(self._terms(poly), {}, self._caps))
 
     def _truth_of(self, guard: BExpr) -> dict:
         cached = self._truth_terms.get(guard)
@@ -285,7 +299,7 @@ class MomentContext:
                     piece = self._product(piece, self._terms(self._lagrange_basis(v, point)))
                 for t, c in piece.items():
                     _accumulate(acc, t, c)
-        cached = self._truth_terms[guard] = self._reduce(_nonzero(acc), {})
+        cached = self._truth_terms[guard] = self._reduce(_nonzero(acc), {}, self._caps)
         return cached
 
     # -- one-step substitution ----------------------------------------------
@@ -355,27 +369,28 @@ class MomentContext:
         self._replacements[key] = cached
         return cached
 
-    @staticmethod
-    def _split(terms: dict, i: int, value_of) -> tuple[dict, dict]:
-        """The terms free of slot ``i``, and the sum of the others with
-        slot ``i``'s power k replaced by the terms ``value_of(k)``."""
-        kept, new = {}, {}
-        for t, c in terms.items():
-            k = t[i]
-            if not k:
-                kept[t] = c
+    def _push(self, terms: dict, steps: list, value_of, sizes: dict) -> dict:
+        """Push ``terms`` backward, in place, through ``steps``, last first:
+        a target's power k in a term becomes ``value_of(key, k)``.  The
+        powers of the variables in ``sizes`` stay canonical; a step can
+        raise only those of the variables it reads.  ``held`` has every
+        variable a term holds, so a step whose target none holds is free."""
+        held = {self._order[i] for t in terms for i, e in enumerate(t) if e}
+        for key, target, reads in reversed(steps):
+            if target not in held:
                 continue
-            rest = t[:i] + (0,) + t[i + 1:]
-            for m, r in value_of(k).items():
-                _accumulate(new, tuple(map(add, rest, m)), c * r)
-        return kept, _nonzero(new)
-
-    def _substitute(self, terms: dict, index: int) -> dict:
-        """``terms``, already reduced, with the target of ``body[index]``
-        replaced; only the replaced terms need reducing again."""
-        i = self._slot[self.program.body[index].target]
-        kept, new = self._split(terms, i, lambda k: self._replacement(index, k))
-        return self._reduce(new, kept)
+            held.discard(target)
+            held |= reads
+            i = self._slot[target]
+            caps = [(self._slot[v], sizes[v]) for v in reads if v in sizes]
+            new: dict = {}
+            for t in [t for t in terms if t[i]]:
+                c = terms.pop(t)
+                rest = t[:i] + (0,) + t[i + 1:]
+                for m, r in value_of(key, t[i]).items():
+                    _accumulate(new, tuple(map(add, rest, m)), c * r)
+            self._reduce(new, terms, caps)
+        return terms
 
     def recurrence(self, monomial: VarMonomial) -> PolyExpr:
         """E[monomial] after one body pass, linear in pre-pass expectations."""
@@ -383,9 +398,8 @@ class MomentContext:
         if cached is not None:
             return cached
         self._admit(monomial.variables())
-        terms = self._reduce({self._tuple(monomial): _ONE}, {})
-        for index in reversed(range(len(self.program.body))):
-            terms = self._substitute(terms, index)
+        terms = self._reduce({self._tuple(monomial): _ONE}, {}, self._caps)
+        terms = self._push(terms, self._body_steps, self._replacement, self._sizes)
         poly = self._poly(terms, intern=True)
         self._recurrences[monomial] = poly
         return poly
@@ -416,12 +430,7 @@ class MomentContext:
         if cached is not None:
             return cached
         self._admit(monomial.variables())
-        terms = {self._tuple(monomial): _ONE}
-        for v, rhs in reversed(self.program.init):
-            terms, new = self._split(terms, self._slot[v], lambda k: self._power_value(rhs, k))
-            for t, c in new.items():
-                _accumulate(terms, t, c)
-            terms = _nonzero(terms)
+        terms = self._push({self._tuple(monomial): _ONE}, self._init_steps, self._power_value, {})
         missing = {self._order[i] for t in terms for i, e in enumerate(t) if e}
         if missing:
             raise UninitializedVariableError(tuple(sorted(missing)))

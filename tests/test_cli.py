@@ -319,6 +319,51 @@ def test_analyzer_error_exits_with_its_class_code(runner, monkeypatch, error):
     assert result.stdout == ""
 
 
+#: w reads y and z, and each is written under a guard the engine refuses:
+#: y's compares against the parameter q, z's reads the unbounded x.
+TWO_REFUSED_GUARDS = """
+x = 0
+y = 0
+z = 0
+w = 0
+while true:
+    x = x + 1
+    c = Bernoulli(q)
+{}
+{}
+    w = y + z
+end
+"""
+PARAMETER_GUARD = "    if c < q:\n        y = y + 1\n    end"
+UNBOUNDED_GUARD = "    if x < 3:\n        z = z + 1\n    end"
+PARAMETER_GUARD_ERROR = (
+    "error: condition ['q'] compares against parameters; "
+    "expectations over such branches have no polynomial form\n"
+)
+UNBOUNDED_GUARD_ERROR = "error: guard variable(s) without a finite value set: x\n"
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (PARAMETER_GUARD, UNBOUNDED_GUARD, UNBOUNDED_GUARD_ERROR),
+        (UNBOUNDED_GUARD, PARAMETER_GUARD, PARAMETER_GUARD_ERROR),
+        (PARAMETER_GUARD, "", PARAMETER_GUARD_ERROR),
+        ("", UNBOUNDED_GUARD, UNBOUNDED_GUARD_ERROR),
+    ],
+    ids=["unbounded-last", "parameter-last", "parameter-alone", "unbounded-alone"],
+)
+def test_the_later_refused_guard_reports_its_error(runner, tmp_path, first, second, message):
+    # assembly walks the body backward, so of two refused guards the later
+    # statement's is met first, though the earlier one fails on its own
+    path = tmp_path / "guards.prob"
+    path.write_text(TWO_REFUSED_GUARDS.format(first, second))
+    result = runner.invoke(main, ["dump-recurrences", str(path), "--target", "w"])
+    assert result.exit_code == 3
+    assert result.stderr == message
+    assert result.stdout == ""
+
+
 def test_analyze_eval_requires_at_n(runner):
     result = runner.invoke(
         main,

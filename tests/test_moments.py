@@ -7,7 +7,8 @@ oracle moment at step n+1, for every fixture and for random programs.
 """
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -536,6 +537,97 @@ def test_monomials_over_variables_the_program_does_not_mention():
 def test_recurrence_matches_folded_reference_on_corpus(name, target):
     np_ = normalize(parse((CORPUS / name).read_text()))
     assert MomentContext(np_).recurrence(pm(target)) == _folded_recurrence(np_, pm(target))
+
+
+# ---------------------------------------------------------------------------
+# Assembly against the reference that copies every term through every step
+# ---------------------------------------------------------------------------
+
+
+def _copying_split(terms, i, value_of):
+    """The terms free of slot ``i``, and the sum of the others with slot
+    ``i``'s power k replaced by ``value_of(k)``, both as new dicts."""
+    kept, new = {}, {}
+    for t, c in terms.items():
+        if not t[i]:
+            kept[t] = c
+            continue
+        rest = t[:i] + (0,) + t[i + 1:]
+        for m, r in value_of(t[i]).items():
+            key = tuple(map(add, rest, m))
+            new[key] = new[key] + c * r if key in new else c * r
+    return kept, {t: c for t, c in new.items() if c}
+
+
+def _copying_reduce(ctx, terms, out):
+    """A new dict: ``out`` plus ``terms`` with over-high powers rewritten."""
+    out, work = dict(out), list(terms.items())
+    while work:
+        t, c = work.pop()
+        for i, size in ctx._caps:
+            if t[i] >= size:
+                work.extend(((*t[:i], j, *t[i + 1:]), c * r) for j, r in ctx._power_rep(i, t[i]))
+                break
+        else:
+            out[t] = out[t] + c if t in out else c
+    return {t: c for t, c in out.items() if c}
+
+
+def _copying_recurrence(ctx, monomial):
+    """Reference: ``ctx.recurrence`` with every statement of the body split
+    and reduced into new dicts, whether it touches a term or not."""
+    ctx._admit(monomial.variables())
+    terms = _copying_reduce(ctx, {ctx._tuple(monomial): pe(1)}, {})
+    for index in reversed(range(len(ctx.program.body))):
+        i = ctx._slot[ctx.program.body[index].target]
+        kept, new = _copying_split(terms, i, lambda k: ctx._replacement(index, k))
+        terms = _copying_reduce(ctx, new, kept)
+    return ctx._poly(terms)
+
+
+def _copying_initial(ctx, monomial):
+    """Reference: ``ctx.initial`` with every initial assignment split into
+    new dicts."""
+    ctx._admit(monomial.variables())
+    terms = {ctx._tuple(monomial): pe(1)}
+    for v, rhs in reversed(ctx.program.init):
+        kept, new = _copying_split(terms, ctx._slot[v], lambda k: ctx._power_value(rhs, k))
+        for t, c in new.items():
+            kept[t] = kept[t] + c if t in kept else c
+        terms = {t: c for t, c in kept.items() if c}
+    missing = {ctx._order[i] for t in terms for i, e in enumerate(t) if e}
+    if missing:
+        raise UninitializedVariableError(tuple(sorted(missing)))
+    return terms.get(ctx._one, pe(0))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NonFiniteGuardError, UninitializedVariableError) as e:
+        return type(e), str(e)
+
+
+@given(random_programs())
+@settings(max_examples=40, deadline=None)
+def test_assembly_matches_the_copying_reference_on_random_programs(src):
+    # every monomial of degree <= 2, asked of one context in one order and
+    # of another in the reverse order: a cached dict that assembly changed
+    # in place would change the answers that come after it
+    np_ = normalize(parse(src))
+    names = np_.all_variables
+    monomials = [VarMonomial.one()] + [
+        pm("*".join(pair)) for d in (1, 2) for pair in combinations_with_replacement(names, d)
+    ]
+    reference = MomentContext(np_)
+    want = {
+        m: (_outcome(_copying_recurrence, reference, m), _outcome(_copying_initial, reference, m))
+        for m in monomials
+    }
+    for order in (monomials, monomials[::-1]):
+        ctx = MomentContext(np_)
+        got = {m: (_outcome(ctx.recurrence, m), _outcome(ctx.initial, m)) for m in order}
+        assert got == want
 
 
 def test_recurrence_coefficients_are_interned():
