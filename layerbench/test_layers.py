@@ -20,7 +20,7 @@ from sympy.core.cache import clear_cache
 
 import probsens.polys as polys
 import probsens.solver as solver
-from probsens.dependency import variable_supports
+from probsens.dependency import classify, variable_supports
 from probsens.errors import EquationCapError
 from probsens.moments import MomentContext
 from probsens.normalize import normalize
@@ -320,14 +320,43 @@ BIT = frozenset({Fraction(0), Fraction(1)})
     ],
 )
 def test_variable_supports(benchmark, name, expected):
-    program = _coin_program(12) if name == "coin_flips_12" else _program(name)
+    """The value-set fixpoint, step table included, of a program normalized
+    afresh in each round's setup, so that no round reads the step table an
+    earlier round built."""
 
-    supports = benchmark.pedantic(
-        lambda: variable_supports(program), setup=clear_cache, rounds=ROUNDS
-    )
-    assert set(supports) == set(program.all_variables)
+    def fresh():
+        return _coin_program(12) if name == "coin_flips_12" else _program(name)
+
+    def setup():
+        clear_cache()
+        return (fresh(),), {}
+
+    supports = benchmark.pedantic(variable_supports, setup=setup, rounds=ROUNDS)
+    assert set(supports) == set(fresh().all_variables)
     for v, values in expected.items():
         assert supports[v] == (None if values is None else {Fraction(x) for x in values})
+
+
+def test_classify_then_analyse_coin_flips_50(benchmark):
+    """``classify`` and then ``parameter_sensitivity`` of coin_flips_50 total
+    with respect to p, on one program normalized afresh in each round's
+    setup, as each operation of the ``corpus`` benchmark runs a row: the
+    analysis reads the value sets, graph and verdict that ``classify``
+    derived."""
+    mono = parse_monomial("total")
+
+    def setup():
+        clear_cache()
+        return (_program("coin_flips_50.prob"),), {}
+
+    def work(program):
+        return classify(program, "p"), parameter_sensitivity(program, mono, "p")
+
+    cls, result = benchmark.pedantic(work, setup=setup, rounds=ROUNDS)
+    assert cls.admissible and result.classification is cls
+    assert (result.method, result.equation_count) == ("diff", 51)
+    point = {"p": Fraction(2, 7)}
+    assert ep_eval(result.closed_form, point, 3) == 50 * 3 * (1 - point["p"]) ** 2
 
 
 @pytest.mark.parametrize("form", ["structured", "normalized"])

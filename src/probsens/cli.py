@@ -33,7 +33,8 @@ from .errors import (
     ProbsensError,
     UnsupportedFactorError,
 )
-from .moments import DEFAULT_EQUATION_CAP, MomentContext
+from .dependency import classify, program_facts
+from .moments import DEFAULT_EQUATION_CAP
 from .normalize import normalize
 from .oracle import fd_sensitivity, moment_exact, sample_moment
 from .parser import parse, parse_monomial, validate
@@ -235,10 +236,9 @@ def analyze(program, target, wrt, method, eval_values, at_n, cap, fmt, dump_norm
         click.echo(np_.to_source())
         click.echo()
     started = time.perf_counter()
-    ctx = MomentContext(np_)
     if explain_var:
-        _explain(ctx.graph, explain_var, wrt)
-    result = parameter_sensitivity(ctx, target_mono, wrt, method=method, cap=_resolve_cap(cap))
+        _explain(program_facts(np_).graph, explain_var, wrt)
+    result = parameter_sensitivity(np_, target_mono, wrt, method=method, cap=_resolve_cap(cap))
     wall_ms = (time.perf_counter() - started) * 1000.0
 
     evaluations = []
@@ -329,8 +329,7 @@ def classify_cmd(program, wrt, fmt):
     if wrt:
         _check_parameter(np_, wrt)
     params = [wrt] if wrt else sorted(np_.params)
-    ctx = MomentContext(np_)
-    records = [ctx.classification(p) for p in params or [None]]
+    records = [classify(np_, p) for p in params or [None]]
     if fmt == "json":
         click.echo(
             json.dumps(

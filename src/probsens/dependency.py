@@ -19,18 +19,26 @@ side, or at a value of more than 4096 bits.
 Reading a variable before its unique body assignment refers to the previous
 iteration's value, but the induced dependency edge is the same either way, so
 the graph does not distinguish the two.
+
+Every analysis reads one table of :class:`Step` per program.  A program
+derives its table, value sets, graph and per-parameter verdicts at most once
+and keeps them (:func:`program_facts`); they are shared, so read-only.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
 from .syntax import (
-    Categorical,
+    AssignRhs,
+    BExpr,
+    BTrue,
     DistDraw,
     NormalizedProgram,
     bexpr_params,
@@ -150,10 +158,86 @@ def _choice_values(choice, supports) -> Optional[set]:
     return acc
 
 
-def _compile(rhs):
-    if isinstance(rhs, DistDraw):
-        return _draw_values(rhs)
-    return [_compile_choice(poly) for poly, _prob in rhs.choices]
+# ---------------------------------------------------------------------------
+# The step table and the facts of one program
+# ---------------------------------------------------------------------------
+
+
+class Step:
+    """One assignment ``target = rhs [guard] else else_source`` and what the
+    analyses read off it; an initial assignment has the guard ``true``.
+
+    The reads are split into ``rhs_reads`` and ``guard_reads``, and
+    ``reads`` joins them with the else source.  The parameters are split
+    into ``rhs_params``, ``prob_params`` and ``guard_params``.  ``values`` is
+    what the value-set fixpoint joins into the target: a draw's values (None
+    when not finite), or one compiled choice per alternative.  ``nonlinear``
+    has the variables of right-hand-side monomials of degree two or more.
+    Steps compare by identity."""
+
+    __slots__ = (
+        "target", "rhs", "guard", "else_source", "rhs_reads", "guard_reads", "reads",
+        "rhs_params", "prob_params", "guard_params", "values", "nonlinear",
+    )
+
+    def __init__(self, target: str, rhs: AssignRhs, guard: BExpr = BTrue(), else_source=None):
+        self.target, self.rhs, self.guard, self.else_source = target, rhs, guard, else_source
+        reads, params, probs, nonlinear = set(), set(), set(), set()
+        if isinstance(rhs, DistDraw):
+            params, self.values = rhs.free_params(), _draw_values(rhs)
+        else:
+            self.values = []
+            for poly, prob in rhs.choices:
+                self.values.append(_compile_choice(poly))
+                probs |= prob.free_params()
+                for mono, coeff in poly.terms:
+                    names = [v for v, _ in mono.powers]
+                    reads.update(names)
+                    params |= coeff.free_params()
+                    if mono.degree >= 2:
+                        nonlinear.update(names)
+        self.rhs_reads, self.guard_reads = frozenset(reads), bexpr_vars(guard)
+        self.reads = self.rhs_reads | self.guard_reads | ({else_source} - {None})
+        self.rhs_params, self.prob_params = frozenset(params), frozenset(probs)
+        self.guard_params, self.nonlinear = bexpr_params(guard), frozenset(nonlinear)
+
+
+class ProgramFacts:
+    """What the analyses derive from one normalized program, each at most
+    once: the step table (``init`` and ``body``), the value sets, the
+    dependency graph and the verdict per parameter.  A miss calls
+    :func:`variable_supports`, :func:`build_graph` or :func:`classify`.
+    The facts hold their program weakly, since the program holds them, and
+    record the value-set caps they were derived under."""
+
+    def __init__(self, np: NormalizedProgram, caps: tuple):
+        self._program = weakref.ref(np)
+        self.caps = caps
+        self.init = tuple(Step(v, rhs) for v, rhs in np.init)
+        self.body = tuple(Step(ga.target, ga.rhs, ga.guard, ga.else_source) for ga in np.body)
+        self.verdicts: dict[Optional[str], Classification] = {}
+
+    @cached_property
+    def supports(self) -> dict[str, Support]:
+        return variable_supports(self._program())
+
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        return build_graph(self._program())
+
+    def classification(self, p: Optional[str]) -> Classification:
+        cls = self.verdicts.get(p)
+        return cls if cls is not None else classify(self._program(), p)
+
+
+def program_facts(np: NormalizedProgram) -> ProgramFacts:
+    """The facts of ``np``, derived on first use and kept on the program
+    object, so that they go away with it."""
+    caps = (VALUE_SET_CAP, _POINT_CAP, _BIT_CAP)
+    facts = vars(np).get("_facts")
+    if facts is None or facts.caps != caps:
+        facts = vars(np)["_facts"] = ProgramFacts(np, caps)
+    return facts
 
 
 def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
@@ -176,6 +260,8 @@ def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
     is plain: every pass evaluates every right-hand side on the whole product
     of the current supports, until a pass changes nothing.  Values are held
     as ints where they are integral and become ``Fraction``s in the result.
+    Each call runs the fixpoint on the program's step table;
+    ``program_facts(np).supports`` keeps one result per program.
     """
     supports: dict[str, Optional[set]] = {v: set() for v in np.all_variables}
 
@@ -198,28 +284,29 @@ def variable_supports(np: NormalizedProgram) -> dict[str, Support]:
             supports[t] = None
         return bool(new)
 
-    def assign(t: str, rhs, else_source: Optional[str] = None) -> bool:
-        if not isinstance(rhs, list):
-            grew = join(t, rhs)
+    def assign(step: Step) -> bool:
+        t, values = step.target, step.values
+        if not isinstance(values, list):
+            grew = join(t, values)
         else:
             grew = False
-            for choice in rhs:
+            for choice in values:
                 if supports[t] is None:
                     break
                 grew |= join(t, _choice_values(choice, supports))
-        if else_source is not None:
-            grew |= join(t, supports[else_source])
+        if step.else_source is not None:
+            grew |= join(t, supports[step.else_source])
         return grew
 
-    for v, rhs in np.init:
-        assign(v, _compile(rhs))
-    body = [(ga.target, _compile(ga.rhs), ga.else_source) for ga in np.body]
+    facts = program_facts(np)
+    for step in facts.init:
+        assign(step)
     grew = True
     while grew:
         grew = False
-        for t, rhs, else_source in body:
-            if supports[t] is not None:
-                grew |= assign(t, rhs, else_source)
+        for step in facts.body:
+            if supports[step.target] is not None:
+                grew |= assign(step)
     return {v: None if s is None else frozenset(map(Fraction, s)) for v, s in supports.items()}
 
 
@@ -255,62 +342,24 @@ class DependencyGraph:
     """
 
     def __init__(self, np: NormalizedProgram):
-        self.program = np
+        facts = program_facts(np)
+        self._init, self._body = facts.init, facts.body
         self.variables: tuple[str, ...] = np.all_variables
-        direct: dict[str, set[str]] = {v: set() for v in self.variables}
-        nonlinear: dict[str, set[str]] = {v: set() for v in self.variables}
-        self._assign_params: dict[str, frozenset[str]] = {v: frozenset() for v in self.variables}
-        self._guard_params: dict[str, frozenset[str]] = {v: frozenset() for v in self.variables}
-        self._guard_vars: dict[str, frozenset[str]] = {v: frozenset() for v in self.variables}
-        self._choice_vars: dict[str, frozenset[str]] = {v: frozenset() for v in self.variables}
-        self._else: dict[str, Optional[str]] = {v: None for v in self.variables}
-        self._prob_params: dict[str, frozenset[str]] = {v: frozenset() for v in self.variables}
-        self._terms: dict[str, tuple] = {v: () for v in self.variables}
-        init_params: dict[str, set[str]] = {v: set() for v in self.variables}
-        init_reads: dict[str, set[str]] = {v: set() for v in self.variables}
-
-        for v, rhs in np.init:
-            init_params[v] |= rhs.free_params()
-            init_reads[v] |= rhs.variables()
-
-        for ga in np.body:
-            t = ga.target
-            gvars = bexpr_vars(ga.guard)
-            cvars = ga.rhs.variables()
-            direct[t] |= cvars | gvars
-            if ga.else_source is not None:
-                direct[t].add(ga.else_source)
-            self._assign_params[t] = ga.rhs.free_params()
-            self._guard_params[t] = bexpr_params(ga.guard)
-            self._guard_vars[t] = gvars
-            self._choice_vars[t] = cvars
-            self._else[t] = ga.else_source
-            if isinstance(ga.rhs, Categorical):
-                self._terms[t] = tuple(
-                    (m, c) for poly, _ in ga.rhs.choices for m, c in poly.terms
-                )
-                self._prob_params[t] = frozenset().union(
-                    *(prob.free_params() for _, prob in ga.rhs.choices)
-                )
-                for poly, _ in ga.rhs.choices:
-                    for mono, _c in poly.terms:
-                        if mono.degree >= 2:
-                            nonlinear[t] |= mono.variables()
-
-        self.direct: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in direct.items()}
-        self.nonlinear: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in nonlinear.items()}
-        self._init_params = {v: frozenset(s) for v, s in init_params.items()}
-        self._init_reads = {v: frozenset(s) for v, s in init_reads.items()}
+        empty = dict.fromkeys(self.variables, frozenset())
+        self.direct = empty | {step.target: step.reads for step in self._body}
+        self.nonlinear = empty | {step.target: step.nonlinear for step in self._body}
 
         self._reach = _closure(self.direct, self.variables)
         # Parameter dependence also flows through initialization reads: a
         # variable seeded from a parameter-dependent value has a
         # parameter-dependent zeroth moment.
-        pdep_edges = {v: self.direct[v] | self._init_reads[v] for v in self.variables}
+        pdep_edges = dict(self.direct)
+        for step in self._init:
+            pdep_edges[step.target] |= step.rhs_reads
         self._pdep_reach = _closure(pdep_edges, self.variables)
 
         self.defective: frozenset[str] = frozenset(
-            x for x in self.variables if self._self_nonlinear(x)
+            x for x in self.variables if self.depends_nonlinear(x, x)
         )
         self._pdep_cache: dict[str, frozenset[str]] = {}
         self._infl_cache: dict[str, tuple[dict, dict]] = {}
@@ -320,13 +369,6 @@ class DependencyGraph:
     def reach(self, x: str) -> frozenset[str]:
         """Variables reachable from x over direct edges (including x)."""
         return self._reach[x]
-
-    def depends(self, x: str, y: str) -> bool:
-        """x depends (transitively, at least one edge) on y."""
-        return any(y in self._reach[z] for z in self.direct[x])
-
-    def _self_nonlinear(self, x: str) -> bool:
-        return self.depends_nonlinear(x, x)
 
     def depends_nonlinear(self, x: str, y: str) -> bool:
         """Some dependency path from x to y crosses a non-linear edge."""
@@ -344,11 +386,9 @@ class DependencyGraph:
         if cached is not None:
             return cached
         base = frozenset(
-            v
-            for v in self.variables
-            if p in self._assign_params[v]
-            or p in self._guard_params[v]
-            or p in self._init_params[v]
+            step.target
+            for step in (*self._init, *self._body)
+            if p in step.rhs_params or p in step.prob_params or p in step.guard_params
         )
         result = frozenset(v for v in self.variables if self._pdep_reach[v] & base)
         self._pdep_cache[p] = result
@@ -368,19 +408,21 @@ class DependencyGraph:
         pdep = self.p_dependent(p)
         edges: dict[str, set[str]] = {v: set() for v in self.variables}
         reasons: dict[tuple[str, str], str] = {}
-        for t in self.variables:
-            if p in self._guard_params[t] or (self._guard_vars[t] & pdep):
-                targets = set(self._choice_vars[t])
-                if self._else[t] is not None:
-                    targets.add(self._else[t])
+        for step in self._body:
+            t = step.target
+            if p in step.guard_params or (step.guard_reads & pdep):
+                targets = set(step.rhs_reads)
+                if step.else_source is not None:
+                    targets.add(step.else_source)
                 for y in targets:
                     edges[t].add(y)
                     reasons.setdefault((t, y), "guard")
-            if p in self._prob_params[t]:
-                for y in self._choice_vars[t]:
+            if p in step.prob_params:
+                for y in step.rhs_reads:
                     edges[t].add(y)
                     reasons.setdefault((t, y), "probability")
-            for mono, coeff in self._terms[t]:
+            choices = () if isinstance(step.rhs, DistDraw) else step.rhs.choices
+            for mono, coeff in (term for poly, _ in choices for term in poly.terms):
                 has_p = p in coeff.free_params()
                 for y in mono.variables():
                     cofactor = frozenset(
@@ -466,21 +508,16 @@ class Classification:
     p_dependent: tuple[str, ...]
 
 
-def classify(
-    np: NormalizedProgram,
-    p: Optional[str] = None,
-    graph: Optional[DependencyGraph] = None,
-    supports: Optional[dict[str, Support]] = None,
-) -> Classification:
-    """Classify ``np``; ``graph`` and ``supports`` (the value sets of
-    :func:`variable_supports`) are computed here unless the caller has them."""
-    graph = graph if graph is not None else build_graph(np)
-    if supports is None:
-        supports = variable_supports(np)
-    finite = frozenset(v for v, s in supports.items() if s is not None)
-    guard_vars = sorted(
-        frozenset().union(*(bexpr_vars(ga.guard) for ga in np.body), frozenset())
-    )
+def classify(np: NormalizedProgram, p: Optional[str] = None) -> Classification:
+    """Classify ``np`` with respect to ``p``.  The verdict is kept with the
+    program's other facts, so a later call returns it without work."""
+    facts = program_facts(np)
+    cls = facts.verdicts.get(p)
+    if cls is not None:
+        return cls
+    graph = facts.graph
+    finite = frozenset(v for v, s in facts.supports.items() if s is not None)
+    guard_vars = sorted(frozenset().union(*(step.guard_reads for step in facts.body)))
     nonfinite = [v for v in guard_vars if v not in finite]
     defective = tuple(sorted(graph.defective))
 
@@ -501,10 +538,9 @@ def classify(
                 witnesses.append(f"defective variable {w!r} depends on parameter {p!r}")
                 thm2_ok = False
         infl = graph.influenced_edges(p)
-        defective_set = frozenset(defective)
         for a in graph.variables:
             for b in sorted(infl[a]):
-                bad = sorted(graph.reach(b) & defective_set)
+                bad = sorted(graph.reach(b) & graph.defective)
                 if bad:
                     witnesses.append(
                         f"{a} ={p}=> {b} : parameter-influenced dependency "
@@ -512,7 +548,7 @@ def classify(
                     )
                     thm2_ok = False
 
-    return Classification(
+    cls = facts.verdicts[p] = Classification(
         parameter=p,
         admissible=admissible,
         thm2_ok=thm2_ok,
@@ -521,3 +557,4 @@ def classify(
         defective=defective,
         p_dependent=pdep,
     )
+    return cls

@@ -19,15 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .dependency import (
-    Classification,
-    DependencyGraph,
-    build_graph,
-    classify,
-    variable_supports,
-)
+from .dependency import Step, program_facts
 from .errors import (
     GuardNotSupportedError,
     NonFiniteGuardError,
@@ -44,8 +38,6 @@ from .syntax import (
     PolyExpr,
     VarMonomial,
     bexpr_eval,
-    bexpr_params,
-    bexpr_vars,
 )
 
 DEFAULT_EQUATION_CAP = 500
@@ -105,9 +97,11 @@ def _nonzero(terms: dict) -> dict:
 
 
 class MomentContext:
-    """Shared caches for deriving recurrences of one normalized program,
-    including its dependency graph and its classification per parameter, so
-    one analysis classifies the program once.
+    """Shared caches for deriving recurrences of one normalized program.
+
+    The program's step table, value sets, dependency graph and verdicts are
+    read from its facts (``dependency.program_facts``), which every context
+    and every ``classify`` call on the same program object share.
 
     Inside the context a polynomial is a dict from exponent tuples, one slot
     per variable in sorted name order, to ``ParamExpr`` coefficients, so a
@@ -118,9 +112,8 @@ class MomentContext:
 
     def __init__(self, program: NormalizedProgram):
         self.program = program
-        self.supports = variable_supports(program)
-        self._graph: Optional[DependencyGraph] = None
-        self._classifications: dict[str, Classification] = {}
+        self.facts = program_facts(program)
+        self.supports = self.facts.supports
         self._basis: dict[tuple[str, Fraction], PolyExpr] = {}
         self._recurrences: dict[VarMonomial, PolyExpr] = {}
         self._initials: dict[VarMonomial, ParamExpr] = {}
@@ -128,14 +121,7 @@ class MomentContext:
         self._derivatives: dict[tuple[ParamExpr, str], ParamExpr] = {}
         self._set_powers: dict[tuple[tuple, int], list] = {}
         self._sizes = {v: len(s) for v, s in self.supports.items() if s}
-        # each assignment as ``_push`` takes it: the key of its value, its
-        # target and the variables its value reads
-        self._init_steps = [(rhs, v, rhs.variables()) for v, rhs in program.init]
-        self._body_steps = [
-            (j, ga.target, {*ga.rhs.variables(), *bexpr_vars(ga.guard), ga.else_source} - {None})
-            for j, ga in enumerate(program.body)
-        ]
-        reads = (r for *_, r in self._init_steps + self._body_steps)
+        reads = (step.reads for step in (*self.facts.init, *self.facts.body))
         self._set_order(set(program.all_variables).union(*reads))
 
     def _set_order(self, names: Iterable[str]) -> None:
@@ -150,29 +136,12 @@ class MomentContext:
         self._power_reps: dict[tuple[int, int], list] = {}
         self._truth_terms: dict[BExpr, dict] = {}
         self._powers: dict[tuple[int, int], dict[int, dict]] = {}
-        self._power_values: dict[tuple[int, int], dict] = {}
-        self._replacements: dict[tuple[int, int], dict] = {}
+        self._replacements: dict[tuple[Step, int], dict] = {}
 
     def _admit(self, names: Iterable[str]) -> None:
         """Make room for variables the program does not mention."""
         if not self._slot.keys() >= set(names):
             self._set_order({*self._order, *names})
-
-    # -- dependency facts ---------------------------------------------------
-
-    @property
-    def graph(self) -> DependencyGraph:
-        if self._graph is None:
-            self._graph = build_graph(self.program)
-        return self._graph
-
-    def classification(self, param: str) -> Classification:
-        """The program's verdict with respect to ``param``, computed once."""
-        cls = self._classifications.get(param)
-        if cls is None:
-            cls = classify(self.program, param, graph=self.graph, supports=self.supports)
-            self._classifications[param] = cls
-        return cls
 
     # -- exponent tuples ------------------------------------------------------
 
@@ -266,19 +235,18 @@ class MomentContext:
         self._admit(poly.variables())
         return self._poly(self._reduce(self._terms(poly), {}, self._caps))
 
-    def _truth_of(self, guard: BExpr) -> dict:
+    def _truth_of(self, step: Step) -> dict:
+        """The truth polynomial of the guard of ``step``, which is not true."""
+        guard = step.guard
         cached = self._truth_terms.get(guard)
         if cached is not None:
             return cached
-        if isinstance(guard, BTrue):
-            return {self._one: _ONE}
-        params = bexpr_params(guard)
-        if params:
+        if step.guard_params:
             raise GuardNotSupportedError(
-                f"condition {sorted(params)} compares against parameters; "
+                f"condition {sorted(step.guard_params)} compares against parameters; "
                 "expectations over such branches have no polynomial form"
             )
-        names = sorted(bexpr_vars(guard))
+        names = sorted(step.guard_reads)
         sets = []
         points = 1
         for v in names:
@@ -315,50 +283,42 @@ class MomentContext:
     def _power_value(self, rhs, k: int) -> dict:
         """E[(assigned value)**k] in the pre-assignment state.
 
-        Memoized by the identity of ``rhs``, which the program keeps alive.
-        Each choice's powers are memoized by exponent, and ``poly**k`` is
+        Each choice's powers are memoized by exponent, under the identity of
+        ``rhs``, which the program keeps alive, and ``poly**k`` is
         ``poly**m`` times ``poly**(k-m)``, m the largest memoized exponent
         below k: one product for k = m + 1, and for each square of a
-        squaring loop."""
-        key = (id(rhs), k)
-        cached = self._power_values.get(key)
-        if cached is not None:
-            return cached
+        squaring loop.  ``_replacement`` memoizes the result."""
         if isinstance(rhs, DistDraw):
-            cached = _nonzero({self._one: dist_moment(rhs.kind, rhs.args, k)})
-        else:
-            cached = {}
-            for j, (poly, prob) in enumerate(rhs.choices):
-                powers = self._powers.get((id(rhs), j))
-                if powers is None:
-                    powers = self._powers[id(rhs), j] = {0: {self._one: _ONE}, 1: self._terms(poly)}
-                chain, e = [], k
-                while e not in powers:
-                    m = max(x for x in powers if x < e)
-                    chain.append((e, m))
-                    e -= m
-                for e, m in reversed(chain):
-                    powers[e] = self._product(powers[m], powers[e - m])
-                for t, c in powers[k].items():
-                    _accumulate(cached, t, c * prob)
-            cached = _nonzero(cached)
-        self._power_values[key] = cached
-        return cached
+            return _nonzero({self._one: dist_moment(rhs.kind, rhs.args, k)})
+        value: dict = {}
+        for j, (poly, prob) in enumerate(rhs.choices):
+            powers = self._powers.get((id(rhs), j))
+            if powers is None:
+                powers = self._powers[id(rhs), j] = {0: {self._one: _ONE}, 1: self._terms(poly)}
+            chain, e = [], k
+            while e not in powers:
+                m = max(x for x in powers if x < e)
+                chain.append((e, m))
+                e -= m
+            for e, m in reversed(chain):
+                powers[e] = self._product(powers[m], powers[e - m])
+            for t, c in powers[k].items():
+                _accumulate(value, t, c * prob)
+        return _nonzero(value)
 
-    def _replacement(self, index: int, k: int) -> dict:
-        """E[target**k] after the guarded assignment ``body[index]``."""
-        key = (index, k)
+    def _replacement(self, step: Step, k: int) -> dict:
+        """E[target**k] after the guarded assignment ``step``."""
+        key = (step, k)
         cached = self._replacements.get(key)
         if cached is not None:
             return cached
-        ga = self.program.body[index]
-        value = self._power_value(ga.rhs, k)
-        if isinstance(ga.guard, BTrue):
+        value = self._power_value(step.rhs, k)
+        if isinstance(step.guard, BTrue):
             cached = value
         else:
-            truth = self._truth_of(ga.guard)
+            truth = self._truth_of(step)
             kept = list(self._one)
-            kept[self._slot[ga.else_source]] = k
+            kept[self._slot[step.else_source]] = k
             untrue = {self._one: _ONE}
             for t, c in truth.items():
                 _accumulate(untrue, t, -c)
@@ -369,25 +329,25 @@ class MomentContext:
         self._replacements[key] = cached
         return cached
 
-    def _push(self, terms: dict, steps: list, value_of, sizes: dict) -> dict:
+    def _push(self, terms: dict, steps: tuple, sizes: dict) -> dict:
         """Push ``terms`` backward, in place, through ``steps``, last first:
-        a target's power k in a term becomes ``value_of(key, k)``.  The
+        a target's power k in a term becomes ``_replacement(step, k)``.  The
         powers of the variables in ``sizes`` stay canonical; a step can
         raise only those of the variables it reads.  ``held`` has every
         variable a term holds, so a step whose target none holds is free."""
         held = {self._order[i] for t in terms for i, e in enumerate(t) if e}
-        for key, target, reads in reversed(steps):
-            if target not in held:
+        for step in reversed(steps):
+            if step.target not in held:
                 continue
-            held.discard(target)
-            held |= reads
-            i = self._slot[target]
-            caps = [(self._slot[v], sizes[v]) for v in reads if v in sizes]
+            held.discard(step.target)
+            held |= step.reads
+            i = self._slot[step.target]
+            caps = [(self._slot[v], sizes[v]) for v in step.reads if v in sizes]
             new: dict = {}
             for t in [t for t in terms if t[i]]:
                 c = terms.pop(t)
                 rest = t[:i] + (0,) + t[i + 1:]
-                for m, r in value_of(key, t[i]).items():
+                for m, r in self._replacement(step, t[i]).items():
                     _accumulate(new, tuple(map(add, rest, m)), c * r)
             self._reduce(new, terms, caps)
         return terms
@@ -399,7 +359,7 @@ class MomentContext:
             return cached
         self._admit(monomial.variables())
         terms = self._reduce({self._tuple(monomial): _ONE}, {}, self._caps)
-        terms = self._push(terms, self._body_steps, self._replacement, self._sizes)
+        terms = self._push(terms, self.facts.body, self._sizes)
         poly = self._poly(terms, intern=True)
         self._recurrences[monomial] = poly
         return poly
@@ -430,7 +390,7 @@ class MomentContext:
         if cached is not None:
             return cached
         self._admit(monomial.variables())
-        terms = self._push({self._tuple(monomial): _ONE}, self._init_steps, self._power_value, {})
+        terms = self._push({self._tuple(monomial): _ONE}, self.facts.init, {})
         missing = {self._order[i] for t in terms for i, e in enumerate(t) if e}
         if missing:
             raise UninitializedVariableError(tuple(sorted(missing)))

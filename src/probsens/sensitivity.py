@@ -26,7 +26,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Mapping, Optional
 
-from .dependency import Classification, DependencyGraph
+from .dependency import Classification
 from .errors import ClassificationError, EquationCapError
 from .moments import DEFAULT_EQUATION_CAP, MomentContext, _as_context
 from .solver import ForwardIterator, solve_system
@@ -187,11 +187,7 @@ class RecurrenceSystem:
 
 
 def sensitivity_recurrence(
-    ctx: MomentContext,
-    graph: DependencyGraph,
-    monomial: VarMonomial,
-    param: str,
-    debug: bool = False,
+    ctx: MomentContext, monomial: VarMonomial, param: str, debug: bool = False
 ) -> Terms:
     """Terms of the one-step recurrence for d/dp E[monomial]: differentiate
     the moment recurrence term by term.
@@ -201,7 +197,7 @@ def sensitivity_recurrence(
     when its monomial touches no p-dependent variable.  ``debug`` disables
     both (the larger system must agree — a useful cross-check)."""
     base = ctx.recurrence(monomial)
-    pdep = graph.p_dependent(param)
+    pdep = ctx.facts.graph.p_dependent(param)
     terms: list[tuple[ParamExpr, SequenceSymbol]] = []
     for mono, coeff in base.terms:
         dc = ctx.derivative(coeff, param)
@@ -249,8 +245,7 @@ def _assemble(
                 heappush(heap, (sym.is_moment, sym.monomial.deglex_key, sym))
 
     if param is not None:
-        graph = ctx.graph
-        pdep = graph.p_dependent(param)
+        pdep = ctx.facts.graph.p_dependent(param)
     combination = []
     for mono, c in ctx.reduce(PolyExpr.monomial(target)).terms:
         if param is None:
@@ -273,7 +268,7 @@ def _assemble(
                 (c, SequenceSymbol.moment(m)) for m, c in ctx.recurrence(sym.monomial).terms
             )
         else:
-            terms = sensitivity_recurrence(ctx, graph, sym.monomial, param, debug=debug)
+            terms = sensitivity_recurrence(ctx, sym.monomial, param, debug=debug)
         equations[sym] = terms
         for _, s in terms:
             push(s)
@@ -312,7 +307,7 @@ def sensitivity_system(
     admissible outright); a p-independent target yields the empty system,
     whose closed form is identically zero."""
     ctx = _as_context(program)
-    cls = ctx.classification(param)
+    cls = ctx.facts.classification(param)
     if not (cls.thm2_ok or cls.admissible):
         raise ClassificationError(
             f"cannot derive sensitivity recurrences w.r.t. {param!r}: "
@@ -364,12 +359,13 @@ def parameter_sensitivity(
     variables depends on the parameter has the zero sensitivity and the empty
     system, as with sensitivity recurrences.  'sensrec' assembles and solves
     the sensitivity-recurrence system directly; ``debug`` turns off its
-    pruning (see :func:`sensitivity_system`).  The program is classified
-    once, here."""
+    pruning (see :func:`sensitivity_system`).  The verdict is the one the
+    program's facts keep, so a program classified before is not classified
+    again."""
     if method not in ("auto", "diff", "sensrec"):
         raise ValueError(f"unknown method {method!r}")
     ctx = _as_context(program)
-    cls = ctx.classification(param)
+    cls = ctx.facts.classification(param)
     if method == "auto":
         if cls.admissible:
             method = "diff"

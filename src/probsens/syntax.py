@@ -600,6 +600,11 @@ class NormalizedProgram:
     def all_variables(self) -> tuple[str, ...]:
         return tuple(sorted([*self.variables, *self.temporaries]))
 
+    def __getstate__(self) -> dict:
+        # a pickled or copied program derives its own facts
+        # (``dependency.program_facts``), which hold the original weakly
+        return {k: v for k, v in vars(self).items() if k != "_facts"}
+
     def to_source(self) -> str:
         lines = ["init:"]
         for v, rhs in self.init:

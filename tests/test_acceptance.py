@@ -330,7 +330,7 @@ def test_criterion_08_parameter_independent_sensitivities_vanish():
         graph = build_graph(np_)
         names = sorted(prog.variables)
         for param in sorted(np_.params):
-            cls = classify(np_, param, graph=graph)
+            cls = classify(np_, param)
             if not (cls.admissible or cls.thm2_ok):
                 continue  # the analysis itself refuses this parameter
             dependent = graph.p_dependent(param)

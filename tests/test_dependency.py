@@ -5,6 +5,7 @@ on small synthetic graphs, and the finite-value analysis against plain
 simulation of the loop.
 """
 
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -75,6 +76,11 @@ def norm(src):
     return normalize(parse(src))
 
 
+def depends(g, x, y):
+    """x depends on y over a path of at least one direct edge."""
+    return any(y in g.reach(z) for z in g.direct[x])
+
+
 # ---------------------------------------------------------------------------
 # Direct relations on hand-checked programs
 # ---------------------------------------------------------------------------
@@ -87,6 +93,14 @@ def test_direct_and_nonlinear_edges():
     assert g.depends_nonlinear("u", "w")
     assert not g.nonlinear["y"]
     assert not g.nonlinear["x"]  # 5 + w + x is linear
+
+
+def test_a_classified_program_pickles_without_its_facts():
+    np_ = norm(MIXED)
+    verdict = classify(np_, "p")
+    copy = pickle.loads(pickle.dumps(np_))
+    assert copy == np_ and "_facts" not in vars(copy)
+    assert classify(copy, "p") == verdict
 
 
 def test_defective_variables():
@@ -124,7 +138,7 @@ def test_guard_edges_connect_condition_variables():
     np_ = norm(EPIDEMIC)
     g = build_graph(np_)
     assert "vax" in g.direct["efficiency"]
-    assert g.depends("infected_prob", "vax")
+    assert depends(g, "infected_prob", "vax")
     c = classify(np_, "vax_param")
     assert c.admissible and c.thm2_ok
     assert c.defective == ()
@@ -575,7 +589,7 @@ def test_closures_match_bruteforce(seed):
 
     for x in nodes:
         for y in nodes:
-            assert g.depends(x, y) == ((x, y) in plus)
+            assert depends(g, x, y) == ((x, y) in plus)
             assert g.depends_nonlinear(x, y) == ((x, y) in nl_plus)
             # some dependency path from x to y crosses a p-influenced edge
             crosses = any(y in g.reach(b) for a in g.reach(x) for b in infl[a])
@@ -602,9 +616,8 @@ def test_influence_and_nonlinearity_stay_within_dependency(src):
 @settings(max_examples=40, deadline=None)
 def test_admissible_implies_sensitivity_ready(src):
     np_ = norm(src)
-    g = build_graph(np_)
     for p in sorted(np_.params) or ["p"]:
-        c = classify(np_, p, graph=g)
+        c = classify(np_, p)
         if c.admissible:
             assert c.thm2_ok
         if not c.guard_vars_finite:

@@ -578,9 +578,9 @@ def _copying_recurrence(ctx, monomial):
     and reduced into new dicts, whether it touches a term or not."""
     ctx._admit(monomial.variables())
     terms = _copying_reduce(ctx, {ctx._tuple(monomial): pe(1)}, {})
-    for index in reversed(range(len(ctx.program.body))):
-        i = ctx._slot[ctx.program.body[index].target]
-        kept, new = _copying_split(terms, i, lambda k: ctx._replacement(index, k))
+    for step in reversed(ctx.facts.body):
+        i = ctx._slot[step.target]
+        kept, new = _copying_split(terms, i, lambda k: ctx._replacement(step, k))
         terms = _copying_reduce(ctx, new, kept)
     return ctx._poly(terms)
 

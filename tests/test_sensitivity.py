@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from probsens.dependency import classify
+from probsens.dependency import classify, variable_supports
 from probsens.errors import (
     ClassificationError,
     EquationCapError,
+    ProbsensError,
     SingularParameterError,
 )
 from probsens.moments import MomentContext
@@ -30,11 +31,12 @@ from probsens.sensitivity import (
     sensitivity_system,
 )
 from probsens.symbolic import ParamExpr, ep_eval, ep_value_symbolic, pe
+from probsens.syntax import Categorical
 
 from sympy_views import expr
 from test_dependency import MIXED, MIXED_TAINTED, _coin_program
 from test_moments import BRANCHY_COUNTER
-from test_normalize import EPIDEMIC
+from test_normalize import EPIDEMIC, random_programs
 
 # Three-chain loop: a squaring pair (x1, x2-ish), a mutually-recursive pair
 # with a product of variables, and a clean linear chain carrying the
@@ -113,13 +115,10 @@ def test_monomial_ordering_degree_first():
 
 
 def test_sensitivity_recurrence_drops_parameter_free_coefficients():
-    from probsens.dependency import build_graph
     from probsens.moments import MomentContext
 
-    np_ = norm(MIXED)
-    ctx = MomentContext(np_)
-    graph = build_graph(np_)
-    terms = sensitivity_recurrence(ctx, graph, mono("u"), "p")
+    ctx = MomentContext(norm(MIXED))
+    terms = sensitivity_recurrence(ctx, mono("u"), "p")
     # E(u | n+1) = E(x) + p*E(y*z): the coefficient of E(x) is constant in p
     # and x itself is p-independent, so the x term vanishes entirely.
     assert all("x" not in str(s.monomial) for _, s in terms)
@@ -129,13 +128,10 @@ def test_sensitivity_recurrence_drops_parameter_free_coefficients():
 
 
 def test_sensitivity_recurrence_debug_keeps_everything():
-    from probsens.dependency import build_graph
     from probsens.moments import MomentContext
 
-    np_ = norm(MIXED)
-    ctx = MomentContext(np_)
-    graph = build_graph(np_)
-    terms = sensitivity_recurrence(ctx, graph, mono("u"), "p", debug=True)
+    ctx = MomentContext(norm(MIXED))
+    terms = sensitivity_recurrence(ctx, mono("u"), "p", debug=True)
     names = {str(s) for _, s in terms}
     assert "E(x)" in names and "d/dp E(x)" in names
     # but never a derivative of the constant sequence
@@ -301,6 +297,64 @@ def test_auto_runs_the_value_set_fixpoint_once(monkeypatch, src, target, wrt):
                     monkeypatch.setattr(module, attr, counting)
     parameter_sensitivity(norm(src), mono(target), wrt, method="auto")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name, target, p, q",
+    [("coin_flips_50.prob", "total", "p", None), ("hawk_dove.prob", "payoff", "p", "q")],
+)
+def test_classify_and_the_analysis_derive_the_facts_once(monkeypatch, name, target, p, q):
+    # as the corpus benchmark runs a row: classify, analyse, and classify
+    # again for another parameter, all on one program object
+    import probsens.dependency as dependency
+
+    calls = {"supports": 0, "graph": 0, "choice": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    original = dependency.variable_supports
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "probsens" or module_name.startswith("probsens."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting("supports", original))
+    init = dependency.DependencyGraph.__init__
+    monkeypatch.setattr(dependency.DependencyGraph, "__init__", counting("graph", init))
+    monkeypatch.setattr(dependency, "_compile_choice", counting("choice", dependency._compile_choice))
+
+    np_ = norm((CORPUS / name).read_text(), name=name)
+    classify(np_, p)
+    parameter_sensitivity(np_, mono(target), p)
+    classify(np_, q)
+    rhss = [rhs for _, rhs in np_.init] + [ga.rhs for ga in np_.body]
+    choices = sum(len(rhs.choices) for rhs in rhss if isinstance(rhs, Categorical))
+    assert calls == {"supports": 1, "graph": 1, "choice": choices}
+
+
+def _analysis(np_, target, method):
+    try:
+        r = parameter_sensitivity(np_, mono(target), "p", method=method, cap=60)
+    except ProbsensError as e:
+        return type(e), str(e)
+    return r.method, r.equation_count, r.closed_form.prefix, dict(r.closed_form.terms)
+
+
+@given(random_programs())
+@settings(max_examples=30, deadline=None)
+def test_a_classified_program_analyses_as_a_fresh_copy(src):
+    src = src.replace("{1/2}", "{p}")
+    shared, fresh = norm(src), norm(src)
+    verdicts = {p: classify(shared, p) for p in ("p", None)}
+    rows = [(t, method) for t in sorted(shared.variables) for method in ("auto", "sensrec")]
+    analyses = {row: _analysis(shared, *row) for row in rows}
+    assert {row: _analysis(fresh, *row) for row in rows} == analyses
+    assert {p: classify(fresh, p) for p in verdicts} == verdicts
+    assert MomentContext(shared).supports == variable_supports(fresh)
 
 
 # ---------------------------------------------------------------------------
